@@ -50,7 +50,6 @@ class CompositeAnsatz:
         self.contact = ContactWave(decomp, transport, **(contact_kw or {})) \
             if decomp.delta_c > 0 else None
         self.shock = ShockProfile(decomp, transport) if decomp.delta_s > 0 else None
-        self.lam_weight = decomp.delta_s ** 0.75 if decomp.delta_s > 0 else 0.0
 
     def frame(self, t: float, X: float, y: np.ndarray) -> AnsatzFrame:
         y = np.asarray(y, dtype=float)
@@ -75,7 +74,7 @@ class CompositeAnsatz:
             sh = self.shock.eval(y - X)
             vS, u1S, thS = sh["v"], sh["u1"], sh["theta"]
             vS_y, u1S_y, thS_y = sh["v_y"], sh["u1_y"], sh["theta_y"]
-            a = 1.0 + self.lam_weight / d.delta_s * (vS - d.mid_hi.v)
+            a = layer_weight(vS, d.mid_hi.v, d.delta_s)
         else:
             vS = np.full_like(y, d.right.v)
             u1S = np.full_like(y, d.right.u1)
@@ -90,11 +89,15 @@ class CompositeAnsatz:
                            vR_y=vR_y, a=a)
 
 
+def layer_weight(vS, v_star: float, delta_s: float) -> np.ndarray:
+    """Monotone shock-layer weight 1 + delta_s^(-1/4) (v^S - v^*) of the
+    shock volume vS, ranging over (1, 1 + delta_s^(3/4))."""
+    return 1.0 + delta_s ** 0.75 / delta_s * (vS - v_star)
+
+
 def weight_a(y, shock: ShockProfile, delta_s: float) -> np.ndarray:
-    """Monotone shock-layer weight 1 + delta_s^(-1/4) (v^S(y) - v^*),
-    ranging over (1, 1 + delta_s^(3/4))."""
-    vS = shock.eval(y)["v"]
-    return 1.0 + delta_s ** (-0.25) * (vS - shock.v_star)
+    """The shock-layer weight at y (unshifted)."""
+    return layer_weight(shock.eval(y)["v"], shock.v_star, delta_s)
 
 
 def weight_a_prime(y, shock: ShockProfile, delta_s: float) -> np.ndarray:
@@ -327,7 +330,3 @@ class LayerCoordinate:
         rhs = (vS - self.shock.v_star) * (self.shock.v_plus - vS) \
             / self.delta_s ** 2
         return z * (1.0 - z) - rhs
-
-
-def z_change_of_variables(shock: ShockProfile, X: float = 0.0) -> LayerCoordinate:
-    return LayerCoordinate(shock, X)

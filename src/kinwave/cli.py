@@ -20,13 +20,13 @@ import numpy as np
 from . import __version__
 from .ansatz import CompositeAnsatz, DiagnosticsFrame
 from .collision import assemble_linearized, measure_dissipativity, q_bilinear
-from .config import PRESETS, RunConfig, apply_preset, load_config
-from .errors import ConfigError, CostGuard, KinwaveError
-from .gas import FluidTriple
+from .config import PRESETS, RunConfig, load_config
+from .errors import ConfigError, CostGuard, KinwaveError, NonphysicalState
+from .gas import R_GAS, FluidTriple
 from .profiles import build_contact, build_rarefaction, build_shock
 from .reports import profile_report
 from .riemann import generate_states
-from .solvers import (KineticField, RunConfigFluid, fluid_run, kinetic_step,
+from .solvers import (KineticField, fluid_run, kinetic_step,
                       kinetic_step_linearized, maxwellian_field)
 from .velocity import (DistributionField, VelocityGrid, grid_for_state,
                        moments, reference_maxwellian)
@@ -48,11 +48,16 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _write_json(path: Path, data: dict) -> None:
+def _write_json(path: Path, data, indent: int = 2) -> None:
+    """Strict JSON: a NaN or infinity is a numerical guard, not a result."""
+    try:
+        text = json.dumps(data, sort_keys=True, indent=indent,
+                          default=_json_default, allow_nan=False)
+    except ValueError as exc:
+        raise NonphysicalState(f"{path.name}: {exc}") from exc
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _decomposition(cfg: RunConfig):
@@ -189,12 +194,7 @@ def _write_frames_csv(path: Path, frames: list[DiagnosticsFrame]) -> None:
 
 def cmd_simulate_fluid(cfg: RunConfig, out: Path, seed: int) -> int:
     decomp = _decomposition(cfg)
-    run_cfg = RunConfigFluid(y_min=cfg.y_min, y_max=cfg.y_max, dy=cfg.dy,
-                             t_end=cfg.t_end,
-                             output_interval=cfg.output_interval,
-                             dt_factor=cfg.dt_factor)
-    result = fluid_run(decomp, cfg.perturbation, cfg.t_end, run_cfg,
-                       cfg.transport)
+    result = fluid_run(decomp, cfg)
     _write_frames_csv(out / "diagnostics.csv", result.frames)
     summary = result.summary()
     summary["seed"] = seed
@@ -219,13 +219,11 @@ def cmd_simulate_fluid(cfg: RunConfig, out: Path, seed: int) -> int:
 def cmd_simulate_kinetic(cfg: RunConfig, out: Path, seed: int,
                          linearized: bool) -> int:
     decomp = _decomposition(cfg)
-    ans = CompositeAnsatz(decomp, cfg.transport,
-                          contact_kw=None if decomp.delta_c > 0 else None)
+    ans = CompositeAnsatz(decomp, cfg.transport)
     y = np.linspace(cfg.y_min, cfg.y_max, cfg.nx)
     states = [decomp.left, decomp.mid_lo, decomp.mid_hi, decomp.right]
     th_max = max(s.theta for s in states)
     u_span = max(abs(s.u1) for s in states)
-    from .gas import R_GAS
     grid = VelocityGrid(
         center=(0.5 * (decomp.left.u1 + decomp.right.u1), 0.0, 0.0),
         half_width=cfg.velocity_extent * math.sqrt(R_GAS * th_max) + u_span,
@@ -238,8 +236,7 @@ def cmd_simulate_kinetic(cfg: RunConfig, out: Path, seed: int,
     if cfg.perturbation.micro_amplitude != 0.0:
         # cubic Hermite mode He3((xi1-u)/a) M: orthogonal to all five
         # collision invariants, so the bump is purely microscopic
-        from .gas import R_GAS as _R
-        a = math.sqrt(_R * decomp.right.theta)
+        a = math.sqrt(R_GAS * decomp.right.theta)
         xh = (grid.node_array(0) - decomp.right.u1) / a
         mode = (xh ** 3 - 3.0 * xh) * grid.maxwellian(decomp.right)
         env = np.exp(-((y - cfg.perturbation.micro_center)
@@ -277,8 +274,7 @@ def cmd_simulate_kinetic(cfg: RunConfig, out: Path, seed: int,
         "runtime": time.perf_counter() - t0,
     }
     _write_json(out / "summary.json", summary)
-    with open(out / "kinetic_frames.json", "w") as fh:
-        json.dump(frames, fh, sort_keys=True, indent=1, default=_json_default)
+    _write_json(out / "kinetic_frames.json", frames, indent=1)
     print(json.dumps(summary, sort_keys=True, indent=2, default=_json_default))
     return EXIT_OK
 
@@ -318,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None)
         p.add_argument("--out", type=Path, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (recorded; numpy controls BLAS)")
         p.add_argument("--preset", type=str, default=None,
                        choices=sorted(PRESETS))
         if name == "simulate-kinetic":
@@ -331,9 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        if args.preset:
-            cfg = apply_preset(cfg, args.preset)
+        cfg = load_config(args.config, args.preset)
         seed = args.seed if args.seed is not None else cfg.seed
         out = _prepare_out(cfg, args.out)
         if args.command == "profiles":

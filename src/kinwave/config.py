@@ -1,11 +1,13 @@
 """Run configuration: INI-style key = value files with fixed sections.
 
-Unknown sections or keys are rejected so config typos fail loudly.
+Unknown sections or keys are rejected so config typos fail loudly.  Presets
+are INI fragments checked exactly like a user config.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,22 +23,35 @@ _SCHEMA = {
     "perturbation": {"bumps", "micro_amplitude", "micro_center",
                      "micro_width"},
     "solver": {"t_end", "output_interval", "dt_factor", "kinetic_dt",
-               "operator_block", "mu_coefficient", "kappa_coefficient",
-               "seed"},
-    "output": {"dir", "snapshots", "write_fields", "cache_dir"},
+               "mu_coefficient", "kappa_coefficient", "seed"},
+    "output": {"dir", "write_fields", "cache_dir"},
 }
 
 _RANGES = {
     ("states", "v_right"): (1e-3, 1e3),
+    ("states", "u1_right"): (-1e3, 1e3),
     ("states", "theta_right"): (1e-3, 1e3),
     ("strengths", "delta_r"): (0.0, 0.5),
     ("strengths", "delta_c"): (0.0, 0.5),
     ("strengths", "delta_s"): (0.0, 0.3),
+    ("grid", "y_min"): (-1e5, 1e5),
+    ("grid", "y_max"): (-1e5, 1e5),
     ("grid", "dy"): (1e-4, 10.0),
     ("grid", "velocity_counts"): (4, 64),
+    ("grid", "velocity_extent"): (1.0, 50.0),
+    ("grid", "sphere_polar"): (1, 32),
+    ("grid", "sphere_azimuth"): (1, 64),
     ("grid", "nx"): (8, 100_000),
+    ("perturbation", "micro_amplitude"): (-1.0, 1.0),
+    ("perturbation", "micro_center"): (-1e5, 1e5),
+    ("perturbation", "micro_width"): (1e-3, 1e5),
     ("solver", "t_end"): (0.0, 1e6),
+    ("solver", "output_interval"): (1e-6, 1e6),
     ("solver", "dt_factor"): (1e-3, 1.0),
+    ("solver", "kinetic_dt"): (1e-6, 10.0),
+    ("solver", "mu_coefficient"): (1e-3, 1e3),
+    ("solver", "kappa_coefficient"): (1e-3, 1e3),
+    ("solver", "seed"): (0, 2 ** 63 - 1),
 }
 
 
@@ -60,11 +75,9 @@ class RunConfig:
     output_interval: float = 2.0
     dt_factor: float = 1.0
     kinetic_dt: float = 0.02
-    operator_block: int = 8
     transport: TransportLaw = field(default_factory=TransportLaw)
     seed: int = 0
     out_dir: Path = Path("out")
-    snapshots: tuple[float, ...] = ()
     write_fields: bool = False
     cache_dir: Path | None = None
 
@@ -86,21 +99,40 @@ def _parse_bumps(text: str) -> tuple[GaussianBump, ...]:
             amp, center, width = (float(p) for p in parts[1:])
         except ValueError as exc:
             raise ConfigError(f"bump '{item}': {exc}") from exc
+        if not all(math.isfinite(x) for x in (amp, center, width)):
+            raise ConfigError(f"bump '{item}': values must be finite")
         if width <= 0:
             raise ConfigError(f"bump '{item}': width must be positive")
         bumps.append(GaussianBump(target, amp, center, width))
     return tuple(bumps)
 
 
-def load_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+def load_config(path=None, preset: str | None = None) -> RunConfig:
+    """Build a run configuration from an INI file, a preset, or both (the
+    preset overrides the keys it names); defaults fill the rest.  The
+    merged result is checked against the schema and ranges once."""
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        if path is not None:
+            path = Path(path)
+            if not path.exists():
+                raise ConfigError(f"config file not found: {path}")
+            parser.read(path)
+        if preset is not None:
+            if preset not in PRESETS:
+                raise ConfigError(
+                    f"unknown preset '{preset}'; available: {sorted(PRESETS)}")
+            parser.read_string(PRESETS[preset], source=f"<preset {preset}>")
+        return _build(parser)
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        raise ConfigError(f"cannot parse config: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
+
+
+def _build(parser: configparser.ConfigParser) -> RunConfig:
+    """Check the merged parser against the schema and ranges, then map it
+    onto a RunConfig."""
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
@@ -137,12 +169,8 @@ def load_config(path) -> RunConfig:
     cfg.sphere_polar = geti("grid", "sphere_polar", cfg.sphere_polar)
     cfg.sphere_azimuth = geti("grid", "sphere_azimuth", cfg.sphere_azimuth)
     cfg.nx = geti("grid", "nx", cfg.nx)
-    if parser.has_option("perturbation", "bumps"):
-        bumps = _parse_bumps(parser.get("perturbation", "bumps"))
-    else:
-        bumps = ()
     cfg.perturbation = PerturbationSpec(
-        bumps=bumps,
+        bumps=_parse_bumps(parser.get("perturbation", "bumps", fallback="")),
         micro_amplitude=getf("perturbation", "micro_amplitude", 0.0),
         micro_center=getf("perturbation", "micro_center", 0.0),
         micro_width=getf("perturbation", "micro_width", 10.0))
@@ -150,7 +178,6 @@ def load_config(path) -> RunConfig:
     cfg.output_interval = getf("solver", "output_interval", cfg.output_interval)
     cfg.dt_factor = getf("solver", "dt_factor", cfg.dt_factor)
     cfg.kinetic_dt = getf("solver", "kinetic_dt", cfg.kinetic_dt)
-    cfg.operator_block = geti("solver", "operator_block", cfg.operator_block)
     cfg.transport = TransportLaw(
         A1=getf("solver", "mu_coefficient", 1.0),
         A2=getf("solver", "kappa_coefficient", 2.5))
@@ -159,55 +186,49 @@ def load_config(path) -> RunConfig:
         cfg.out_dir = Path(parser.get("output", "dir"))
     if parser.has_option("output", "cache_dir"):
         cfg.cache_dir = Path(parser.get("output", "cache_dir"))
-    if parser.has_option("output", "snapshots"):
-        cfg.snapshots = tuple(
-            float(s) for s in parser.get("output", "snapshots").split(",") if s.strip())
     if parser.has_option("output", "write_fields"):
         cfg.write_fields = parser.getboolean("output", "write_fields")
+    if cfg.y_min >= cfg.y_max:
+        raise ConfigError(f"grid.y_min = {cfg.y_min} >= y_max = {cfg.y_max}")
     return cfg
 
 
-PRESETS: dict[str, dict] = {
-    "stability-small": {
-        "strengths": {"delta_r": 0.08, "delta_c": 0.05, "delta_s": 0.08},
-        "perturbation": {"bumps": "v:0.01:0:25; u1:-0.01:0:25; theta:-0.01:0:25"},
-        "solver": {"t_end": 200.0},
-    },
-    "shock-only": {
-        "strengths": {"delta_r": 0.0, "delta_c": 0.0, "delta_s": 0.1},
-        "grid": {"y_min": -150.0, "y_max": 150.0},
-        "perturbation": {"bumps": "u1:0.01:0:8"},
-        "solver": {"t_end": 50.0},
-    },
-    "kinetic-sanity": {
-        "strengths": {"delta_r": 0.02, "delta_c": 0.02, "delta_s": 0.05},
-        "grid": {"y_min": -15.0, "y_max": 15.0, "nx": 64,
-                 "velocity_counts": 6},
-        "solver": {"t_end": 4.0, "kinetic_dt": 0.02},
-    },
+PRESETS: dict[str, str] = {
+    "stability-small": """
+[strengths]
+delta_r = 0.08
+delta_c = 0.05
+delta_s = 0.08
+[perturbation]
+bumps = v:0.01:0:25; u1:-0.01:0:25; theta:-0.01:0:25
+[solver]
+t_end = 200.0
+""",
+    "shock-only": """
+[strengths]
+delta_r = 0.0
+delta_c = 0.0
+delta_s = 0.1
+[grid]
+y_min = -150.0
+y_max = 150.0
+[perturbation]
+bumps = u1:0.01:0:8
+[solver]
+t_end = 50.0
+""",
+    "kinetic-sanity": """
+[strengths]
+delta_r = 0.02
+delta_c = 0.02
+delta_s = 0.05
+[grid]
+y_min = -15.0
+y_max = 15.0
+nx = 64
+velocity_counts = 6
+[solver]
+t_end = 4.0
+kinetic_dt = 0.02
+""",
 }
-
-
-def apply_preset(cfg: RunConfig, name: str) -> RunConfig:
-    if name not in PRESETS:
-        raise ConfigError(
-            f"unknown preset '{name}'; available: {sorted(PRESETS)}")
-    data = PRESETS[name]
-    if "strengths" in data:
-        cfg.delta_r = data["strengths"].get("delta_r", cfg.delta_r)
-        cfg.delta_c = data["strengths"].get("delta_c", cfg.delta_c)
-        cfg.delta_s = data["strengths"].get("delta_s", cfg.delta_s)
-    if "grid" in data:
-        g = data["grid"]
-        cfg.y_min = g.get("y_min", cfg.y_min)
-        cfg.y_max = g.get("y_max", cfg.y_max)
-        cfg.nx = int(g.get("nx", cfg.nx))
-        cfg.velocity_counts = int(g.get("velocity_counts", cfg.velocity_counts))
-    if "perturbation" in data:
-        cfg.perturbation = PerturbationSpec(
-            bumps=_parse_bumps(data["perturbation"].get("bumps", "")))
-    if "solver" in data:
-        s = data["solver"]
-        cfg.t_end = s.get("t_end", cfg.t_end)
-        cfg.kinetic_dt = s.get("kinetic_dt", cfg.kinetic_dt)
-    return cfg

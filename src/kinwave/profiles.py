@@ -8,7 +8,7 @@
   integrated with the volume as the independent variable.
 
 Each family is a callable object with analytic (or spline-level) derivative
-accessors; ``build_*`` return sampled WaveProfile snapshots.
+accessors; ``build_*`` return sampled WaveProfile records.
 """
 
 from __future__ import annotations

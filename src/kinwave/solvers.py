@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -17,6 +18,9 @@ from .errors import CFLViolation, CostGuard, NonphysicalState, PositivityLoss
 from .gas import DEFAULT_TRANSPORT, FluidTriple, TransportLaw
 from .riemann import RiemannDecomposition
 from .velocity import DistributionField, VelocityGrid, moments
+
+if TYPE_CHECKING:                     # config imports this module
+    from .config import RunConfig
 
 CFL_SAFETY = 0.4
 
@@ -66,7 +70,7 @@ class FluidField:
     t: float = 0.0
 
     def __post_init__(self):
-        if np.any(self.v <= 0) or np.any(self.theta <= 0):
+        if not (np.all(self.v > 0) and np.all(self.theta > 0)):
             raise NonphysicalState("fluid field needs v, theta > 0")
 
     @property
@@ -151,7 +155,7 @@ def fluid_step(state: FluidField, dt: float, sigma: float,
     k1 = fluid_rhs(state, sigma, transport, source)
     v_mid = state.v + dt * k1[0]
     th_mid = state.theta + dt * k1[4]
-    if np.any(v_mid <= 0) or np.any(th_mid <= 0):
+    if not (np.all(v_mid > 0) and np.all(th_mid > 0)):
         raise PositivityLoss(f"v or theta nonpositive at t={state.t + dt}")
     mid = FluidField(state.y, v_mid, state.u1 + dt * k1[1],
                      state.u2 + dt * k1[2], state.u3 + dt * k1[3],
@@ -159,7 +163,7 @@ def fluid_step(state: FluidField, dt: float, sigma: float,
     k2 = fluid_rhs(mid, sigma, transport, source)
     v_new = state.v + 0.5 * dt * (k1[0] + k2[0])
     th_new = state.theta + 0.5 * dt * (k1[4] + k2[4])
-    if np.any(v_new <= 0) or np.any(th_new <= 0):
+    if not (np.all(v_new > 0) and np.all(th_new > 0)):
         raise PositivityLoss(f"v or theta nonpositive at t={state.t + dt}")
     return FluidField(
         state.y, v_new,
@@ -232,16 +236,6 @@ def fluid_step_conservative(state: FluidField, dt: float, sigma: float,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RunConfigFluid:
-    y_min: float = -600.0
-    y_max: float = 200.0
-    dy: float = 0.2
-    t_end: float = 200.0
-    output_interval: float = 2.0
-    dt_factor: float = 1.0            # multiplies the CFL limit
-
-
-@dataclass
 class RunResult:
     frames: list[DiagnosticsFrame]
     shift: ShiftState
@@ -281,17 +275,16 @@ def initial_fluid_field(ansatz: CompositeAnsatz, y: np.ndarray,
                       fields["u3"], fields["theta"])
 
 
-def fluid_run(decomp: RiemannDecomposition, perturbation: PerturbationSpec,
-              t_end: float, config: RunConfigFluid | None = None,
-              transport: TransportLaw = DEFAULT_TRANSPORT,
+def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
               progress=None) -> RunResult:
-    """Evolve the composite data and co-integrate the shift (frozen within
-    each step), emitting a diagnostics frame every output interval."""
-    cfg = config or RunConfigFluid()
+    """Evolve the composite data plus ``cfg.perturbation`` up to
+    ``cfg.t_end`` and co-integrate the shift (frozen within each step),
+    emitting a diagnostics frame every ``cfg.output_interval``."""
     t_start = time.perf_counter()
+    t_end, transport = cfg.t_end, cfg.transport
     y = np.arange(cfg.y_min, cfg.y_max + 0.5 * cfg.dy, cfg.dy)
     ans = CompositeAnsatz(decomp, transport)
-    state = initial_fluid_field(ans, y, perturbation)
+    state = initial_fluid_field(ans, y, cfg.perturbation)
     H = shift_H(decomp.mid_hi, decomp.sigma_star, transport) \
         if decomp.delta_s > 0 else 0.0
     shift = ShiftState(H=H)
@@ -375,7 +368,7 @@ class KineticField:
         w = grid.weight
         flat = self.dist.values.reshape(len(self.dist.ygrid), -1)
         rho = w * flat.sum(axis=1)
-        if np.any(rho <= 0):
+        if not np.all(rho > 0):
             raise NonphysicalState("nonpositive density in kinetic field")
         m1 = w * flat @ grid.nodes[:, 0]
         return m1 / rho, 1.0 / rho
@@ -484,7 +477,7 @@ class LinearizedKineticSolver:
         for i in range(ny):
             u = m[i] / rho[i]
             theta = (E[i] - 0.5 * float(m[i] @ m[i]) / rho[i]) / rho[i]
-            if theta <= 0 or rho[i] <= 0:
+            if not (theta > 0 and rho[i] > 0):
                 raise NonphysicalState(f"cell {i}: rho={rho[i]}, theta={theta}")
             s = FluidTriple(v=1.0 / rho[i], u=tuple(u), theta=theta)
             M = grid.maxwellian(s).reshape(-1)

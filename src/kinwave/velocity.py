@@ -211,14 +211,6 @@ class Projector:
         return np.asarray(f) - self.macro(f)
 
 
-def project_macro(f: np.ndarray, s: FluidTriple, grid: VelocityGrid) -> np.ndarray:
-    return Projector(s, grid).macro(f)
-
-
-def project_micro(f: np.ndarray, s: FluidTriple, grid: VelocityGrid) -> np.ndarray:
-    return Projector(s, grid).micro(f)
-
-
 def reference_maxwellian(states_theta, states_v, states_u1) -> FluidTriple:
     """Reference state M_# for weighted norms over a family of states.
 

@@ -14,13 +14,14 @@ import pytest
 from kinwave.ansatz import poincare_check, shift_H, shift_H_alpha_form
 from kinwave.collision import (assemble_linearized, measure_dissipativity,
                                q_bilinear)
+from kinwave.config import RunConfig
 from kinwave.gas import R_GAS, FluidTriple
 from kinwave.profiles import (RarefactionWave, ShockProfile,
                               loglog_slope, verify_shock_expansion)
 from kinwave.reports import contact_checks, shock_checks
 from kinwave.riemann import generate_states, shock_decomposition
 from kinwave.solvers import (DistributionField, GaussianBump, KineticField,
-                             PerturbationSpec, RunConfigFluid, fluid_run,
+                             PerturbationSpec, fluid_run,
                              kinetic_step)
 from kinwave.velocity import (VelocityGrid, gram_matrix, grid_for_state,
                               moments, reference_maxwellian)
@@ -246,9 +247,9 @@ def test_criterion_09_fluid_stability_run():
     pert = PerturbationSpec(bumps=(GaussianBump("v", 0.01, 0.0, 25.0),
                                    GaussianBump("u1", -0.01, 0.0, 25.0),
                                    GaussianBump("theta", -0.01, 0.0, 25.0)))
-    cfg = RunConfigFluid(y_min=-600.0, y_max=200.0, dy=0.2, t_end=200.0,
-                         output_interval=2.0)
-    res = fluid_run(d, pert, 200.0, cfg)
+    cfg = RunConfig(y_min=-600.0, y_max=200.0, dy=0.2, t_end=200.0,
+                    output_interval=2.0, perturbation=pert)
+    res = fluid_run(d, cfg)
     rt = time.perf_counter() - t0
     s = res.summary()
     max_xdot = s["xdot_max"]

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from kinwave.ansatz import (CompositeAnsatz, ShiftState, diagnostics_frame,
-                            lambda_functionals, poincare_check,
-                            relative_entropy, shift_H, shift_H_alpha_form,
-                            shift_rhs, weight_a, weight_a_prime,
-                            z_change_of_variables)
+from kinwave.ansatz import (CompositeAnsatz, LayerCoordinate, ShiftState,
+                            diagnostics_frame, lambda_functionals,
+                            poincare_check, relative_entropy, shift_H,
+                            shift_H_alpha_form, shift_rhs, weight_a,
+                            weight_a_prime)
 from kinwave.errors import NonpositiveState
 from kinwave.gas import FluidTriple
 from kinwave.riemann import generate_states, shock_decomposition
@@ -215,7 +215,7 @@ def test_poincare_constant_and_random(rng):
 
 
 def test_layer_coordinate(decomp, ansatz):
-    lc = z_change_of_variables(ansatz.shock, X=0.7)
+    lc = LayerCoordinate(ansatz.shock, X=0.7)
     y = np.linspace(-500, 300, 3001)
     z = lc.z_of(y)
     assert z[0] == pytest.approx(0.0, abs=1e-8)

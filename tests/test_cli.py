@@ -3,8 +3,8 @@ import json
 import pytest
 
 from kinwave import cli
-from kinwave.config import (PRESETS, RunConfig, apply_preset, load_config)
-from kinwave.errors import ConfigError
+from kinwave.config import PRESETS, load_config
+from kinwave.errors import ConfigError, NonphysicalState
 
 
 def _write(tmp_path, text):
@@ -63,12 +63,72 @@ def test_config_bad_bumps(tmp_path):
 
 
 def test_presets():
-    cfg = apply_preset(RunConfig(), "stability-small")
+    cfg = load_config(preset="stability-small")
     assert cfg.delta_r == 0.08
     assert cfg.perturbation.bumps
     with pytest.raises(ConfigError):
-        apply_preset(RunConfig(), "nope")
+        load_config(preset="nope")
     assert "stability-small" in PRESETS
+
+
+def test_preset_merges_with_file_and_is_validated(tmp_path, monkeypatch):
+    cfg = load_config(_write(tmp_path, BASE_CONFIG.format(out=tmp_path)),
+                      preset="shock-only")
+    assert cfg.delta_s == 0.1 and cfg.y_min == -150.0     # named by preset
+    assert cfg.dy == 0.5 and cfg.seed == 11               # kept from file
+    monkeypatch.setitem(PRESETS, "bad", "[solver]\nkinetic_dt = -0.02\n")
+    with pytest.raises(ConfigError):
+        load_config(preset="bad")
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_cli_riemann_every_preset(tmp_path, name):
+    assert cli.main(["riemann", "--preset", name,
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / name / "riemann.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[solver]\noutput_interval = 0",
+    "[solver]\nkinetic_dt = -0.02",
+    "[solver]\nmu_coefficient = 0",
+    "[solver]\nkappa_coefficient = -1",
+    "[solver]\nseed = -1",
+    "[grid]\nvelocity_extent = 0",
+    "[grid]\nsphere_polar = 0",
+    "[grid]\nsphere_azimuth = 0",
+    "[grid]\ny_min = -1e6",
+    "[grid]\ny_max = 1e6",
+    "[grid]\ny_min = 10\ny_max = 5",
+    "[grid]\nnx = 16.5",
+    "[grid]\ndy = abc",
+    "[states]\nu1_right = nan",
+    "[perturbation]\nmicro_amplitude = 2",
+    "[perturbation]\nmicro_center = inf",
+    "[perturbation]\nmicro_width = 0",
+    "[perturbation]\nbumps = v:0.01:inf:5",
+])
+def test_cli_invalid_config_exits_before_work(tmp_path, text):
+    cfgfile = _write(tmp_path, text + "\n")
+    out = tmp_path / "o"
+    assert cli.main(["riemann", "--config", str(cfgfile),
+                     "--out", str(out)]) == cli.EXIT_IO
+    assert not out.exists()
+
+
+def test_cli_nan_bump_writes_no_nan(tmp_path):
+    text = BASE_CONFIG.format(out=tmp_path / "nan").replace(
+        "bumps = v:0.01:5:8; theta:-0.005:0:6", "bumps = v:nan:0:5")
+    rc = cli.main(["simulate-fluid", "--config", str(_write(tmp_path, text))])
+    assert rc != 0
+    for f in (tmp_path / "nan").rglob("*"):
+        assert "nan" not in f.read_text().lower()
+
+
+def test_write_json_rejects_nonfinite(tmp_path):
+    with pytest.raises(NonphysicalState):
+        cli._write_json(tmp_path / "s.json", {"X_final": float("nan")})
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_cli_riemann_deterministic(tmp_path, capsys):

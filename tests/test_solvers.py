@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from kinwave.ansatz import CompositeAnsatz
-from kinwave.errors import CFLViolation, CostGuard, PositivityLoss
+from kinwave.config import RunConfig
+from kinwave.errors import (CFLViolation, CostGuard, NonphysicalState,
+                            PositivityLoss)
 from kinwave.gas import R_GAS, FluidTriple
 from kinwave.riemann import generate_states, shock_decomposition
 from kinwave.solvers import (FluidField, GaussianBump, KineticField,
-                             PerturbationSpec, RunConfigFluid, cfl_limit,
+                             PerturbationSpec, cfl_limit,
                              fluid_run, fluid_step, fluid_step_conservative,
                              initial_fluid_field, kinetic_H_functional,
                              kinetic_step, kinetic_step_linearized,
@@ -52,6 +54,18 @@ def test_positivity_loss_detected():
     u1 = -5.0 * np.tanh(y)
     st = FluidField(y, v, u1, np.zeros_like(y), np.zeros_like(y),
                     np.full_like(y, 1.0))
+    with pytest.raises(PositivityLoss):
+        fluid_step(st, 1e-3, 0.0, check_cfl=False)
+
+
+def test_nonfinite_state_rejected():
+    st = _const_field()
+    for name in ("v", "theta"):
+        bad = {"v": st.v.copy(), "theta": st.theta.copy()}
+        bad[name][10] = np.nan
+        with pytest.raises(NonphysicalState):
+            FluidField(st.y, bad["v"], st.u1, st.u2, st.u3, bad["theta"])
+    st.u1[10] = np.nan                    # reaches v and theta in one stage
     with pytest.raises(PositivityLoss):
         fluid_step(st, 1e-3, 0.0, check_cfl=False)
 
@@ -199,9 +213,9 @@ def test_frame_consistency_shifted_vs_unshifted():
 
 def test_fluid_run_zero_pert_zero_shift():
     d = generate_states(RIGHT, 0.0, 0.0, 0.1)
-    cfg = RunConfigFluid(y_min=-60, y_max=40, dy=0.5, t_end=1.0,
-                         output_interval=0.5)
-    res = fluid_run(d, PerturbationSpec(), 1.0, cfg)
+    cfg = RunConfig(y_min=-60, y_max=40, dy=0.5, t_end=1.0,
+                    output_interval=0.5, perturbation=PerturbationSpec())
+    res = fluid_run(d, cfg)
     assert res.shift.max_abs_xdot() <= 1e-8
     assert res.frames[-1].entropy <= 1e-10
     assert res.blowup_time is None
@@ -209,10 +223,10 @@ def test_fluid_run_zero_pert_zero_shift():
 
 def test_fluid_run_initial_xdot_sign():
     d = generate_states(RIGHT, 0.0, 0.0, 0.1)
-    cfg = RunConfigFluid(y_min=-60, y_max=40, dy=0.5, t_end=0.2,
-                         output_interval=0.1)
     pert = PerturbationSpec(bumps=(GaussianBump("u1", 0.01, 0.0, 5.0),))
-    res = fluid_run(d, pert, 0.2, cfg)
+    cfg = RunConfig(y_min=-60, y_max=40, dy=0.5, t_end=0.2,
+                    output_interval=0.1, perturbation=pert)
+    res = fluid_run(d, cfg)
     assert res.frames[0].Xdot > 0        # -(H/dS) int a u^S_y psi_1 > 0
 
 

@@ -99,7 +99,7 @@ def test_projection_identity_and_idempotence(base_state, small_grid, rng):
     assert np.allclose(proj.micro(m1), m1, atol=1e-10 * np.abs(m1).max())
 
 
-def test_project_macro_of_maxwellian(base_state, small_grid):
+def test_projector_macro_of_maxwellian(base_state, small_grid):
     M = small_grid.maxwellian(base_state)
     PM = Projector(base_state, small_grid).macro(M)
     assert np.max(np.abs(PM - M)) <= 1e-6 * M.max()
