@@ -152,8 +152,7 @@ def relative_entropy(fields, frame: AnsatzFrame) -> float:
     int a [ (2/3) thetabar Phi(v/vbar) + thetabar Phi(theta/thetabar)
     + sum psi_i^2 / 2 ] dy with Phi(z) = z - 1 - ln z."""
     v, u, th = fields[0], fields[1], fields[2]
-    if np.any(v <= 0) or np.any(th <= 0) or np.any(frame.v <= 0) \
-            or np.any(frame.theta <= 0):
+    if not all(np.all(x > 0) for x in (v, th, frame.v, frame.theta)):
         raise NonpositiveState("relative entropy needs positive v, theta")
     zv = v / frame.v
     zt = th / frame.theta

@@ -20,14 +20,14 @@ import numpy as np
 from . import __version__
 from .ansatz import CompositeAnsatz, DiagnosticsFrame
 from .collision import assemble_linearized, measure_dissipativity, q_bilinear
-from .config import PRESETS, RunConfig, load_config
+from .config import PRESETS, RunConfig, check_range, load_config
 from .errors import ConfigError, CostGuard, KinwaveError, NonphysicalState
-from .gas import R_GAS, FluidTriple
+from .gas import R_GAS, FluidTriple, primitive_fields
 from .profiles import build_contact, build_rarefaction, build_shock
 from .reports import profile_report
 from .riemann import generate_states
-from .solvers import (KineticField, fluid_run, kinetic_step,
-                      kinetic_step_linearized, maxwellian_field)
+from .solvers import (KineticField, LinearizedKineticSolver, fluid_run,
+                      kinetic_step, maxwellian_field)
 from .velocity import (DistributionField, VelocityGrid, grid_for_state,
                        moments, reference_maxwellian)
 
@@ -247,13 +247,13 @@ def cmd_simulate_kinetic(cfg: RunConfig, out: Path, seed: int,
     mass0 = _kinetic_invariants(field)
     frames = []
     t0 = time.perf_counter()
-    solver = None
+    if linearized:
+        solver = LinearizedKineticSolver(field, decomp.sigma, cfg.kinetic_dt,
+                                         cache_dir=cfg.cache_dir)
     nsteps = max(1, int(round(cfg.t_end / cfg.kinetic_dt)))
     for n in range(nsteps):
         if linearized:
-            field, solver = kinetic_step_linearized(
-                field, cfg.kinetic_dt, decomp.sigma, solver=solver,
-                cache_dir=cfg.cache_dir)
+            field = solver.step(field)
         else:
             field = kinetic_step(field, cfg.kinetic_dt, decomp.sigma)
         if (n + 1) % max(1, nsteps // 20) == 0 or n == nsteps - 1:
@@ -282,22 +282,20 @@ def cmd_simulate_kinetic(cfg: RunConfig, out: Path, seed: int,
 def _micro_content(field: KineticField) -> float:
     """Weighted squared distance of f from its local Maxwellian family."""
     grid = field.dist.grid
-    Mref = grid.maxwellian(field.dist.mref)
-    total = 0.0
-    for i, s in enumerate(field.macro_states()):
-        G = field.dist.values[i] - grid.maxwellian(s)
-        total += grid.integrate(G ** 2 / Mref)
-    return total * field.dist.dy
+    f = field.dist.values
+    G = f - grid.maxwellian(primitive_fields(moments(f, grid)))
+    per_cell = grid.weight * np.sum(G ** 2 / grid.maxwellian(field.dist.mref),
+                                    axis=(1, 2, 3))
+    return float(np.sum(per_cell)) * field.dist.dy
 
 
 def _kinetic_invariants(field: KineticField) -> dict:
-    grid = field.dist.grid
+    c = moments(field.dist.values, field.dist.grid)
     y = field.dist.ygrid
-    ms = [moments(f, grid) for f in field.dist.values]
     return {
-        "mass": float(np.trapezoid([m.rho for m in ms], y)),
-        "momentum": float(np.trapezoid([m.m[0] for m in ms], y)),
-        "energy": float(np.trapezoid([m.E for m in ms], y)),
+        "mass": float(np.trapezoid(c.rho, y)),
+        "momentum": float(np.trapezoid(c.m[:, 0], y)),
+        "energy": float(np.trapezoid(c.E, y)),
     }
 
 
@@ -326,6 +324,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.preset)
+        if args.seed is not None:
+            check_range("solver", "seed", args.seed)
         seed = args.seed if args.seed is not None else cfg.seed
         out = _prepare_out(cfg, args.out)
         if args.command == "profiles":

@@ -293,7 +293,7 @@ class LinearizedOperator:
     chi_residuals: np.ndarray           # after null-space projection
     raw_chi_residuals: np.ndarray       # kernel quadrature alone
     projector: Projector = field(repr=False)
-    _kkt_lu: tuple = field(default=None, repr=False)
+    _kkt: tuple = field(default=None, repr=False)     # (LU, rows)
 
     def apply(self, h: np.ndarray) -> np.ndarray:
         return (self.matrix @ np.asarray(h).reshape(-1)).reshape(self.grid.counts)
@@ -310,7 +310,9 @@ class LinearizedOperator:
         return lam, null_dim
 
     def _factorized_kkt(self):
-        if self._kkt_lu is None:
+        """LU of the bordered system [[L, chi^T], [rows, 0]] and the
+        constraint functionals rows = weight * chi / M, built once."""
+        if self._kkt is None:
             N = self.grid.n_nodes
             chi = self.projector._chi_flat              # (5, N)
             Mf = self.grid.maxwellian(self.state).reshape(-1)
@@ -319,8 +321,8 @@ class LinearizedOperator:
             K[:N, :N] = self.matrix
             K[:N, N:] = chi.T
             K[N:, :N] = rows
-            object.__setattr__(self, "_kkt_lu", lu_factor(K))
-        return self._kkt_lu
+            object.__setattr__(self, "_kkt", (lu_factor(K), rows))
+        return self._kkt
 
     def invert_micro(self, g: np.ndarray) -> np.ndarray:
         """Solve L h = g with h microscopic; g must be microscopic.
@@ -339,10 +341,10 @@ class LinearizedOperator:
         if norm_pg > 1e-6 * norm_g_m:
             raise NotMicroscopic(
                 f"macroscopic content {norm_pg:.3e} > 1e-6 * {norm_g_m:.3e}")
-        lu = self._factorized_kkt()
+        lu, rows = self._factorized_kkt()
         rhs = np.concatenate([gf, np.zeros(5)])
         sol = lu_solve(lu, rhs)
-        sol += lu_solve(lu, rhs - self._kkt_apply(sol, rhs.size - 5))
+        sol += lu_solve(lu, rhs - self._kkt_apply(sol, rows))
         h = sol[:self.grid.n_nodes].reshape(self.grid.counts)
         res = self.apply(h) - self.projector.micro(g)
         norm_res = math.sqrt(self.grid.integrate(res ** 2))
@@ -352,10 +354,9 @@ class LinearizedOperator:
                 f"constrained solve residual {norm_res:.3e} > 1e-8 * {norm_g:.3e}")
         return h
 
-    def _kkt_apply(self, sol: np.ndarray, n: int) -> np.ndarray:
+    def _kkt_apply(self, sol: np.ndarray, rows: np.ndarray) -> np.ndarray:
         chi = self.projector._chi_flat
-        Mf = self.grid.maxwellian(self.state).reshape(-1)
-        rows = self.grid.weight * chi / Mf
+        n = self.grid.n_nodes
         out = np.empty(n + 5)
         out[:n] = self.matrix @ sol[:n] + chi.T @ sol[n:]
         out[n:] = rows @ sol[:n]

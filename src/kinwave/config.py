@@ -130,6 +130,14 @@ def load_config(path=None, preset: str | None = None) -> RunConfig:
         raise ConfigError(f"bad config value: {exc}") from exc
 
 
+def check_range(section: str, key: str, value) -> None:
+    """ConfigError unless ``value`` lies in the range of ``[section] key``
+    (also used for the CLI flag that overrides the key)."""
+    lo, hi = _RANGES[(section, key)]
+    if not lo <= value <= hi:
+        raise ConfigError(f"{section}.{key} = {value} outside [{lo}, {hi}]")
+
+
 def _build(parser: configparser.ConfigParser) -> RunConfig:
     """Check the merged parser against the schema and ranges, then map it
     onto a RunConfig."""
@@ -139,12 +147,14 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         for key in parser[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
-    for (sec, key), (lo, hi) in _RANGES.items():
+    for sec, key in _RANGES:
         if parser.has_option(sec, key):
-            val = parser.getfloat(sec, key)
-            if not lo <= val <= hi:
-                raise ConfigError(
-                    f"{sec}.{key} = {val} outside [{lo}, {hi}]")
+            text = parser.get(sec, key)
+            try:                      # exact comparison for integer keys
+                val = int(text)
+            except ValueError:
+                val = float(text)
+            check_range(sec, key, val)
 
     cfg = RunConfig()
 

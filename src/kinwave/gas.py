@@ -44,14 +44,15 @@ class FluidTriple:
 
 @dataclass(frozen=True)
 class ConservedTriple:
-    """Conserved variables (rho, m=rho*u, E=rho*(e+|u|^2/2))."""
+    """Conserved variables (rho, m=rho*u, E=rho*(e+|u|^2/2)).
 
-    rho: float
-    m: tuple[float, float, float]
-    E: float
+    The fields may be arrays over a batch shape B: ``rho`` and ``E`` of
+    shape B, ``m`` of shape B + (3,).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", tuple(float(c) for c in self.m))
+    rho: float | np.ndarray
+    m: tuple[float, float, float] | np.ndarray
+    E: float | np.ndarray
 
 
 def pressure(s: FluidTriple) -> float:
@@ -80,36 +81,56 @@ def entropy(s: FluidTriple) -> float:
     return math.log(s.theta) + (2.0 / 3.0) * math.log(s.v)
 
 
-def maxwellian(s: FluidTriple, xi: np.ndarray) -> np.ndarray:
+def maxwellian(s, xi: np.ndarray) -> np.ndarray:
     """Local Maxwellian M_[rho,u,theta](xi) with rho = 1/v.
 
-    ``xi`` has shape (..., 3); the return value has shape (...).
+    ``s`` is one FluidTriple or a batch ``(v, u, theta)`` of arrays with
+    shape B (``u`` of shape B + (3,)), as ``primitive_fields`` returns it.
+    ``xi`` has shape (..., 3); the return value has shape B + (...).
     """
+    v, u, theta = (s.v, s.u, s.theta) if isinstance(s, FluidTriple) else s
+    v = np.asarray(v, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if not (np.all(v > 0.0) and np.all(theta > 0.0)):
+        raise NonphysicalState("Maxwellian needs v > 0 and theta > 0")
     xi = np.asarray(xi, dtype=float)
-    a2 = R_GAS * s.theta
-    du = xi - np.asarray(s.u)
+    per_node = (...,) + (None,) * (xi.ndim - 1)     # B -> B + (1,)*(xi.ndim-1)
+    a2 = R_GAS * theta[per_node]
+    du = xi - np.asarray(u, dtype=float)[per_node + (slice(None),)]
     q = np.einsum("...i,...i->...", du, du)
-    return s.rho * (2.0 * math.pi * a2) ** (-1.5) * np.exp(-q / (2.0 * a2))
+    return (1.0 / v)[per_node] * (2.0 * math.pi * a2) ** (-1.5) \
+        * np.exp(-q / (2.0 * a2))
 
 
 def primitive_to_conserved(s: FluidTriple) -> ConservedTriple:
     rho = s.rho
     u = np.asarray(s.u)
     E = rho * (s.theta + 0.5 * float(u @ u))
-    return ConservedTriple(rho=rho, m=tuple(rho * u), E=E)
+    return ConservedTriple(rho=rho, m=rho * u, E=E)
+
+
+def primitive_fields(c: ConservedTriple
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise (v, u, theta) of conserved fields of batch shape B:
+    v = 1/rho, u = m/rho, theta = (E - |m|^2/2rho)/rho.
+
+    Raises NonphysicalState unless rho > 0 and theta > 0 everywhere (a NaN
+    fails the test too).
+    """
+    rho = np.asarray(c.rho, dtype=float)
+    m = np.asarray(c.m, dtype=float)
+    if not np.all(rho > 0.0):
+        raise NonphysicalState(f"density not positive: min rho = {np.min(rho)}")
+    e_int = c.E - 0.5 * np.einsum("...i,...i->...", m, m) / rho
+    if not np.all(e_int > 0.0):
+        raise NonphysicalState(
+            f"internal energy not positive: min rho*theta = {np.min(e_int)}")
+    return 1.0 / rho, m / rho[..., None], e_int / rho
 
 
 def conserved_to_primitive(c: ConservedTriple) -> FluidTriple:
-    if not c.rho > 0.0:
-        raise NonphysicalState(f"rho = {c.rho} <= 0")
-    m = np.asarray(c.m)
-    e_int = c.E - 0.5 * float(m @ m) / c.rho
-    if not e_int > 0.0:
-        raise NonphysicalState(
-            f"internal energy {e_int} <= 0 (E={c.E}, |m|^2/2rho={0.5 * float(m @ m) / c.rho})")
-    u = m / c.rho
-    theta = e_int / c.rho
-    return FluidTriple(v=1.0 / c.rho, u=tuple(u), theta=theta)
+    v, u, theta = primitive_fields(c)
+    return FluidTriple(v=float(v), u=tuple(u), theta=float(theta))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from .ansatz import (AnsatzFrame, CompositeAnsatz, ShiftState,
                      DiagnosticsFrame, diagnostics_frame, shift_H, shift_rhs)
 from .collision import assemble_linearized, q_bilinear_batch
 from .errors import CFLViolation, CostGuard, NonphysicalState, PositivityLoss
-from .gas import DEFAULT_TRANSPORT, FluidTriple, TransportLaw
+from .gas import (DEFAULT_TRANSPORT, ConservedTriple, FluidTriple,
+                  TransportLaw, primitive_fields)
 from .riemann import RiemannDecomposition
 from .velocity import DistributionField, VelocityGrid, moments
 
@@ -212,9 +213,10 @@ def fluid_step_conservative(state: FluidField, dt: float, sigma: float,
         return np.stack([st.v, st.u1, st.u2, st.u3, E])
 
     def unpack(U, t):
-        v, u1, u2, u3, E = U
-        th = E - 0.5 * (u1 ** 2 + u2 ** 2 + u3 ** 2)
-        return FluidField(state.y, v, u1, u2, u3, th, t)
+        # per unit mass: rho = 1 and m = u
+        _, _, th = primitive_fields(ConservedTriple(rho=1.0, m=U[1:4].T,
+                                                    E=U[4]))
+        return FluidField(state.y, U[0], U[1], U[2], U[3], th, t)
 
     dy = state.dy
     U0 = conserved(state)
@@ -348,30 +350,15 @@ MAX_FULL_Q_NODES = 8 ** 3
 MAX_FULL_Q_SPHERE = 8
 MAX_FULL_Q_NX = 128
 
+#: cells that share one frozen linearized operator
+LINEARIZED_BLOCK = 8
+
 
 @dataclass
 class KineticField:
     dist: DistributionField
     t: float = 0.0
     clip_defect: float = 0.0          # mass removed by positivity clipping
-
-    def macro_states(self) -> list[FluidTriple]:
-        return [FluidTriple(v=1.0 / m.rho,
-                            u=tuple(np.asarray(m.m) / m.rho),
-                            theta=(m.E - 0.5 * float(
-                                np.asarray(m.m) @ np.asarray(m.m)) / m.rho) / m.rho)
-                for m in (moments(f, self.dist.grid) for f in self.dist.values)]
-
-    def macro_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(u1, v) per x-node straight from the moments (no state objects)."""
-        grid = self.dist.grid
-        w = grid.weight
-        flat = self.dist.values.reshape(len(self.dist.ygrid), -1)
-        rho = w * flat.sum(axis=1)
-        if not np.all(rho > 0):
-            raise NonphysicalState("nonpositive density in kinetic field")
-        m1 = w * flat @ grid.nodes[:, 0]
-        return m1 / rho, 1.0 / rho
 
 
 def _cubic_interp_y(values: np.ndarray, foot_idx: np.ndarray) -> np.ndarray:
@@ -396,7 +383,8 @@ def _transport_semilagrangian(field: KineticField, dt: float, sigma: float
     returns the new values and the positivity-clip defect (mass units)."""
     dist = field.dist
     grid = dist.grid
-    u1, v = field.macro_arrays()
+    v, u, _ = primitive_fields(moments(dist.values, grid))
+    u1 = u[:, 0]
     dy = dist.dy
     xi1_axis = grid.axes[0]
     new = np.empty_like(dist.values)
@@ -443,47 +431,34 @@ class LinearizedKineticSolver:
     collision operators (assembled on a coarse x-subgrid at start-up)."""
 
     def __init__(self, field: KineticField, sigma: float, dt: float,
-                 block: int = 8, cache_dir=None):
+                 cache_dir=None):
         self.sigma = sigma
         self.dt = dt
-        self.block = block
         grid = field.dist.grid
         ny = len(field.dist.ygrid)
-        self.ops = []
-        self.block_of = np.minimum(np.arange(ny) // block,
-                                   (ny - 1) // block)
-        states = field.macro_states()
-        self.solvers = []
-        n = grid.n_nodes
-        for b in range((ny + block - 1) // block):
-            cells = np.nonzero(self.block_of == b)[0]
-            mid = cells[len(cells) // 2]
-            op = assemble_linearized(states[mid], grid, cache_dir=cache_dir,
+        v, u, theta = primitive_fields(moments(field.dist.values, grid))
+        # (cells, LU of I - dt L) per block of LINEARIZED_BLOCK cells, with
+        # L frozen at the block's middle cell
+        self.blocks = []
+        for start in range(0, ny, LINEARIZED_BLOCK):
+            cells = slice(start, min(start + LINEARIZED_BLOCK, ny))
+            mid = (cells.start + cells.stop) // 2
+            s = FluidTriple(v=float(v[mid]), u=tuple(u[mid]),
+                            theta=float(theta[mid]))
+            op = assemble_linearized(s, grid, cache_dir=cache_dir,
                                      gram_tol=0.5)
-            self.ops.append(op)
-            self.solvers.append(lu_factor(np.eye(n) - dt * op.matrix))
+            self.blocks.append(
+                (cells, lu_factor(np.eye(grid.n_nodes) - self.dt * op.matrix)))
 
     def step(self, field: KineticField) -> KineticField:
         dist = field.dist
         grid = dist.grid
         star, clip = _transport_semilagrangian(field, self.dt, self.sigma)
-        ny = len(dist.ygrid)
-        flat = star.reshape(ny, -1)
-        w = grid.weight
-        rho = w * flat.sum(axis=1)
-        m = w * flat @ grid.nodes
-        E = 0.5 * w * flat @ np.einsum("ni,ni->n", grid.nodes, grid.nodes)
-        new = np.empty_like(flat)
-        for i in range(ny):
-            u = m[i] / rho[i]
-            theta = (E[i] - 0.5 * float(m[i] @ m[i]) / rho[i]) / rho[i]
-            if not (theta > 0 and rho[i] > 0):
-                raise NonphysicalState(f"cell {i}: rho={rho[i]}, theta={theta}")
-            s = FluidTriple(v=1.0 / rho[i], u=tuple(u), theta=theta)
-            M = grid.maxwellian(s).reshape(-1)
-            G = flat[i] - M
-            Gn = lu_solve(self.solvers[self.block_of[i]], G)
-            new[i] = M + Gn
+        M = grid.maxwellian(primitive_fields(moments(star, grid)))
+        G = (star - M).reshape(len(dist.ygrid), -1)
+        new = M.reshape(G.shape)
+        for cells, lu in self.blocks:
+            new[cells] += lu_solve(lu, G[cells].T).T
         new = new.reshape(star.shape)
         new[0] = dist.values[0]
         new[-1] = dist.values[-1]
@@ -493,29 +468,14 @@ class LinearizedKineticSolver:
                             clip_defect=field.clip_defect + clip)
 
 
-def kinetic_step_linearized(field: KineticField, dt: float, sigma: float,
-                            solver: LinearizedKineticSolver | None = None,
-                            cache_dir=None) -> tuple[KineticField,
-                                                     LinearizedKineticSolver]:
-    """One micro-macro step; builds (and returns) the frozen-operator
-    solver on first use so repeated calls amortize the assembly."""
-    if solver is None:
-        solver = LinearizedKineticSolver(field, sigma, dt, cache_dir=cache_dir)
-    if abs(solver.dt - dt) > 1e-12 * dt:
-        raise ValueError("dt differs from the cached factorization")
-    return solver.step(field), solver
-
-
 def maxwellian_field(ansatz: CompositeAnsatz, y: np.ndarray,
                      grid: VelocityGrid, t: float = 0.0,
                      X: float = 0.0) -> np.ndarray:
     """Local Maxwellians of the composite profile on (y, grid)."""
     fr = ansatz.frame(t, X, y)
-    vals = np.empty((len(y),) + grid.counts)
-    for i in range(len(y)):
-        s = FluidTriple(v=fr.v[i], u=(fr.u1[i], 0.0, 0.0), theta=fr.theta[i])
-        vals[i] = grid.maxwellian(s)
-    return vals
+    u = np.zeros((len(y), 3))
+    u[:, 0] = fr.u1
+    return grid.maxwellian((fr.v, u, fr.theta))
 
 
 def kinetic_H_functional(field: KineticField) -> float:

@@ -105,7 +105,10 @@ class VelocityGrid:
         return self.nodes[:, component].reshape(self.counts)
 
     def maxwellian(self, s: FluidTriple) -> np.ndarray:
-        return gas.maxwellian(s, self.nodes).reshape(self.counts)
+        """Maxwellian of one state (shape ``counts``) or of a batch
+        ``(v, u, theta)`` of shape B (shape B + ``counts``)."""
+        M = gas.maxwellian(s, self.nodes)
+        return M.reshape(M.shape[:-1] + self.counts)
 
     def integrate(self, f: np.ndarray) -> float:
         return self.weight * float(np.sum(f))
@@ -120,14 +123,17 @@ def grid_for_state(s: FluidTriple, counts=(16, 16, 16), extent_radii: float = EX
                         counts=counts, **sphere_kw)
 
 
-def moments(f: np.ndarray, grid: VelocityGrid) -> gas.ConservedTriple:
-    """Quadrature of the five collision-invariant moments of f."""
-    fl = np.asarray(f).reshape(-1)
+def moments(values: np.ndarray, grid: VelocityGrid) -> gas.ConservedTriple:
+    """Quadrature of the five collision-invariant moments of grid
+    functions of shape B + ``grid.counts``: ``rho`` and ``E`` of shape B,
+    ``m`` of shape B + (3,)."""
+    values = np.asarray(values)
+    fl = values.reshape(values.shape[:-3] + (-1,))
     w = grid.weight
-    rho = w * float(fl.sum())
-    m = w * (grid.nodes.T @ fl)
-    E = 0.5 * w * float((np.einsum("ni,ni->n", grid.nodes, grid.nodes)) @ fl)
-    return gas.ConservedTriple(rho=rho, m=tuple(m), E=E)
+    rho = w * fl.sum(axis=-1)
+    m = w * (fl @ grid.nodes)
+    E = 0.5 * w * (fl @ np.einsum("ni,ni->n", grid.nodes, grid.nodes))
+    return gas.ConservedTriple(rho=rho, m=m, E=E)
 
 
 def fluid_from_distribution(f: np.ndarray, grid: VelocityGrid) -> FluidTriple:

@@ -163,6 +163,15 @@ def test_relative_entropy_nonpositive_guard(frame0):
         relative_entropy(bad, frame0)
 
 
+def test_relative_entropy_nan_guard(frame0):
+    v = frame0.v.copy()
+    v[len(v) // 2] = np.nan
+    bad = (v, [frame0.u1, np.zeros_like(YGRID), np.zeros_like(YGRID)],
+           frame0.theta)
+    with pytest.raises(NonpositiveState):
+        relative_entropy(bad, frame0)
+
+
 def test_lambda_functionals(decomp, frame0):
     base = _zero_fields(frame0)
     assert lambda_functionals(base, frame0) == (0.0, 0.0)

@@ -116,6 +116,24 @@ def test_cli_invalid_config_exits_before_work(tmp_path, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 63])
+@pytest.mark.parametrize("command", ["riemann", "collision-check"])
+def test_cli_seed_flag_out_of_range_exits_before_work(tmp_path, command,
+                                                      seed):
+    out = tmp_path / "o"
+    assert cli.main([command, "--seed", str(seed),
+                     "--out", str(out)]) == cli.EXIT_IO
+    assert not out.exists()
+
+
+def test_config_seed_bound_is_exact(tmp_path):
+    cfgfile = _write(tmp_path, f"[solver]\nseed = {2 ** 63}\n")
+    with pytest.raises(ConfigError):
+        load_config(cfgfile)
+    assert load_config(_write(tmp_path, f"[solver]\nseed = {2 ** 63 - 1}\n")
+                       ).seed == 2 ** 63 - 1
+
+
 def test_cli_nan_bump_writes_no_nan(tmp_path):
     text = BASE_CONFIG.format(out=tmp_path / "nan").replace(
         "bumps = v:0.01:5:8; theta:-0.005:0:6", "bumps = v:nan:0:5")

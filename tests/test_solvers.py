@@ -7,13 +7,13 @@ from kinwave.ansatz import CompositeAnsatz
 from kinwave.config import RunConfig
 from kinwave.errors import (CFLViolation, CostGuard, NonphysicalState,
                             PositivityLoss)
-from kinwave.gas import R_GAS, FluidTriple
+from kinwave.gas import R_GAS, FluidTriple, primitive_fields
 from kinwave.riemann import generate_states, shock_decomposition
 from kinwave.solvers import (FluidField, GaussianBump, KineticField,
-                             PerturbationSpec, cfl_limit,
-                             fluid_run, fluid_step, fluid_step_conservative,
-                             initial_fluid_field, kinetic_H_functional,
-                             kinetic_step, kinetic_step_linearized,
+                             LinearizedKineticSolver, PerturbationSpec,
+                             cfl_limit, fluid_run, fluid_step,
+                             fluid_step_conservative, initial_fluid_field,
+                             kinetic_H_functional, kinetic_step,
                              maxwellian_field)
 from kinwave.velocity import (DistributionField, VelocityGrid, moments,
                               reference_maxwellian)
@@ -299,6 +299,24 @@ def test_kinetic_cost_guard():
         kinetic_step(f, 0.01, 1.0)
 
 
+@pytest.mark.parametrize("bad", ["nan", "negative"])
+def test_kinetic_readout_rejects_bad_cell(bad):
+    s0 = FluidTriple(v=1.0, u=(0.1, 0.0, 0.0), theta=1.0)
+    grid = VelocityGrid(center=(0.1, 0, 0), half_width=5.0, counts=(6,) * 3)
+    y = np.linspace(-5, 5, 8)
+    vals = np.tile(grid.maxwellian(s0), (8, 1, 1, 1))
+    vals[3] = np.nan if bad == "nan" else -vals[3]
+    f = KineticField(DistributionField(
+        ygrid=y, grid=grid, values=vals,
+        mref=reference_maxwellian([1.0], [1.0], [0.1])))
+    with pytest.raises(NonphysicalState):
+        primitive_fields(moments(vals, grid))
+    with pytest.raises(NonphysicalState):
+        kinetic_step(f, 0.01, 1.0)
+    with pytest.raises(NonphysicalState):
+        LinearizedKineticSolver(f, 1.0, 0.01)
+
+
 def test_kinetic_linearized_source_driven(decomp):
     """Exact local-Maxwellian data stays close to equilibrium: the
     microscopic part remains at the streaming-source scale."""
@@ -325,14 +343,12 @@ def test_kinetic_linearized_source_driven(decomp):
             out = max(out, np.abs(field.dist.values[i] - M).max() / M.max())
         return out
 
-    solver = None
+    solver = LinearizedKineticSolver(f, decomp.sigma, 0.02)
     for _ in range(10):
-        f, solver = kinetic_step_linearized(f, 0.02, decomp.sigma,
-                                            solver=solver)
+        f = solver.step(f)
     dev10 = deviation(f)
     for _ in range(10):
-        f, solver = kinetic_step_linearized(f, 0.02, decomp.sigma,
-                                            solver=solver)
+        f = solver.step(f)
     dev20 = deviation(f)
     # non-equilibrium content saturates at the streaming-source scale
     assert dev10 <= 0.2
@@ -348,10 +364,10 @@ def test_kinetic_full_vs_linearized_agreement():
                                         values=pert.copy(), mref=mref))
     fl = KineticField(DistributionField(ygrid=y, grid=grid,
                                         values=pert.copy(), mref=mref))
-    solver = None
+    solver = LinearizedKineticSolver(fl, 1.0, 0.02)
     for _ in range(50):
         ff = kinetic_step(ff, 0.02, 1.0)
-        fl, solver = kinetic_step_linearized(fl, 0.02, 1.0, solver=solver)
+        fl = solver.step(fl)
     num = np.sqrt(np.sum((ff.dist.values - fl.dist.values) ** 2))
     den = np.sqrt(np.sum((ff.dist.values - vals) ** 2))
     assert num / den <= 0.10

@@ -36,7 +36,22 @@ def test_moments_of_maxwellian(small_grid):
 def test_moments_zero():
     g = VelocityGrid(half_width=3.0, counts=(6,) * 3)
     m = moments(g.zeros(), g)
-    assert m.rho == 0.0 and m.E == 0.0 and m.m == (0.0, 0.0, 0.0)
+    assert m.rho == 0.0 and m.E == 0.0 and tuple(m.m) == (0.0, 0.0, 0.0)
+
+
+def test_moments_batched_match_single(base_state, small_grid):
+    rng = np.random.default_rng(7)
+    vals = (1.0 + 0.3 * rng.standard_normal((7,) + small_grid.counts)) \
+        * small_grid.maxwellian(base_state)
+    batch = moments(vals, small_grid)
+    assert batch.rho.shape == (7,) and batch.E.shape == (7,)
+    assert batch.m.shape == (7, 3)
+    for i, f in enumerate(vals):
+        one = moments(f, small_grid)
+        assert batch.rho[i] == pytest.approx(one.rho, rel=1e-14)
+        assert batch.E[i] == pytest.approx(one.E, rel=1e-14)
+        assert np.allclose(batch.m[i], one.m, rtol=1e-14,
+                           atol=1e-14 * np.max(np.abs(one.m)))
 
 
 def test_moments_of_micro_part(base_state, small_grid, rng):
