@@ -42,12 +42,11 @@ class CompositeAnsatz:
     plateau states, with the shock part evaluated at y - X."""
 
     def __init__(self, decomp: RiemannDecomposition,
-                 transport: TransportLaw = DEFAULT_TRANSPORT,
-                 contact_kw: dict | None = None):
+                 transport: TransportLaw = DEFAULT_TRANSPORT):
         self.decomp = decomp
         self.transport = transport
         self.rarefaction = RarefactionWave(decomp) if decomp.delta_r > 0 else None
-        self.contact = ContactWave(decomp, transport, **(contact_kw or {})) \
+        self.contact = ContactWave(decomp, transport) \
             if decomp.delta_c > 0 else None
         self.shock = ShockProfile(decomp, transport) if decomp.delta_s > 0 else None
 
@@ -271,8 +270,6 @@ def g_tilde_split(G: np.ndarray, shock_micro_shifted: np.ndarray,
     where du, dth are the rarefaction+contact derivative sources.  Returns
     (G_tilde, G0, G1 = G_tilde - G0) as (ny, *counts) arrays.
     """
-    from .gas import R_GAS
-
     G_t = G - shock_micro_shifted
     G0 = np.zeros_like(G)
     du = sources["u1_y"]
@@ -282,7 +279,6 @@ def g_tilde_split(G: np.ndarray, shock_micro_shifted: np.ndarray,
         if du[i] == 0.0 and dth[i] == 0.0:
             continue
         M = grid.maxwellian(s)
-        a2 = R_GAS * s.theta
         q = sum((grid.node_array(k) - s.u[k]) ** 2 for k in range(3))
         src = xi1 * M * (xi1 * du[i] + q / (2.0 * s.theta) * dth[i])
         rhs = op.projector.micro(src)

@@ -23,7 +23,8 @@ from .collision import assemble_linearized, measure_dissipativity, q_bilinear
 from .config import PRESETS, RunConfig, check_range, load_config
 from .errors import ConfigError, CostGuard, KinwaveError, NonphysicalState
 from .gas import R_GAS, FluidTriple, primitive_fields
-from .profiles import build_contact, build_rarefaction, build_shock
+from .profiles import (build_contact, build_rarefaction, build_shock,
+                       loglog_slope)
 from .reports import profile_report
 from .riemann import generate_states
 from .solvers import (KineticField, LinearizedKineticSolver, fluid_run,
@@ -202,9 +203,7 @@ def cmd_simulate_fluid(cfg: RunConfig, out: Path, seed: int) -> int:
     es = np.array([f.entropy for f in result.frames])
     pos = (ts > 0) & (es > 0)
     if pos.sum() > 3:
-        lt = np.log(ts[pos]) - np.log(ts[pos]).mean()
-        summary["entropy_slope"] = float(
-            (lt @ (np.log(es[pos]) - np.log(es[pos]).mean())) / (lt @ lt))
+        summary["entropy_slope"] = loglog_slope(ts[pos], es[pos])
     if cfg.write_fields:
         rows = np.column_stack([result.final.y, result.final.v,
                                 result.final.u1, result.final.u2,

@@ -191,6 +191,18 @@ def collision_frequency(s: FluidTriple, xi: np.ndarray) -> np.ndarray:
     return 2.0 * s.rho / math.sqrt(2.0 * math.pi * a2) * val
 
 
+def _k1(rho: float, a2: float, r, q, qs):
+    """k1 at |xi - xi*| = r, with q = |xi - u|^2 and qs = |xi* - u|^2."""
+    return (math.pi * rho * (2.0 * math.pi * a2) ** (-1.5)
+            * r * np.exp(-(q + qs) / (4.0 * a2)))
+
+
+def _k2_exp(a2: float, r, q, qs):
+    """Exponential factor of k2 = 2 rho / sqrt(2 pi a2) / r * _k2_exp
+    (arguments as in _k1)."""
+    return np.exp(-r ** 2 / (8.0 * a2) - (q - qs) ** 2 / (8.0 * a2 * r ** 2))
+
+
 def kernels(s: FluidTriple, xi: np.ndarray, xi_star: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
     """Compact kernels (k1, k2) of the linearized operator at ``s``.
@@ -208,10 +220,9 @@ def kernels(s: FluidTriple, xi: np.ndarray, xi_star: np.ndarray
     if np.any(r < EPS_SING):
         raise SingularPair("k2 singular at coincident velocities")
     q, qs = np.einsum("...i,...i->...", c, c), np.einsum("...i,...i->...", cs, cs)
-    k1 = (math.pi * s.rho * (2.0 * math.pi * a2) ** (-1.5)
-          * r * np.exp(-(q + qs) / (4.0 * a2)))
+    k1 = _k1(s.rho, a2, r, q, qs)
     k2 = (2.0 * s.rho / math.sqrt(2.0 * math.pi * a2) / r
-          * np.exp(-r ** 2 / (8.0 * a2) - (q - qs) ** 2 / (8.0 * a2 * r ** 2)))
+          * _k2_exp(a2, r, q, qs))
     return k1, k2
 
 
@@ -250,9 +261,7 @@ def _k2_shell_average(s: FluidTriple, grid: VelocityGrid, K: np.ndarray,
                 if (dx, dy, dz) == (0, 0, 0):
                     dots = c[ii] @ Zs.T
                     qs = q[ii, None] + 2.0 * dots + rzs[None, :] ** 2
-                    E = np.exp(-rzs[None, :] ** 2 / (8.0 * a2)
-                               - (q[ii, None] - qs) ** 2
-                               / (8.0 * a2 * rzs[None, :] ** 2))
+                    E = _k2_exp(a2, rzs[None, :], q[ii, None], qs)
                     sl = np.sqrt(q[ii])
                     sls = np.where(sl > 1e-14, sl, 1e-14)
                     ebar = np.where(
@@ -266,12 +275,10 @@ def _k2_shell_average(s: FluidTriple, grid: VelocityGrid, K: np.ndarray,
                     rr = np.linalg.norm(pts, axis=1)
                     dots = c[ii] @ pts.T
                     qs = q[ii, None] + 2.0 * dots + (rr ** 2)[None, :]
-                    k2sub = pref2 / rr[None, :] * np.exp(
-                        -rr[None, :] ** 2 / (8.0 * a2)
-                        - (q[ii, None] - qs) ** 2 / (8.0 * a2 * rr[None, :] ** 2))
+                    k2sub = pref2 / rr[None, :] * _k2_exp(
+                        a2, rr[None, :], q[ii, None], qs)
                     r = float(np.linalg.norm(off * h))
-                    k1v = (math.pi * s.rho * (2.0 * math.pi * a2) ** (-1.5)
-                           * r * np.exp(-(q[ii] + q[jj]) / (4.0 * a2)))
+                    k1v = _k1(s.rho, a2, r, q[ii], q[jj])
                     K[ii, jj] = -k1v + np.mean(k2sub, axis=1)
 
 
@@ -439,11 +446,9 @@ def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
         d = nodes[i0:i1, None, :] - nodes[None, :, :]
         r = np.sqrt(np.einsum("bni,bni->bn", d, d))
         rs = np.where(r < EPS_SING, 1.0, r)
-        k1 = (math.pi * s.rho * (2.0 * math.pi * a2) ** (-1.5)
-              * r * np.exp(-(q[i0:i1, None] + q[None, :]) / (4.0 * a2)))
-        expo = (-rs ** 2 / (8.0 * a2)
-                - (q[i0:i1, None] - q[None, :]) ** 2 / (8.0 * a2 * rs ** 2))
-        K[i0:i1, :] = -k1 + pref2 / rs * np.exp(expo)
+        k1 = _k1(s.rho, a2, r, q[i0:i1, None], q[None, :])
+        K[i0:i1, :] = -k1 + pref2 / rs * _k2_exp(a2, rs, q[i0:i1, None],
+                                                 q[None, :])
     _k2_shell_average(s, grid, K, q)
     # the one-sided subcell averages of the shell pass break the pointwise
     # kernel symmetry at the per-mil level; restore it exactly

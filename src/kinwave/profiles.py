@@ -24,7 +24,8 @@ from scipy.linalg import solve_banded
 
 from .errors import (BVPNoConvergence, InvalidStrength, InversionFailure,
                      NoRealRoot, ProfileBlowup)
-from .gas import DEFAULT_TRANSPORT, FluidTriple, TransportLaw, pressure
+from .gas import (DEFAULT_TRANSPORT, R_GAS, FluidTriple, TransportLaw,
+                  pressure)
 from .riemann import RiemannDecomposition
 from .velocity import VelocityGrid, reference_maxwellian
 
@@ -220,13 +221,20 @@ def build_rarefaction(decomp: RiemannDecomposition, t: float,
 # viscous contact wave
 # ---------------------------------------------------------------------------
 
+#: contact BVP: collocation half-length and nodes in zeta, Newton tolerance
+#: (max-norm residual) and iteration cap
+CONTACT_HALF_LENGTH = 12.0
+CONTACT_NODES = 400
+CONTACT_TOL = 1e-10
+CONTACT_MAX_ITER = 60
+
+
 def _solve_contact_bvp(theta_lo: float, theta_hi: float, p_star: float,
-                       transport: TransportLaw, half_length: float,
-                       n_nodes: int, tol: float, max_iter: int = 60
+                       transport: TransportLaw
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Damped-Newton collocation for the self-similar diffusion profile
     -(zeta/2) T' = c (kappa(T) T' / T)' with Dirichlet ends."""
-    z = np.linspace(-half_length, half_length, n_nodes)
+    z = np.linspace(-CONTACT_HALF_LENGTH, CONTACT_HALF_LENGTH, CONTACT_NODES)
     h = z[1] - z[0]
     c = 0.9 * p_star
     T = theta_lo + (theta_hi - theta_lo) * 0.5 * (1.0 + np.tanh(z / 2.0))
@@ -241,16 +249,16 @@ def _solve_contact_bvp(theta_lo: float, theta_hi: float, p_star: float,
         return r
 
     r = resid(T)
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) < tol:
+    for _ in range(CONTACT_MAX_ITER):
+        if np.max(np.abs(r)) < CONTACT_TOL:
             return z, T
         # tridiagonal finite-difference Jacobian
-        ab = np.zeros((3, n_nodes))
+        ab = np.zeros((3, CONTACT_NODES))
         eps = 1e-7
         base = r
         for off in (-1, 0, 1):
             Tp = T.copy()
-            idx = np.arange(max(0, -off), n_nodes - max(0, off))
+            idx = np.arange(max(0, -off), CONTACT_NODES - max(0, off))
             # probe every third node to fill the band without interference
             for ph in range(3):
                 Tp = T.copy()
@@ -271,7 +279,8 @@ def _solve_contact_bvp(theta_lo: float, theta_hi: float, p_star: float,
         else:
             raise BVPNoConvergence("contact Newton damping stalled")
     raise BVPNoConvergence(
-        f"contact BVP residual {np.max(np.abs(r)):.3e} after {max_iter} iters")
+        f"contact BVP residual {np.max(np.abs(r)):.3e}"
+        f" after {CONTACT_MAX_ITER} iters")
 
 
 class ContactWave:
@@ -281,9 +290,7 @@ class ContactWave:
     v = 2 theta / (3 p_*) and u1 carries the heat-flux correction."""
 
     def __init__(self, decomp: RiemannDecomposition,
-                 transport: TransportLaw = DEFAULT_TRANSPORT,
-                 half_length: float = 12.0, n_nodes: int = 400,
-                 tol: float = 1e-10):
+                 transport: TransportLaw = DEFAULT_TRANSPORT):
         if decomp.delta_c <= 0.0:
             raise InvalidStrength("contact strength must be positive")
         self.decomp = decomp
@@ -291,8 +298,7 @@ class ContactWave:
         self.p_star = pressure(decomp.mid_lo)
         self.u_star = decomp.mid_lo.u1
         self.z, self.T = _solve_contact_bvp(
-            decomp.mid_lo.theta, decomp.mid_hi.theta, self.p_star, transport,
-            half_length, n_nodes, tol)
+            decomp.mid_lo.theta, decomp.mid_hi.theta, self.p_star, transport)
         self.spline = CubicSpline(self.z, self.T, bc_type="clamped")
         kap = transport.kappa(self.T)
         W = 0.6 * kap * self.spline(self.z, 1) / self.T
@@ -361,9 +367,8 @@ class ContactWave:
 
 
 def build_contact(decomp: RiemannDecomposition, t: float, ygrid: np.ndarray,
-                  transport: TransportLaw = DEFAULT_TRANSPORT,
-                  **bvp_kw) -> WaveProfile:
-    wave = ContactWave(decomp, transport, **bvp_kw)
+                  transport: TransportLaw = DEFAULT_TRANSPORT) -> WaveProfile:
+    wave = ContactWave(decomp, transport)
     d = wave.eval(t, ygrid)
     return WaveProfile(kind="contact", y=np.asarray(ygrid, float),
                        v=d["v"], u1=d["u1"], theta=d["theta"],
@@ -393,14 +398,19 @@ def shock_slope_quadratic(mid_hi: FluidTriple, sigma: float,
     return r1 if abs(r1 + p_star) < abs(r2 + p_star) else r2
 
 
+#: the shock orbit starts and ends SHOCK_EPS_REL * delta_s off the saddles;
+#: SHOCK_RTOL is its ODE tolerance
+SHOCK_EPS_REL = 1e-6
+SHOCK_RTOL = 1e-10
+
+
 class ShockProfile:
     """Traveling-wave profile of the viscous system between mid_hi and
     right, integrated with v as the independent variable (the y-approach to
     the saddle points is exponentially slow, the v-range is compact)."""
 
     def __init__(self, decomp: RiemannDecomposition,
-                 transport: TransportLaw = DEFAULT_TRANSPORT,
-                 eps_rel: float = 1e-6, rtol: float = 1e-10):
+                 transport: TransportLaw = DEFAULT_TRANSPORT):
         if decomp.delta_s <= 0.0:
             raise InvalidStrength("shock strength must be positive")
         if decomp.delta_s > 0.3 * decomp.mid_hi.v:
@@ -414,7 +424,7 @@ class ShockProfile:
         self.v_plus = right.v
         self.lstar = shock_slope_quadratic(hi, self.sigma, transport)
 
-        eps = eps_rel * decomp.delta_s
+        eps = SHOCK_EPS_REL * decomp.delta_s
         v0 = self.v_star + eps
         v1 = self.v_plus - eps
         th0 = self.theta_star + self.lstar * eps
@@ -426,7 +436,7 @@ class ShockProfile:
             return [self._dtheta_dv(v, th), self._dy_dv(v, th)]
 
         sol = solve_ivp(rhs, (v0, v1), [th0, 0.0], method="DOP853",
-                        rtol=rtol, atol=rtol * decomp.delta_s,
+                        rtol=SHOCK_RTOL, atol=SHOCK_RTOL * decomp.delta_s,
                         dense_output=True, max_step=decomp.delta_s / 20.0)
         if not sol.success:
             raise ProfileBlowup(f"profile integration failed: {sol.message}")
@@ -434,9 +444,9 @@ class ShockProfile:
         # y-spacing of the interpolation nodes stays bounded where y(v)
         # diverges logarithmically
         ds = decomp.delta_s
-        geo = eps_rel * np.geomspace(1.0, 0.5 / eps_rel, 400)
+        geo = SHOCK_EPS_REL * np.geomspace(1.0, 0.5 / SHOCK_EPS_REL, 400)
         vfine = np.unique(np.concatenate([
-            v0 + ds * (geo - eps_rel), v1 - ds * (geo - eps_rel),
+            v0 + ds * (geo - SHOCK_EPS_REL), v1 - ds * (geo - SHOCK_EPS_REL),
             np.linspace(v0, v1, 2001)]))
         vfine = vfine[(vfine >= v0) & (vfine <= v1)]
         thfine, yfine = sol.sol(vfine)
@@ -664,8 +674,6 @@ def verify_shock_expansion(generator: Callable[[float], ShockProfile],
 def maxwellian_y_derivative(s: FluidTriple, grads: tuple[float, float, float],
                             grid: VelocityGrid) -> np.ndarray:
     """d/dy of the local Maxwellian given (v_y, u1_y, theta_y) at a point."""
-    from .gas import R_GAS
-
     v_y, u1_y, th_y = grads
     M = grid.maxwellian(s)
     a2 = R_GAS * s.theta
@@ -704,7 +712,6 @@ def shock_micro_leading(wave: ShockProfile, grid_counts=(10, 10, 10),
     mref = reference_maxwellian(prof["theta"], prof["v"], prof["u1"])
     th_max = max(d.mid_hi.theta, d.right.theta)
     umax = max(abs(d.mid_hi.u1), abs(d.right.u1))
-    from .gas import R_GAS
     grid = VelocityGrid(center=(0.5 * (d.mid_hi.u1 + d.right.u1), 0.0, 0.0),
                         half_width=6.0 * math.sqrt(R_GAS * th_max) + umax,
                         counts=grid_counts)

@@ -136,11 +136,7 @@ def contact_checks(decomp: RiemannDecomposition,
     xg = -np.linspace(2.0, 8.0, 30) * math.sqrt(1.0 + t)
     dd = wave.eval(t, xg)
     dev = np.abs(dd["v"] - decomp.mid_lo.v)
-    mask = dev > 1e-300
-    xi2 = xg[mask] ** 2 / (1.0 + t)
-    logs = np.log(dev[mask])
-    xi2c = xi2 - xi2.mean()
-    slope = float((xi2c @ (logs - logs.mean())) / (xi2c @ xi2c))
+    slope = -tail_decay_rate(xg ** 2 / (1.0 + t), dev)
     checks.append(Check("contact_gaussian_tail_slope", slope, "< 0",
                         slope < 0.0))
     return checks

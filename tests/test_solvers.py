@@ -12,9 +12,8 @@ from kinwave.riemann import generate_states, shock_decomposition
 from kinwave.solvers import (FluidField, GaussianBump, KineticField,
                              LinearizedKineticSolver, PerturbationSpec,
                              cfl_limit, fluid_run, fluid_step,
-                             fluid_step_conservative, initial_fluid_field,
-                             kinetic_H_functional, kinetic_step,
-                             maxwellian_field)
+                             initial_fluid_field, kinetic_H_functional,
+                             kinetic_step, maxwellian_field)
 from kinwave.velocity import (DistributionField, VelocityGrid, moments,
                               reference_maxwellian)
 
@@ -35,7 +34,7 @@ def _const_field(n=101, span=10.0, v=1.0, u1=0.2, theta=1.1):
 def test_constant_state_fixed_point():
     st = _const_field()
     dt = 0.5 * cfl_limit(st, 1.0)
-    st2 = fluid_step(st, dt, 1.0)
+    st2, _ = fluid_step(st, dt, 1.0)
     assert np.abs(st2.v - 1.0).max() <= 1e-14
     assert np.abs(st2.u1 - 0.2).max() <= 1e-14
     assert np.abs(st2.theta - 1.1).max() <= 1e-14
@@ -106,19 +105,22 @@ def test_manufactured_solution_convergence_order():
         v_y = ddy(lambda yy: exact(t, yy)[0])
         u_y = ddy(lambda yy: exact(t, yy)[1])
         th_y = ddy(lambda yy: exact(t, yy)[2])
-        p = 2.0 * th / (3.0 * v)
         p_y = ddy(lambda yy: 2.0 * exact(t, yy)[2] / (3.0 * exact(t, yy)[0]))
         visc1 = ddy(lambda yy: (4.0 / 3.0) * tr.mu(exact(t, yy)[2])
                     * ugrad(yy) / exact(t, yy)[0])
         heat = ddy(lambda yy: tr.kappa(exact(t, yy)[2])
                    * tgrad(yy) / exact(t, yy)[0])
-        mu_v = tr.mu(th) / v
+        work = ddy(lambda yy: (4.0 / 3.0) * tr.mu(exact(t, yy)[2])
+                   * exact(t, yy)[1] * ugrad(yy) / exact(t, yy)[0])
+        E_t = th_t + u1 * u_t
+        E_y = th_y + u1 * u_y
+        pu_y = ddy(lambda yy: 2.0 * exact(t, yy)[2] * exact(t, yy)[1]
+                   / (3.0 * exact(t, yy)[0]))
         sv = v_t - sigma * v_y - u_y
         su = u_t - sigma * u_y + p_y - visc1
-        sth = th_t - sigma * th_y + p * u_y - heat \
-            - (4.0 / 3.0) * mu_v * u_y ** 2
+        sE = E_t - sigma * E_y + pu_y - heat - work
         z = np.zeros_like(y)
-        return sv, su, z, z, sth
+        return sv, su, z, z, sE
 
     errs = []
     for n in (101, 201):
@@ -134,7 +136,7 @@ def test_manufactured_solution_convergence_order():
             st.v[0], st.v[-1] = ve[0], ve[-1]
             st.u1[0], st.u1[-1] = ue[0], ue[-1]
             st.theta[0], st.theta[-1] = te[0], te[-1]
-            st = fluid_step(st, dt, sigma, source=source, check_cfl=False)
+            st, _ = fluid_step(st, dt, sigma, source=source, check_cfl=False)
         ve, ue, te = exact(st.t, st.y)
         errs.append(np.abs(st.v[1:-1] - ve[1:-1]).max()
                     + np.abs(st.theta[1:-1] - te[1:-1]).max())
@@ -153,7 +155,7 @@ def test_shock_profile_steady():
     dt = cfl_limit(st, d.sigma)
     t_end = 50.0
     for _ in range(int(t_end / dt)):
-        st = fluid_step(st, dt, d.sigma, check_cfl=False)
+        st, _ = fluid_step(st, dt, d.sigma, check_cfl=False)
     drift = max(np.abs(st.v - ref.v).max(), np.abs(st.u1 - ref.u1).max(),
                 np.abs(st.theta - ref.theta).max())
     assert drift <= 1e-4
@@ -181,7 +183,7 @@ def test_conservative_form_bookkeeping():
     t_end = 2.0
     n = int(t_end / dt)
     for _ in range(n):
-        st, bflux = fluid_step_conservative(st, dt, d.sigma)
+        st, bflux = fluid_step(st, dt, d.sigma)
         acc += bflux
     drift = np.abs(totals(st) - tot0 - acc)
     scale = np.abs(tot0).max()
@@ -202,8 +204,8 @@ def test_frame_consistency_shifted_vs_unshifted():
     dt = 0.5 * cfl_limit(st_shift, d.sigma)
     n = int(round(t_end / dt))
     for _ in range(n):
-        st_shift = fluid_step(st_shift, dt, d.sigma, check_cfl=False)
-        st_rest = fluid_step(st_rest, dt, 0.0, check_cfl=False)
+        st_shift, _ = fluid_step(st_shift, dt, d.sigma, check_cfl=False)
+        st_rest, _ = fluid_step(st_rest, dt, 0.0, check_cfl=False)
     t = n * dt
     # sample the rest-frame solution at y + sigma t
     inner = (np.abs(y) < 60.0)
