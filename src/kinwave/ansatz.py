@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NonpositiveState
 from .gas import DEFAULT_TRANSPORT, FluidTriple, TransportLaw, pressure
-from .profiles import ContactWave, RarefactionWave, ShockProfile
+from .profiles import ContactWave, RarefactionWave, ShockProfile, WaveProfile
 from .riemann import RiemannDecomposition
 
 
@@ -54,38 +54,30 @@ class CompositeAnsatz:
         y = np.asarray(y, dtype=float)
         d = self.decomp
         x_arg = y + d.sigma * t
-        if self.rarefaction is not None:
-            r = self.rarefaction.eval(t, x_arg)
-            vR, u1R, thR, vR_y = r["v"], r["u1"], r["theta"], r["v_x"]
-        else:
-            vR = np.full_like(y, d.mid_lo.v)
-            u1R = np.full_like(y, d.mid_lo.u1)
-            thR = np.full_like(y, d.mid_lo.theta)
-            vR_y = np.zeros_like(y)
-        if self.contact is not None:
-            c = self.contact.eval(t, x_arg)
-            vC, u1C, thC = c["v"], c["u1"], c["theta"]
-        else:
-            vC = np.full_like(y, d.mid_hi.v)
-            u1C = np.full_like(y, d.mid_hi.u1)
-            thC = np.full_like(y, d.mid_hi.theta)
+        r = self.rarefaction.eval(t, x_arg) if self.rarefaction is not None \
+            else _plateau(d.mid_lo, y)
+        c = self.contact.eval(t, x_arg) if self.contact is not None \
+            else _plateau(d.mid_hi, y)
         if self.shock is not None:
             sh = self.shock.eval(y - X)
-            vS, u1S, thS = sh["v"], sh["u1"], sh["theta"]
-            vS_y, u1S_y, thS_y = sh["v_y"], sh["u1_y"], sh["theta_y"]
-            a = layer_weight(vS, d.mid_hi.v, d.delta_s)
+            a = layer_weight(sh.v, d.mid_hi.v, d.delta_s)
         else:
-            vS = np.full_like(y, d.right.v)
-            u1S = np.full_like(y, d.right.u1)
-            thS = np.full_like(y, d.right.theta)
-            vS_y = u1S_y = thS_y = np.zeros_like(y)
+            sh = _plateau(d.right, y)
             a = np.ones_like(y)
-        v = vR + vC + vS - d.mid_lo.v - d.mid_hi.v
-        u1 = u1R + u1C + u1S - d.mid_lo.u1 - d.mid_hi.u1
-        th = thR + thC + thS - d.mid_lo.theta - d.mid_hi.theta
+        v = r.v + c.v + sh.v - d.mid_lo.v - d.mid_hi.v
+        u1 = r.u1 + c.u1 + sh.u1 - d.mid_lo.u1 - d.mid_hi.u1
+        th = r.theta + c.theta + sh.theta - d.mid_lo.theta - d.mid_hi.theta
         return AnsatzFrame(t=t, X=X, y=y, v=v, u1=u1, theta=th,
-                           vS_y=vS_y, u1S_y=u1S_y, thetaS_y=thS_y,
-                           vR_y=vR_y, a=a)
+                           vS_y=sh.v_y, u1S_y=sh.u1_y, thetaS_y=sh.theta_y,
+                           vR_y=r.v_y, a=a)
+
+
+def _plateau(s: FluidTriple, y: np.ndarray) -> WaveProfile:
+    """The constant state s on y: the stand-in for a zero-strength wave."""
+    zero = np.zeros_like(y)
+    return WaveProfile(v=np.full_like(y, s.v), u1=np.full_like(y, s.u1),
+                       theta=np.full_like(y, s.theta), v_y=zero, u1_y=zero,
+                       theta_y=zero)
 
 
 def layer_weight(vS, v_star: float, delta_s: float) -> np.ndarray:
@@ -96,11 +88,11 @@ def layer_weight(vS, v_star: float, delta_s: float) -> np.ndarray:
 
 def weight_a(y, shock: ShockProfile, delta_s: float) -> np.ndarray:
     """The shock-layer weight at y (unshifted)."""
-    return layer_weight(shock.eval(y)["v"], shock.v_star, delta_s)
+    return layer_weight(shock.eval(y).v, shock.v_star, delta_s)
 
 
 def weight_a_prime(y, shock: ShockProfile, delta_s: float) -> np.ndarray:
-    return delta_s ** (-0.25) * shock.eval(y)["v_y"]
+    return delta_s ** (-0.25) * shock.eval(y).v_y
 
 
 def shift_H(mid_hi: FluidTriple, sigma_star: float,
@@ -311,16 +303,16 @@ class LayerCoordinate:
         self.delta_s = shock.decomp.delta_s
 
     def z_of(self, y) -> np.ndarray:
-        vS = self.shock.eval(np.asarray(y) - self.X)["v"]
+        vS = self.shock.eval(np.asarray(y) - self.X).v
         return (vS - self.shock.v_star) / self.delta_s
 
     def dz_dy(self, y) -> np.ndarray:
-        return self.shock.eval(np.asarray(y) - self.X)["v_y"] / self.delta_s
+        return self.shock.eval(np.asarray(y) - self.X).v_y / self.delta_s
 
     def identity_residual(self, y) -> np.ndarray:
         """Algebraic identity z(1-z) = (v^S - v^*)(v_+ - v^S)/delta_s^2,
         reported as a pointwise residual."""
-        vS = self.shock.eval(np.asarray(y) - self.X)["v"]
+        vS = self.shock.eval(np.asarray(y) - self.X).v
         z = (vS - self.shock.v_star) / self.delta_s
         rhs = (vS - self.shock.v_star) * (self.shock.v_plus - vS) \
             / self.delta_s ** 2

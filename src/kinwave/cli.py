@@ -23,8 +23,7 @@ from .collision import assemble_linearized, measure_dissipativity, q_bilinear
 from .config import PRESETS, RunConfig, check_range, load_config
 from .errors import ConfigError, CostGuard, KinwaveError, NonphysicalState
 from .gas import R_GAS, FluidTriple, primitive_fields
-from .profiles import (build_contact, build_rarefaction, build_shock,
-                       loglog_slope)
+from .profiles import loglog_slope
 from .reports import profile_report
 from .riemann import generate_states
 from .solvers import (KineticField, LinearizedKineticSolver, fluid_run,
@@ -87,15 +86,13 @@ def cmd_profiles(cfg: RunConfig, out: Path, seed: int) -> int:
     decomp = _decomposition(cfg)
     y = np.arange(cfg.y_min, cfg.y_max + 0.5 * cfg.dy, cfg.dy)
     t_sample = 1.0
-    for kind, builder in (("rarefaction", build_rarefaction),
-                          ("contact", build_contact), ("shock", build_shock)):
-        strength = {"rarefaction": decomp.delta_r, "contact": decomp.delta_c,
-                    "shock": decomp.delta_s}[kind]
-        if strength <= 0:
+    ans = CompositeAnsatz(decomp, cfg.transport)
+    for kind, wave in (("rarefaction", ans.rarefaction),
+                       ("contact", ans.contact), ("shock", ans.shock)):
+        if wave is None:                  # zero strength
             continue
-        prof = builder(decomp, t_sample, y) if kind != "shock" \
-            else builder(decomp, y, cfg.transport)
-        rows = np.column_stack([prof.y, prof.v, prof.u1, prof.theta,
+        prof = wave.eval(y) if wave is ans.shock else wave.eval(t_sample, y)
+        rows = np.column_stack([y, prof.v, prof.u1, prof.theta,
                                 prof.v_y, prof.u1_y, prof.theta_y])
         np.savetxt(out / f"profile_{kind}.csv", rows, delimiter=",",
                    header="y,v,u1,theta,v_y,u1_y,theta_y", comments="")

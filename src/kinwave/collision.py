@@ -30,6 +30,11 @@ from .velocity import Projector, VelocityGrid, inner
 # int over the unit cube [-1/2,1/2]^3 of |z|^-1 dz (for the k2 self-cell).
 _CELL_INV_R = 2.3800774322849208
 
+#: midpoint subcells per axis for the k2 shell average: the 26 neighbour
+#: cells, and the self cell (finer, for its smooth part)
+K2_SHELL_SUB = 6
+K2_SELF_SUB = 10
+
 EPS_SING = 1e-12
 
 
@@ -227,7 +232,7 @@ def kernels(s: FluidTriple, xi: np.ndarray, xi_star: np.ndarray
 
 
 def _k2_shell_average(s: FluidTriple, grid: VelocityGrid, K: np.ndarray,
-                      q: np.ndarray, sub: int = 6, selfsub: int = 10) -> None:
+                      q: np.ndarray) -> None:
     """Replace the midpoint k2 values on the 3x3x3 cell shell around the
     coincidence singularity by subcell averages (in place).
 
@@ -245,9 +250,9 @@ def _k2_shell_average(s: FluidTriple, grid: VelocityGrid, K: np.ndarray,
     counts = np.array(grid.counts)
     stride = np.array([counts[1] * counts[2], counts[2], 1])
     multi = np.stack(np.unravel_index(np.arange(N), grid.counts), axis=1)
-    t = (np.arange(sub) + 0.5) / sub - 0.5
+    t = (np.arange(K2_SHELL_SUB) + 0.5) / K2_SHELL_SUB - 0.5
     Z = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3) * h
-    ts = (np.arange(selfsub) + 0.5) / selfsub - 0.5
+    ts = (np.arange(K2_SELF_SUB) + 0.5) / K2_SELF_SUB - 0.5
     Zs = np.stack(np.meshgrid(ts, ts, ts, indexing="ij"), axis=-1).reshape(-1, 3) * h
     rzs = np.linalg.norm(Zs, axis=1)
     for dx in (-1, 0, 1):

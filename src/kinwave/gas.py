@@ -151,11 +151,5 @@ class TransportLaw:
     def kappa(self, theta):
         return self.A2 * np.sqrt(theta)
 
-    def dmu(self, theta):
-        return 0.5 * self.A1 / np.sqrt(theta)
-
-    def dkappa(self, theta):
-        return 0.5 * self.A2 / np.sqrt(theta)
-
 
 DEFAULT_TRANSPORT = TransportLaw()

@@ -7,14 +7,14 @@
 * shock profile: heteroclinic orbit of the plane dynamical system,
   integrated with the volume as the independent variable.
 
-Each family is a callable object with analytic (or spline-level) derivative
-accessors; ``build_*`` return sampled WaveProfile records.
+Each family's ``eval`` returns a WaveProfile: the values and the analytic
+(or spline-level) first derivatives in its spatial argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -94,18 +94,13 @@ def _burgers_foot(w_minus: float, w_plus: float, t: float, x: np.ndarray
 
 
 def _burgers_w_and_derivs(w_minus, w_plus, t, x):
-    """w, w_x, w_xx, w_t along the characteristic solution."""
+    """w and w_x along the characteristic solution."""
     x0 = _burgers_foot(w_minus, w_plus, t, x)
     half = 0.5 * (w_plus - w_minus)
     th = np.tanh(x0)
     w = 0.5 * (w_plus + w_minus) + half * th
     w1p = half * (1.0 - th ** 2)
-    w1pp = -2.0 * half * th * (1.0 - th ** 2)
-    D = 1.0 + w1p * t
-    w_x = w1p / D
-    w_xx = w1pp / D ** 3
-    w_t = -w * w_x
-    return w, w_x, w_xx, w_t
+    return w, w1p / (1.0 + w1p * t)
 
 
 # ---------------------------------------------------------------------------
@@ -114,38 +109,15 @@ def _burgers_w_and_derivs(w_minus, w_plus, t, x):
 
 @dataclass
 class WaveProfile:
-    """Sampled macroscopic profile with first/second derivative samples."""
+    """Macroscopic profile values and their first derivatives with respect
+    to the spatial argument of the ``eval`` that returned them."""
 
-    kind: str                      # rarefaction | contact | shock
-    y: np.ndarray
     v: np.ndarray
     u1: np.ndarray
     theta: np.ndarray
     v_y: np.ndarray
     u1_y: np.ndarray
     theta_y: np.ndarray
-    v_yy: np.ndarray
-    u1_yy: np.ndarray
-    theta_yy: np.ndarray
-    t: float = 0.0
-    meta: dict = field(default_factory=dict)
-
-    def end_state_error(self, left: FluidTriple, right: FluidTriple) -> float:
-        return max(abs(self.v[0] - left.v), abs(self.theta[0] - left.theta),
-                   abs(self.u1[0] - left.u1), abs(self.v[-1] - right.v),
-                   abs(self.theta[-1] - right.theta),
-                   abs(self.u1[-1] - right.u1))
-
-    def derivative_consistency(self) -> float:
-        """Max interior mismatch between derivative samples and centered
-        differences of the value samples, relative to the derivative scale."""
-        out = 0.0
-        for val, der in ((self.v, self.v_y), (self.u1, self.u1_y),
-                         (self.theta, self.theta_y)):
-            fd = np.gradient(val, self.y)
-            scale = np.max(np.abs(der)) or 1.0
-            out = max(out, float(np.max(np.abs(fd[2:-2] - der[2:-2])) / scale))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,44 +149,17 @@ class RarefactionWave:
             raise InversionFailure("speed left the admissible fan range")
         return arg ** (-0.75)
 
-    def eval(self, t: float, x) -> dict[str, np.ndarray]:
-        """Profile values and (x, t)-derivatives at time t (fan at t+1)."""
+    def eval(self, t: float, x) -> WaveProfile:
+        """Profile values and x-derivatives at time t (fan at t+1)."""
         x = np.asarray(x, dtype=float)
-        w, w_x, w_xx, w_t = _burgers_w_and_derivs(
-            self.w_minus, self.w_plus, t + 1.0, x)
+        w, w_x = _burgers_w_and_derivs(self.w_minus, self.w_plus, t + 1.0, x)
         v = self._v_of_w(w)
         theta = math.exp(self.s_ent) * v ** (-2.0 / 3.0)
         u1 = self.u_ref - SQRT10 * math.exp(0.5 * self.s_ent) * (
             v ** (-1.0 / 3.0) - self.v_ref ** (-1.0 / 3.0))
-        dv_dw = -0.75 * v / w
-        v_x = dv_dw * w_x
-        v_t = dv_dw * w_t
-        u1_x = -w * v_x
-        u1_t = -w * v_t
-        theta_x = -(2.0 * theta / (3.0 * v)) * v_x
-        theta_t = -(2.0 * theta / (3.0 * v)) * v_t
-        # second x-derivatives via d/dx of the chain-rule forms
-        dvdw_x = -0.75 * (v_x * w - v * w_x) / w ** 2
-        v_xx = dvdw_x * w_x + dv_dw * w_xx
-        u1_xx = -(w_x * v_x + w * v_xx)
-        theta_xx = -(2.0 / 3.0) * ((theta_x * v - theta * v_x) * v_x / v ** 2
-                                   + theta * v_xx / v)
-        return {"v": v, "u1": u1, "theta": theta,
-                "v_x": v_x, "u1_x": u1_x, "theta_x": theta_x,
-                "v_t": v_t, "u1_t": u1_t, "theta_t": theta_t,
-                "v_xx": v_xx, "u1_xx": u1_xx, "theta_xx": theta_xx,
-                "w": w, "w_x": w_x}
-
-
-def build_rarefaction(decomp: RiemannDecomposition, t: float,
-                      ygrid: np.ndarray) -> WaveProfile:
-    wave = RarefactionWave(decomp)
-    d = wave.eval(t, ygrid)
-    return WaveProfile(kind="rarefaction", y=np.asarray(ygrid, float),
-                       v=d["v"], u1=d["u1"], theta=d["theta"],
-                       v_y=d["v_x"], u1_y=d["u1_x"], theta_y=d["theta_x"],
-                       v_yy=d["v_xx"], u1_yy=d["u1_xx"], theta_yy=d["theta_xx"],
-                       t=t, meta={"delta_r": decomp.delta_r})
+        v_x = -0.75 * v / w * w_x
+        return WaveProfile(v=v, u1=u1, theta=theta, v_y=v_x, u1_y=-w * v_x,
+                           theta_y=-(2.0 * theta / (3.0 * v)) * v_x)
 
 
 # ---------------------------------------------------------------------------
@@ -312,33 +257,20 @@ class ContactWave:
         th = np.where(zeta > self.z[-1], self.theta_ends[1], th)
         return th, zc
 
-    def eval(self, t: float, x) -> dict[str, np.ndarray]:
+    def eval(self, t: float, x) -> WaveProfile:
+        """Profile values and x-derivatives at time t."""
         x = np.asarray(x, dtype=float)
         root = math.sqrt(1.0 + t)
         zeta = x / root
         th, zc = self._theta_zeta(zeta)
         inside = (zeta >= self.z[0]) & (zeta <= self.z[-1])
-        d1 = np.where(inside, self.spline(zc, 1), 0.0)
-        d2 = np.where(inside, self.spline(zc, 2), 0.0)
+        theta_x = np.where(inside, self.spline(zc, 1), 0.0) / root
         W = np.where(inside, self.w_spline(zc), 0.0)
         Wp = np.where(inside, self.w_spline(zc, 1), 0.0)
-        Wpp = np.where(inside, self.w_spline(zc, 2), 0.0)
-        v = 2.0 * th / (3.0 * self.p_star)
-        u1 = self.u_star + W / root
-        theta_x = d1 / root
-        theta_xx = d2 / (1.0 + t)
-        theta_t = -0.5 * zeta * d1 / (1.0 + t)
-        v_x = 2.0 * theta_x / (3.0 * self.p_star)
-        v_xx = 2.0 * theta_xx / (3.0 * self.p_star)
-        v_t = 2.0 * theta_t / (3.0 * self.p_star)
-        u1_x = Wp / (1.0 + t)
-        u1_xx = Wpp / (1.0 + t) ** 1.5
-        u1_t = -0.5 * (W + zeta * Wp) / (1.0 + t) ** 1.5
-        return {"v": v, "u1": u1, "theta": th,
-                "v_x": v_x, "u1_x": u1_x, "theta_x": theta_x,
-                "v_t": v_t, "u1_t": u1_t, "theta_t": theta_t,
-                "v_xx": v_xx, "u1_xx": u1_xx, "theta_xx": theta_xx,
-                "zeta": zeta}
+        return WaveProfile(v=2.0 * th / (3.0 * self.p_star),
+                           u1=self.u_star + W / root, theta=th,
+                           v_y=2.0 * theta_x / (3.0 * self.p_star),
+                           u1_y=Wp / (1.0 + t), theta_y=theta_x)
 
     def error_terms(self, t: float, x) -> tuple[np.ndarray, np.ndarray]:
         """The two residual source terms of the momentum/energy balance:
@@ -364,17 +296,6 @@ class ContactWave:
         q1 = (-0.5 * (W + zeta * Wp) - (4.0 / 3.0) * gp) / (1.0 + t) ** 1.5
         q2 = -(4.0 / 3.0) * mu * Wp ** 2 / v / (1.0 + t) ** 2
         return q1, q2
-
-
-def build_contact(decomp: RiemannDecomposition, t: float, ygrid: np.ndarray,
-                  transport: TransportLaw = DEFAULT_TRANSPORT) -> WaveProfile:
-    wave = ContactWave(decomp, transport)
-    d = wave.eval(t, ygrid)
-    return WaveProfile(kind="contact", y=np.asarray(ygrid, float),
-                       v=d["v"], u1=d["u1"], theta=d["theta"],
-                       v_y=d["v_x"], u1_y=d["u1_x"], theta_y=d["theta_x"],
-                       v_yy=d["v_xx"], u1_yy=d["u1_xx"], theta_yy=d["theta_xx"],
-                       t=t, meta={"delta_c": decomp.delta_c})
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +422,8 @@ class ShockProfile:
         return -3.0 * v * self._den(v, th) / (4.0 * self.transport.mu(th)
                                               * self.sigma)
 
-    def eval(self, y) -> dict[str, np.ndarray]:
+    def eval(self, y) -> WaveProfile:
+        """Profile values and y-derivatives."""
         y = np.asarray(y, dtype=float)
         yc = np.clip(y, self.y_range[0], self.y_range[1])
         v = self._v_of_y(yc)
@@ -517,21 +439,11 @@ class ShockProfile:
             ex = np.exp(-self._rate_hi * np.maximum(y - self.y_range[1], 0.0))
             v = np.where(hi, self.v_plus - self._amp_hi * ex, v)
             th = np.where(hi, self.decomp.right.theta - self._thamp_hi * ex, th)
-        u1 = self.u_star - self.sigma * (v - self.v_star)
         v_y = self.v_y_of(v, th)
         np.clip(v_y, 0.0, None, out=np.atleast_1d(v_y))
-        F = self._F_field(v, th)
-        th_y = F * v_y
-        u1_y = -self.sigma * v_y
-        # second derivatives: chain rule with analytic A = v_y(v, theta)
-        A_v, A_th = self._A_partials(v, th)
-        v_yy = (A_v + A_th * F) * v_y
-        dF_v, dF_th = self._F_partials(v, th)
-        th_yy = (dF_v + dF_th * F) * v_y ** 2 + F * v_yy
-        u1_yy = -self.sigma * v_yy
-        return {"v": v, "u1": u1, "theta": th, "v_y": v_y, "u1_y": u1_y,
-                "theta_y": th_y, "v_yy": v_yy, "u1_yy": u1_yy,
-                "theta_yy": th_yy}
+        return WaveProfile(v=v, u1=self.u_star - self.sigma * (v - self.v_star),
+                           theta=th, v_y=v_y, u1_y=-self.sigma * v_y,
+                           theta_y=self._F_field(v, th) * v_y)
 
     def _F_field(self, v, th):
         den = self._den(v, th)
@@ -542,36 +454,6 @@ class ShockProfile:
         # near the saddle the ratio is 0/0: fall back to the slope root
         tiny = 1e-10 * self.p_star
         return np.where(np.abs(den) < tiny, self.lstar, F)
-
-    def _A_partials(self, v, th):
-        """Partials of A(v, theta) = dv/dy = -3 v den / (4 mu sigma)."""
-        mu = self.transport.mu(th)
-        den = self._den(v, th)
-        A = -3.0 * (v * den) / (4.0 * mu * self.sigma)
-        dden_dv = -2.0 * th / (3.0 * v ** 2) + self.sigma ** 2
-        A_v = -3.0 * (den + v * dden_dv) / (4.0 * mu * self.sigma)
-        dden_dth = 2.0 / (3.0 * v)
-        A_th = -3.0 * v * dden_dth / (4.0 * mu * self.sigma) \
-            - A * self.transport.dmu(th) / mu
-        return A_v, A_th
-
-    def _F_partials(self, v, th, rel=1e-6):
-        dv = rel * self.v_star
-        dth = rel * self.theta_star
-        F_v = (self._F_field(v + dv, th) - self._F_field(v - dv, th)) / (2 * dv)
-        F_th = (self._F_field(v, th + dth) - self._F_field(v, th - dth)) / (2 * dth)
-        return F_v, F_th
-
-
-def build_shock(decomp: RiemannDecomposition, ygrid: np.ndarray,
-                transport: TransportLaw = DEFAULT_TRANSPORT) -> WaveProfile:
-    wave = ShockProfile(decomp, transport)
-    d = wave.eval(ygrid)
-    return WaveProfile(kind="shock", y=np.asarray(ygrid, float),
-                       v=d["v"], u1=d["u1"], theta=d["theta"],
-                       v_y=d["v_y"], u1_y=d["u1_y"], theta_y=d["theta_y"],
-                       v_yy=d["v_yy"], u1_yy=d["u1_yy"], theta_yy=d["theta_yy"],
-                       meta={"delta_s": decomp.delta_s, "sigma": decomp.sigma})
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +493,16 @@ def predicted_curvature(mid_hi: FluidTriple, transport: TransportLaw) -> float:
         * 5.0 * p_star / (3.0 * mid_hi.v)
 
 
-def measured_curvature(wave: ShockProfile, fit_fraction: float = 0.1) -> float:
+#: share of the shock's volume range, next to v^*, that the curvature fit uses
+CURVATURE_FIT_FRACTION = 0.1
+
+
+def measured_curvature(wave: ShockProfile) -> float:
     """d^2 theta / dv^2 at v^* from a quadratic fit of the integrated orbit
-    over the first ``fit_fraction`` of the volume range (slope pinned to
-    the saddle root, so only the curvature is free)."""
+    over the first CURVATURE_FIT_FRACTION of the volume range (slope pinned
+    to the saddle root, so only the curvature is free)."""
     dv = wave._vgrid - wave.v_star
-    mask = (dv > 0) & (dv < fit_fraction * wave.decomp.delta_s)
+    mask = (dv > 0) & (dv < CURVATURE_FIT_FRACTION * wave.decomp.delta_s)
     x = dv[mask]
     r = wave._thgrid[mask] - wave.theta_star - wave.lstar * x
     return 2.0 * float((x ** 2 @ r) / (x ** 2 @ x ** 2))
@@ -709,7 +595,7 @@ def shock_micro_leading(wave: ShockProfile, grid_counts=(10, 10, 10),
         span = 0.8 * min(-wave.y_range[0], wave.y_range[1])
     ysamp = np.linspace(-span, span, n_samples)
     prof = wave.eval(ysamp)
-    mref = reference_maxwellian(prof["theta"], prof["v"], prof["u1"])
+    mref = reference_maxwellian(prof.theta, prof.v, prof.u1)
     th_max = max(d.mid_hi.theta, d.right.theta)
     umax = max(abs(d.mid_hi.u1), abs(d.right.u1))
     grid = VelocityGrid(center=(0.5 * (d.mid_hi.u1 + d.right.u1), 0.0, 0.0),
@@ -720,68 +606,18 @@ def shock_micro_leading(wave: ShockProfile, grid_counts=(10, 10, 10),
     fields, norms = [], []
     xi1 = grid.node_array(0)
     for i, y in enumerate(ysamp):
-        s = FluidTriple(v=prof["v"][i], u=(prof["u1"][i], 0.0, 0.0),
-                        theta=prof["theta"][i])
+        s = FluidTriple(v=prof.v[i], u=(prof.u1[i], 0.0, 0.0),
+                        theta=prof.theta[i])
         op = assemble_linearized(s, grid, cache_dir=cache_dir,
                                  gram_tol=gram_tol)
         My = maxwellian_y_derivative(
-            s, (prof["v_y"][i], prof["u1_y"][i], prof["theta_y"][i]), grid)
+            s, (prof.v_y[i], prof.u1_y[i], prof.theta_y[i]), grid)
         rhs = op.projector.micro(xi1 * My) / s.v
         h = op.invert_micro(rhs)
         fields.append(h)
         norms.append(math.sqrt(grid.integrate(one_xi * h * h / Mref)))
     return ShockMicroProfile(y=ysamp, fields=fields, norms=np.asarray(norms),
-                             v_y=prof["v_y"], mref=mref, grid=grid)
-
-
-# ---------------------------------------------------------------------------
-# scalar profile equation for the kinetic-shock parameterization
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EtaProfile:
-    y: np.ndarray
-    eta: np.ndarray
-    eta_y: np.ndarray
-    eta_yy: np.ndarray
-    eta_minus: float
-    eta_plus: float
-
-
-def eta_solve(eta_minus: float, eta_plus: float,
-              phi1: Callable[[float], float], ygrid: np.ndarray,
-              rtol: float = 1e-12) -> EtaProfile:
-    """Integrate d eta/dy = phi1(eta) (eta - eta_-) (eta - eta_+) from the
-    midpoint level outward in both directions."""
-    if not (eta_minus > 0.0 > eta_plus):
-        raise InvalidStrength("need eta_- > 0 > eta_+")
-    ygrid = np.asarray(ygrid, dtype=float)
-
-    def rhs(_y, e):
-        return [phi1(e[0]) * (e[0] - eta_minus) * (e[0] - eta_plus)]
-
-    e_mid = 0.5 * (eta_minus + eta_plus)
-    y_pos = ygrid[ygrid >= 0.0]
-    y_neg = ygrid[ygrid < 0.0][::-1]
-    eta = np.empty_like(ygrid)
-    if y_pos.size:
-        span = (0.0, float(y_pos[-1]) + 1e-9)
-        sol = solve_ivp(rhs, span, [e_mid], t_eval=y_pos, method="DOP853",
-                        rtol=rtol, atol=1e-14)
-        eta[ygrid >= 0.0] = sol.y[0]
-    if y_neg.size:
-        span = (0.0, float(y_neg[-1]) - 1e-9)
-        sol = solve_ivp(rhs, span, [e_mid], t_eval=y_neg, method="DOP853",
-                        rtol=rtol, atol=1e-14)
-        eta[ygrid < 0.0] = sol.y[0][::-1]
-    quad = (eta - eta_minus) * (eta - eta_plus)
-    phiv = np.array([phi1(e) for e in eta])
-    eta_y = phiv * quad
-    de = 1e-7 * (eta_minus - eta_plus)
-    dphi = np.array([(phi1(e + de) - phi1(e - de)) / (2 * de) for e in eta])
-    eta_yy = (dphi * quad + phiv * (2.0 * eta - eta_minus - eta_plus)) * eta_y
-    return EtaProfile(y=ygrid, eta=eta, eta_y=eta_y, eta_yy=eta_yy,
-                      eta_minus=eta_minus, eta_plus=eta_plus)
+                             v_y=prof.v_y, mref=mref, grid=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,8 @@ def test_criterion_06_rarefaction_decay():
         x = np.linspace(w.w_minus * (1 + t) - 60, w.w_plus * (1 + t) + 60,
                         12001)
         dd = w.eval(t, x)
-        sups.append(dd["u1_x"].max())
-        l1s.append(np.trapezoid(np.abs(dd["u1_x"]), x))
+        sups.append(dd.u1_y.max())
+        l1s.append(np.trapezoid(np.abs(dd.u1_y), x))
     slope = loglog_slope(ts, np.asarray(sups))
     l1s = np.asarray(l1s)
     l1_var = float(np.max(np.abs(l1s - l1s[0])) / l1s[0])

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from kinwave import cli
 from kinwave.config import PRESETS, load_config
 from kinwave.errors import ConfigError, NonphysicalState
+from kinwave.profiles import ContactWave
 
 
 def _write(tmp_path, text):
@@ -309,3 +311,34 @@ dir = {out}
     report = json.loads((tmp_path / "prof0" / "profile_report.json").read_text())
     assert any("shock" in s for s in report["skipped"])
     assert any("contact" in s for s in report["skipped"])
+
+
+def test_cli_profiles_contact_uses_configured_transport(tmp_path):
+    """profile_contact.csv samples the contact wave of the configured
+    transport law, as profile_report.json does, not of the default law."""
+    text = """
+[strengths]
+delta_r = 0.0
+delta_c = 0.05
+delta_s = 0.0
+
+[grid]
+y_min = -40
+y_max = 40
+dy = 0.5
+
+[solver]
+kappa_coefficient = 6
+
+[output]
+dir = {out}
+""".format(out=tmp_path / "prof")
+    cfgfile = _write(tmp_path, text)
+    cfg = load_config(cfgfile)
+    assert cli.main(["profiles", "--config", str(cfgfile)]) == 0
+    rows = np.loadtxt(tmp_path / "prof" / "profile_contact.csv",
+                      delimiter=",", skiprows=1)
+    y = rows[:, 0]
+    p = ContactWave(cli._decomposition(cfg), cfg.transport).eval(1.0, y)
+    assert np.array_equal(rows, np.column_stack(
+        [y, p.v, p.u1, p.theta, p.v_y, p.u1_y, p.theta_y]))

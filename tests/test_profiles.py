@@ -6,8 +6,7 @@ import pytest
 from kinwave.errors import InvalidStrength
 from kinwave.gas import DEFAULT_TRANSPORT, FluidTriple, pressure, sound_speed
 from kinwave.profiles import (ContactWave, RarefactionWave, ShockProfile,
-                              build_rarefaction, build_shock, burgers_w,
-                              eta_solve, loglog_slope, shock_micro_leading,
+                              burgers_w, loglog_slope, shock_micro_leading,
                               shock_slope_quadratic, tail_decay_rate,
                               verify_shock_expansion)
 from kinwave.riemann import generate_states, shock_decomposition
@@ -50,7 +49,7 @@ def test_burgers_approaches_centered_fan():
 
 def test_rarefaction_signs_and_identity(decomp):
     y = np.linspace(-80, 40, 3001)
-    p = build_rarefaction(decomp, 3.0, y)
+    p = RarefactionWave(decomp).eval(3.0, y)
     assert np.all(p.u1_y >= 0) and np.all(p.v_y >= 0) and np.all(p.theta_y <= 0)
     ident = p.v_y - 3.0 * p.v / np.sqrt(10.0 * p.theta) * p.u1_y
     assert np.abs(ident).max() <= 1e-8
@@ -66,8 +65,8 @@ def test_rarefaction_far_field(decomp):
     far_left = wave.eval(t, np.array([lam_lo * (1 + t) - 6.0]))
     far_right = wave.eval(t, np.array([lam_hi * (1 + t) + 6.0]))
     tol = 30.0 * decomp.delta_r * math.exp(-12.0)
-    assert abs(far_left["v"][0] - decomp.left.v) <= tol
-    assert abs(far_right["v"][0] - decomp.mid_lo.v) <= tol
+    assert abs(far_left.v[0] - decomp.left.v) <= tol
+    assert abs(far_right.v[0] - decomp.mid_lo.v) <= tol
 
 
 def test_rarefaction_equation_residual(decomp):
@@ -79,15 +78,15 @@ def test_rarefaction_equation_residual(decomp):
     d0 = wave.eval(t, y)
     dp = wave.eval(t + dt, y)
     dm = wave.eval(t - dt, y)
-    v_t = (dp["v"] - dm["v"]) / (2 * dt)
-    u_t = (dp["u1"] - dm["u1"]) / (2 * dt)
-    th_t = (dp["theta"] - dm["theta"]) / (2 * dt)
-    p = 2.0 * d0["theta"] / (3.0 * d0["v"])
+    v_t = (dp.v - dm.v) / (2 * dt)
+    u_t = (dp.u1 - dm.u1) / (2 * dt)
+    th_t = (dp.theta - dm.theta) / (2 * dt)
+    p = 2.0 * d0.theta / (3.0 * d0.v)
     p_x = np.gradient(p, y)
-    scale = max(np.abs(d0["u1_x"]).max(), 1e-30)
-    assert np.abs(v_t - d0["u1_x"]).max() / scale <= 1e-5
+    scale = max(np.abs(d0.u1_y).max(), 1e-30)
+    assert np.abs(v_t - d0.u1_y).max() / scale <= 1e-5
     assert np.abs(u_t + p_x).max() / np.abs(p_x).max() <= 1e-3
-    assert np.abs(th_t + p * d0["u1_x"]).max() / scale <= 1e-4
+    assert np.abs(th_t + p * d0.u1_y).max() / scale <= 1e-4
 
 
 def test_rarefaction_lp_bounds(decomp):
@@ -99,17 +98,18 @@ def test_rarefaction_lp_bounds(decomp):
     for t in ts:
         x = np.linspace(lam_lo * (1 + t) - 40, lam_hi * (1 + t) + 40, 4001)
         d = wave.eval(t, x)
-        sups.append(np.max(d["u1_x"]))
-        l1s.append(np.trapezoid(np.abs(d["u1_x"]), x))
+        sups.append(np.max(d.u1_y))
+        l1s.append(np.trapezoid(np.abs(d.u1_y), x))
     slope = loglog_slope(ts, np.asarray(sups))
     assert -1.1 <= slope <= -0.9
     l1s = np.asarray(l1s)
     assert np.max(np.abs(l1s - l1s[0])) / l1s[0] <= 0.02
     assert l1s[0] <= 4.0 * decomp.delta_r
-    # second derivative controlled by the first
-    d = wave.eval(3.0, np.linspace(-40, 30, 2001))
-    ratio = np.abs(d["u1_xx"]) / (np.abs(d["u1_x"]) + 1e-300)
-    mask = np.abs(d["u1_x"]) > 1e-8 * np.abs(d["u1_x"]).max()
+    # second derivative (centred differences of u1_y) controlled by the first
+    x = np.linspace(-40, 30, 2001)
+    d = wave.eval(3.0, x)
+    ratio = np.abs(np.gradient(d.u1_y, x)) / (np.abs(d.u1_y) + 1e-300)
+    mask = np.abs(d.u1_y) > 1e-8 * np.abs(d.u1_y).max()
     assert np.max(ratio[mask]) < 50.0
 
 
@@ -133,7 +133,7 @@ def test_contact_pressure_exact(decomp):
     wave = ContactWave(decomp)
     x = np.linspace(-50, 50, 2001)
     d = wave.eval(2.0, x)
-    p = 2.0 * d["theta"] / (3.0 * d["v"])
+    p = 2.0 * d.theta / (3.0 * d.v)
     assert np.abs(p - pressure(decomp.mid_lo)).max() <= 1e-13
 
 
@@ -145,7 +145,7 @@ def test_contact_decay_exponents(decomp):
         x = np.linspace(-30 * math.sqrt(1 + t), 30 * math.sqrt(1 + t), 3001)
         d = wave.eval(t, x)
         q1, q2 = wave.error_terms(t, x)
-        sup_th.append(np.abs(d["theta_x"]).max())
+        sup_th.append(np.abs(d.theta_y).max())
         sup_q1.append(np.abs(q1).max())
         sup_q2.append(np.abs(q2).max())
     assert -0.55 <= loglog_slope(ts, np.asarray(sup_th)) <= -0.45
@@ -172,7 +172,7 @@ def test_contact_gaussian_tail(decomp):
     wave = ContactWave(decomp)
     t = 15.0
     x = -np.linspace(2, 7, 25) * math.sqrt(1 + t)
-    dev = np.abs(wave.eval(t, x)["v"] - decomp.mid_lo.v)
+    dev = np.abs(wave.eval(t, x).v - decomp.mid_lo.v)
     xi2 = x ** 2 / (1 + t)
     mask = dev > 0
     xc = xi2[mask] - xi2[mask].mean()
@@ -202,7 +202,7 @@ def test_shock_monotonicity_and_relations():
     for ds in (0.04, 0.08, 0.16):
         d = shock_decomposition(mid, ds)
         y = np.linspace(-30 / ds, 30 / ds, 3001)
-        p = build_shock(d, y)
+        p = ShockProfile(d).eval(y)
         assert np.all(p.v_y >= 0)
         assert np.all(p.u1_y <= 1e-14)
         assert np.all(p.theta_y <= 1e-12)
@@ -221,17 +221,17 @@ def test_shock_plane_system_residual():
     wave = ShockProfile(d)
     y = np.linspace(-250, 250, 20001)
     prof = wave.eval(y)
-    v_y_fd = np.gradient(prof["v"], y)
-    th_y_fd = np.gradient(prof["theta"], y)
-    mu = DEFAULT_TRANSPORT.mu(prof["theta"])
-    kap = DEFAULT_TRANSPORT.kappa(prof["theta"])
-    p = 2.0 * prof["theta"] / (3.0 * prof["v"])
+    v_y_fd = np.gradient(prof.v, y)
+    th_y_fd = np.gradient(prof.theta, y)
+    mu = DEFAULT_TRANSPORT.mu(prof.theta)
+    kap = DEFAULT_TRANSPORT.kappa(prof.theta)
+    p = 2.0 * prof.theta / (3.0 * prof.v)
     p_star = pressure(d.mid_hi)
-    r1 = -(4.0 / 3.0) * mu * d.sigma * v_y_fd / prof["v"] \
-        - (p - p_star + d.sigma ** 2 * (prof["v"] - d.mid_hi.v))
-    r2 = -kap * th_y_fd / (d.sigma * prof["v"]) \
-        - (prof["theta"] - d.mid_hi.theta + p_star * (prof["v"] - d.mid_hi.v)
-           - 0.5 * d.sigma ** 2 * (prof["v"] - d.mid_hi.v) ** 2)
+    r1 = -(4.0 / 3.0) * mu * d.sigma * v_y_fd / prof.v \
+        - (p - p_star + d.sigma ** 2 * (prof.v - d.mid_hi.v))
+    r2 = -kap * th_y_fd / (d.sigma * prof.v) \
+        - (prof.theta - d.mid_hi.theta + p_star * (prof.v - d.mid_hi.v)
+           - 0.5 * d.sigma ** 2 * (prof.v - d.mid_hi.v) ** 2)
     scale = np.abs(p - p_star).max()
     assert np.abs(r1[2:-2]).max() / scale <= 1e-5
     assert np.abs(r2[2:-2]).max() / scale <= 1e-5
@@ -243,7 +243,7 @@ def test_shock_tail_rates_scale_with_strength():
     for ds in (0.05, 0.1, 0.2):
         w = ShockProfile(shock_decomposition(mid, ds))
         y = np.linspace(5.0 / ds, 40.0 / ds, 300)
-        rates.append(tail_decay_rate(y, w.decomp.right.v - w.eval(y)["v"]))
+        rates.append(tail_decay_rate(y, w.decomp.right.v - w.eval(y).v))
     ratios = np.array(rates[1:]) / np.array(rates[:-1])
     assert np.all((ratios > 1.4) & (ratios < 2.6))
 
@@ -299,33 +299,25 @@ def test_shock_micro_leading():
 
 
 # ---------------------------------------------------------------------------
-# scalar profile equation
+# all three families
 # ---------------------------------------------------------------------------
 
-def test_eta_tanh_closed_form():
-    y = np.linspace(-400, 400, 1601)
-    c = 0.7
-    em, ep = 0.06, -0.06
-    prof = eta_solve(em, ep, lambda e: c, y)
-    k = c * (em - ep) / 2.0
-    exact = -0.06 * np.tanh(k * y)
-    assert np.abs(prof.eta - exact).max() <= 1e-10
+#: per family: its evaluation on a grid y, and the span of that grid
+FAMILIES = {
+    "rarefaction": (lambda d, y: RarefactionWave(d).eval(3.0, y), (-60, 30)),
+    "contact": (lambda d, y: ContactWave(d).eval(3.0, y), (-30, 30)),
+    "shock": (lambda d, y: ShockProfile(d).eval(y), (-300, 300)),
+}
 
 
-def test_eta_monotone_and_tails():
-    y = np.linspace(-600, 600, 2401)
-    ds = 0.08
-    prof = eta_solve(0.5 * ds, -0.5 * ds, lambda e: 1.0 + 0.2 * e, y)
-    assert np.all(np.diff(prof.eta) < 1e-12)   # strictly decreasing up to tail roundoff
-    mask = (y > 100) & (np.abs(prof.eta_y) > 0)
-    rate = tail_decay_rate(y[mask], np.abs(prof.eta_y[mask]))
-    assert 0.2 * ds <= rate <= 5.0 * ds
-    # curvature controlled by strength
-    ratio = np.abs(prof.eta_yy) / (np.abs(prof.eta_y) + 1e-300)
-    inner_mask = np.abs(y) < 50
-    assert ratio[inner_mask].max() <= 5.0 * ds
-
-
-def test_eta_invalid_levels():
-    with pytest.raises(InvalidStrength):
-        eta_solve(-0.1, 0.1, lambda e: 1.0, np.linspace(-1, 1, 11))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_first_derivatives_match_centred_differences(decomp, family):
+    """v_y, u1_y and theta_y agree with centred differences of the values
+    at interior nodes to 1e-3 of each derivative's sup norm (at these
+    spacings the differences are good to about 1.5e-4)."""
+    evaluate, span = FAMILIES[family]
+    y = np.linspace(*span, 4001)
+    p = evaluate(decomp, y)
+    for val, der in ((p.v, p.v_y), (p.u1, p.u1_y), (p.theta, p.theta_y)):
+        err = np.abs(np.gradient(val, y) - der)[1:-1]
+        assert err.max() <= 1e-3 * np.abs(der).max()
