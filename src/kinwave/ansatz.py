@@ -138,6 +138,15 @@ def _phi_entropy(z: np.ndarray) -> np.ndarray:
     return z - 1.0 - np.log(z)
 
 
+def _psi2(u, frame: AnsatzFrame) -> np.ndarray:
+    """|psi|^2 = (u1 - u1bar)^2 + u2^2 + u3^2 of the velocity fields u;
+    a u without the transverse components carries (u1,) only."""
+    psi2 = (u[0] - frame.u1) ** 2
+    if len(u) > 1:
+        psi2 = psi2 + u[1] ** 2 + u[2] ** 2
+    return psi2
+
+
 def relative_entropy(fields, frame: AnsatzFrame) -> float:
     """Weighted relative entropy
     int a [ (2/3) thetabar Phi(v/vbar) + thetabar Phi(theta/thetabar)
@@ -147,9 +156,7 @@ def relative_entropy(fields, frame: AnsatzFrame) -> float:
         raise NonpositiveState("relative entropy needs positive v, theta")
     zv = v / frame.v
     zt = th / frame.theta
-    psi2 = (u[0] - frame.u1) ** 2
-    if len(u) > 1:
-        psi2 = psi2 + u[1] ** 2 + u[2] ** 2
+    psi2 = _psi2(u, frame)
     integrand = frame.a * ((2.0 / 3.0) * frame.theta * _phi_entropy(zv)
                            + frame.theta * _phi_entropy(zt) + 0.5 * psi2)
     return float(np.trapezoid(integrand, frame.y))
@@ -162,9 +169,7 @@ def lambda_functionals(fields, frame: AnsatzFrame) -> tuple[float, float]:
     v, u, th = fields[0], fields[1], fields[2]
     phi = v - frame.v
     zeta = th - frame.theta
-    psi2 = (u[0] - frame.u1) ** 2
-    if len(u) > 1:
-        psi2 = psi2 + u[1] ** 2 + u[2] ** 2
+    psi2 = _psi2(u, frame)
     lam_r = float(np.trapezoid(np.abs(frame.vR_y) * (phi ** 2 + zeta ** 2),
                                frame.y))
     lam_s = float(np.trapezoid(np.abs(frame.vS_y)
@@ -233,9 +238,7 @@ def diagnostics_frame(t: float, fields, frame: AnsatzFrame, shift: ShiftState,
     psi23 = np.sqrt(u[1] ** 2 + u[2] ** 2) if len(u) > 1 else 0.0
     zeta = th - frame.theta
     lam_r, lam_s = lambda_functionals(fields, frame)
-    pert2 = phi ** 2 + psi1 ** 2 + zeta ** 2
-    if len(u) > 1:
-        pert2 = pert2 + u[1] ** 2 + u[2] ** 2
+    pert2 = phi ** 2 + _psi2(u, frame) + zeta ** 2
     return DiagnosticsFrame(
         t=t, X=shift.X, Xdot=xdot,
         entropy=relative_entropy(fields, frame),
@@ -252,20 +255,19 @@ def diagnostics_frame(t: float, fields, frame: AnsatzFrame, shift: ShiftState,
 # ---------------------------------------------------------------------------
 
 def g_tilde_split(G: np.ndarray, shock_micro_shifted: np.ndarray,
-                  sources: dict[str, np.ndarray], states: list[FluidTriple],
+                  du: np.ndarray, dth: np.ndarray, states: list[FluidTriple],
                   operators: list, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split the microscopic field: G_tilde = G - G^S( . - X), then remove
     the non-time-integrable rarefaction/contact streaming part
 
         G0 = (3/(2 v theta)) L^{-1} P1[ xi1 M ( xi1 du + |xi-u|^2/(2theta) dth ) ]
 
-    where du, dth are the rarefaction+contact derivative sources.  Returns
-    (G_tilde, G0, G1 = G_tilde - G0) as (ny, *counts) arrays.
+    where du, dth are the rarefaction+contact u1_y and theta_y sources, one
+    per state.  Returns (G_tilde, G0, G1 = G_tilde - G0) as (ny, *counts)
+    arrays.
     """
     G_t = G - shock_micro_shifted
     G0 = np.zeros_like(G)
-    du = sources["u1_y"]
-    dth = sources["theta_y"]
     xi1 = grid.node_array(0)
     for i, (s, op) in enumerate(zip(states, operators)):
         if du[i] == 0.0 and dth[i] == 0.0:

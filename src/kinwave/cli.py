@@ -65,6 +65,15 @@ def _decomposition(cfg: RunConfig):
                            cfg.delta_s)
 
 
+def _wave_states(decomp) -> tuple[list[FluidTriple], FluidTriple]:
+    """The four states of the pattern, left to right, and their reference
+    Maxwellian state M_#."""
+    states = [decomp.left, decomp.mid_lo, decomp.mid_hi, decomp.right]
+    return states, reference_maxwellian([s.theta for s in states],
+                                        [s.v for s in states],
+                                        [s.u1 for s in states])
+
+
 def _prepare_out(cfg: RunConfig, override) -> Path:
     out = Path(override) if override else cfg.out_dir
     try:
@@ -129,10 +138,7 @@ def cmd_riemann(cfg: RunConfig, out: Path, seed: int) -> int:
 def cmd_collision_check(cfg: RunConfig, out: Path, seed: int) -> int:
     rng = np.random.default_rng(seed)
     decomp = _decomposition(cfg)
-    states = [decomp.left, decomp.mid_lo, decomp.mid_hi, decomp.right]
-    mref = reference_maxwellian([s.theta for s in states],
-                                [s.v for s in states],
-                                [s.u1 for s in states])
+    _, mref = _wave_states(decomp)
     base = decomp.mid_hi
     report = {"seed": seed, "checks": []}
     counts = (cfg.velocity_counts,) * 3
@@ -217,7 +223,7 @@ def cmd_simulate_kinetic(cfg: RunConfig, out: Path, seed: int,
     decomp = _decomposition(cfg)
     ans = CompositeAnsatz(decomp, cfg.transport)
     y = np.linspace(cfg.y_min, cfg.y_max, cfg.nx)
-    states = [decomp.left, decomp.mid_lo, decomp.mid_hi, decomp.right]
+    states, mref = _wave_states(decomp)
     th_max = max(s.theta for s in states)
     u_span = max(abs(s.u1) for s in states)
     grid = VelocityGrid(
@@ -225,9 +231,6 @@ def cmd_simulate_kinetic(cfg: RunConfig, out: Path, seed: int,
         half_width=cfg.velocity_extent * math.sqrt(R_GAS * th_max) + u_span,
         counts=(cfg.velocity_counts,) * 3,
         sphere_polar=cfg.sphere_polar, sphere_azimuth=cfg.sphere_azimuth)
-    mref = reference_maxwellian([s.theta for s in states],
-                                [s.v for s in states],
-                                [s.u1 for s in states])
     vals = maxwellian_field(ans, y, grid)
     if cfg.perturbation.micro_amplitude != 0.0:
         # cubic Hermite mode He3((xi1-u)/a) M: orthogonal to all five

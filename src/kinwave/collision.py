@@ -25,7 +25,7 @@ from scipy.special import erf
 
 from .errors import GridTooNarrow, IllConditioned, NotMicroscopic, SingularPair
 from .gas import R_GAS, FluidTriple
-from .velocity import Projector, VelocityGrid, inner
+from .velocity import Projector, VelocityGrid, inner, one_plus_speed
 
 # int over the unit cube [-1/2,1/2]^3 of |z|^-1 dz (for the k2 self-cell).
 _CELL_INV_R = 2.3800774322849208
@@ -498,7 +498,7 @@ def measure_dissipativity(op: LinearizedOperator, mref: FluidTriple,
     -<g, L g>_{M#} / <(1+|xi|) g, g>_{M#}."""
     grid = op.grid
     Mref = grid.maxwellian(mref)
-    one_xi = 1.0 + np.linalg.norm(grid.nodes, axis=1).reshape(grid.counts)
+    one_xi = one_plus_speed(grid)
     M = grid.maxwellian(op.state)
     best = math.inf
     for _ in range(trials):
@@ -530,7 +530,7 @@ def measure_grad_bounds(grid: VelocityGrid, mref: FluidTriple, trials: int,
     if trials < 10:
         raise ValueError("need at least 10 trials")
     Mref = grid.maxwellian(mref)
-    one_xi = 1.0 + np.linalg.norm(grid.nodes, axis=1).reshape(grid.counts)
+    one_xi = one_plus_speed(grid)
     c_loss = c_gain = 0.0
     for _ in range(trials):
         g = np.abs(rng.standard_normal(grid.counts)) * Mref

@@ -25,32 +25,29 @@ from scipy.linalg import solve_banded
 from .errors import (BVPNoConvergence, InvalidStrength, InversionFailure,
                      NoRealRoot, ProfileBlowup)
 from .gas import (DEFAULT_TRANSPORT, R_GAS, FluidTriple, TransportLaw,
-                  pressure)
-from .riemann import RiemannDecomposition
-from .velocity import VelocityGrid, reference_maxwellian
-
-SQRT10 = math.sqrt(10.0)
+                  entropy, pressure)
+from .riemann import RiemannDecomposition, isentrope_state, lambda1
+from .velocity import VelocityGrid, one_plus_speed, reference_maxwellian
 
 
 # ---------------------------------------------------------------------------
 # scalar characteristic solve
 # ---------------------------------------------------------------------------
 
-def _w_initial(x, w_minus, w_plus):
-    return 0.5 * (w_plus + w_minus) + 0.5 * (w_plus - w_minus) * np.tanh(x)
-
-
-def burgers_w(w_minus: float, w_plus: float, t: float, x) -> np.ndarray:
-    """Characteristic solution w(t, x) of the expansive scalar problem with
-    smoothed-step data: solves x = x0 + w(0, x0) t for x0 (monotone map)
-    by safeguarded Newton and returns w(0, x0)."""
-    x = np.asarray(x, dtype=float)
+def burgers_w(w_minus: float, w_plus: float, t: float, x
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Characteristic solution of the expansive scalar problem with
+    smoothed-step data w(0, x0) = mid + half tanh(x0): solves the foot map
+    x = x0 + w(0, x0) t for x0 and returns (w, w_x) = (w(0, x0),
+    w'(0, x0) / (1 + w'(0, x0) t))."""
     x0 = _burgers_foot(w_minus, w_plus, t, x)
-    return _w_initial(x0, w_minus, w_plus)
+    half = 0.5 * (w_plus - w_minus)
+    th = np.tanh(x0)
+    w1p = half * (1.0 - th ** 2)
+    return 0.5 * (w_plus + w_minus) + half * th, w1p / (1.0 + w1p * t)
 
 
-def _burgers_foot(w_minus: float, w_plus: float, t: float, x: np.ndarray
-                  ) -> np.ndarray:
+def _burgers_foot(w_minus: float, w_plus: float, t: float, x) -> np.ndarray:
     """Solve x = x0 + w(0, x0) t for the characteristic foot point.
 
     Newton safeguarded by bisection on a bracket of the strictly monotone
@@ -62,6 +59,12 @@ def _burgers_foot(w_minus: float, w_plus: float, t: float, x: np.ndarray
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mid = 0.5 * (w_plus + w_minus)
     half = 0.5 * (w_plus - w_minus)
+
+    def foot_map(x0):
+        """Residual of the foot map and its slope in x0."""
+        th = np.tanh(x0)
+        return x0 + (mid + half * th) * t - x, 1.0 + half * (1.0 - th ** 2) * t
+
     lo = x - w_plus * t - 1.0
     hi = x - w_minus * t + 1.0
     # start from the centered-fan approximation w ~ x/t, which is tight for
@@ -71,14 +74,12 @@ def _burgers_foot(w_minus: float, w_plus: float, t: float, x: np.ndarray
     dx_old = hi - lo
     tol = 1e-13 * (1.0 + float(np.max(np.abs(x))) + abs(w_minus) * t)
     for _ in range(300):
-        th = np.tanh(x0)
-        f = x0 + (mid + half * th) * t - x
+        f, fp = foot_map(x0)
         done = np.abs(f) < tol
         if done.all():
             break
         lo = np.where(f < 0, x0, lo)       # map is increasing in x0
         hi = np.where(f > 0, x0, hi)
-        fp = 1.0 + half * (1.0 - th ** 2) * t
         newton = x0 - f / fp
         # converged points freeze; the rest take the Newton point when it
         # stays bracketed and shrinks faster than bisection, else bisect
@@ -87,20 +88,8 @@ def _burgers_foot(w_minus: float, w_plus: float, t: float, x: np.ndarray
         x0n = np.where(done, x0, np.where(ok, newton, 0.5 * (lo + hi)))
         dx_old = np.where(done, dx_old, np.abs(x0n - x0))
         x0 = x0n
-    th = np.tanh(x0)
-    f = x0 + (mid + half * th) * t - x
-    fp = 1.0 + half * (1.0 - th ** 2) * t
+    f, fp = foot_map(x0)
     return x0 - f / fp
-
-
-def _burgers_w_and_derivs(w_minus, w_plus, t, x):
-    """w and w_x along the characteristic solution."""
-    x0 = _burgers_foot(w_minus, w_plus, t, x)
-    half = 0.5 * (w_plus - w_minus)
-    th = np.tanh(x0)
-    w = 0.5 * (w_plus + w_minus) + half * th
-    w1p = half * (1.0 - th ** 2)
-    return w, w1p / (1.0 + w1p * t)
 
 
 # ---------------------------------------------------------------------------
@@ -136,27 +125,21 @@ class RarefactionWave:
         if decomp.delta_r <= 0.0:
             raise InvalidStrength("rarefaction strength must be positive")
         self.decomp = decomp
-        left, lo = decomp.left, decomp.mid_lo
-        self.s_ent = math.log(lo.theta) + (2.0 / 3.0) * math.log(lo.v)
-        self.w_minus = -SQRT10 / 3.0 * math.exp(0.5 * self.s_ent) * left.v ** (-4.0 / 3.0)
-        self.w_plus = -SQRT10 / 3.0 * math.exp(0.5 * self.s_ent) * lo.v ** (-4.0 / 3.0)
-        self.u_ref = lo.u1
-        self.v_ref = lo.v
+        self.s_ent = entropy(decomp.mid_lo)
+        self.w_minus = lambda1(decomp.left.v, self.s_ent)
+        self.w_plus = lambda1(decomp.mid_lo.v, self.s_ent)
 
     def _v_of_w(self, w):
-        arg = -3.0 * w * math.exp(-0.5 * self.s_ent) / SQRT10
+        arg = -3.0 * w * math.exp(-0.5 * self.s_ent) / math.sqrt(10.0)
         if np.any(arg <= 0.0):
             raise InversionFailure("speed left the admissible fan range")
         return arg ** (-0.75)
 
     def eval(self, t: float, x) -> WaveProfile:
         """Profile values and x-derivatives at time t (fan at t+1)."""
-        x = np.asarray(x, dtype=float)
-        w, w_x = _burgers_w_and_derivs(self.w_minus, self.w_plus, t + 1.0, x)
+        w, w_x = burgers_w(self.w_minus, self.w_plus, t + 1.0, x)
         v = self._v_of_w(w)
-        theta = math.exp(self.s_ent) * v ** (-2.0 / 3.0)
-        u1 = self.u_ref - SQRT10 * math.exp(0.5 * self.s_ent) * (
-            v ** (-1.0 / 3.0) - self.v_ref ** (-1.0 / 3.0))
+        theta, u1 = isentrope_state(self.decomp.mid_lo, v)
         v_x = -0.75 * v / w * w_x
         return WaveProfile(v=v, u1=u1, theta=theta, v_y=v_x, u1_y=-w * v_x,
                            theta_y=-(2.0 * theta / (3.0 * v)) * v_x)
@@ -250,50 +233,45 @@ class ContactWave:
         self.w_spline = CubicSpline(self.z, W, bc_type="clamped")
         self.theta_ends = (decomp.mid_lo.theta, decomp.mid_hi.theta)
 
-    def _theta_zeta(self, zeta):
+    def _similarity(self, zeta):
+        """The similarity profile at zeta: (theta, v = 2 theta/(3 p_*), W,
+        W', inside, clipped zeta), where inside masks the collocation
+        interval; outside it theta is the end value and W, W' vanish."""
         zc = np.clip(zeta, self.z[0], self.z[-1])
+        inside = (zeta >= self.z[0]) & (zeta <= self.z[-1])
         th = self.spline(zc)
         th = np.where(zeta < self.z[0], self.theta_ends[0], th)
         th = np.where(zeta > self.z[-1], self.theta_ends[1], th)
-        return th, zc
+        W = np.where(inside, self.w_spline(zc), 0.0)
+        Wp = np.where(inside, self.w_spline(zc, 1), 0.0)
+        return th, 2.0 * th / (3.0 * self.p_star), W, Wp, inside, zc
 
     def eval(self, t: float, x) -> WaveProfile:
         """Profile values and x-derivatives at time t."""
-        x = np.asarray(x, dtype=float)
         root = math.sqrt(1.0 + t)
-        zeta = x / root
-        th, zc = self._theta_zeta(zeta)
-        inside = (zeta >= self.z[0]) & (zeta <= self.z[-1])
+        th, v, W, Wp, inside, zc = self._similarity(
+            np.asarray(x, dtype=float) / root)
         theta_x = np.where(inside, self.spline(zc, 1), 0.0) / root
-        W = np.where(inside, self.w_spline(zc), 0.0)
-        Wp = np.where(inside, self.w_spline(zc, 1), 0.0)
-        return WaveProfile(v=2.0 * th / (3.0 * self.p_star),
-                           u1=self.u_star + W / root, theta=th,
+        return WaveProfile(v=v, u1=self.u_star + W / root, theta=th,
                            v_y=2.0 * theta_x / (3.0 * self.p_star),
                            u1_y=Wp / (1.0 + t), theta_y=theta_x)
 
     def error_terms(self, t: float, x) -> tuple[np.ndarray, np.ndarray]:
         """The two residual source terms of the momentum/energy balance:
         Q1 = u1_t - (4/3)(mu u1_x / v)_x  and  Q2 = -(4/3) mu u1_x^2 / v."""
-        x = np.asarray(x, dtype=float)
-        root = math.sqrt(1.0 + t)
-        zeta = x / root
-        th, zc = self._theta_zeta(zeta)
-        inside = (zeta >= self.z[0]) & (zeta <= self.z[-1])
-        W = np.where(inside, self.w_spline(zc), 0.0)
-        Wp = np.where(inside, self.w_spline(zc, 1), 0.0)
-        mu = self.transport.mu(th)
-        v = 2.0 * th / (3.0 * self.p_star)
-        # (mu(T) W'/v)'(zeta) by a short centered difference of the splines
+        zeta = np.asarray(x, dtype=float) / math.sqrt(1.0 + t)
+        th, v, W, Wp, _, _ = self._similarity(zeta)
+
+        def flux(z):
+            """mu(theta) W' / v at z."""
+            th_z, v_z, _, Wp_z, _, _ = self._similarity(z)
+            return self.transport.mu(th_z) * Wp_z / v_z
+
+        # (mu W'/v)'(zeta) by a short centered difference of the splines
         dz = 1e-6
-        thp, _ = self._theta_zeta(zeta + dz)
-        thm, _ = self._theta_zeta(zeta - dz)
-        Wpp_ = np.where(inside, self.w_spline(np.clip(zeta + dz, self.z[0], self.z[-1]), 1), 0.0)
-        Wpm_ = np.where(inside, self.w_spline(np.clip(zeta - dz, self.z[0], self.z[-1]), 1), 0.0)
-        gp = (self.transport.mu(thp) * Wpp_ / (2.0 * thp / (3.0 * self.p_star))
-              - self.transport.mu(thm) * Wpm_ / (2.0 * thm / (3.0 * self.p_star))
-              ) / (2.0 * dz)
+        gp = (flux(zeta + dz) - flux(zeta - dz)) / (2.0 * dz)
         q1 = (-0.5 * (W + zeta * Wp) - (4.0 / 3.0) * gp) / (1.0 + t) ** 1.5
+        mu = self.transport.mu(th)
         q2 = -(4.0 / 3.0) * mu * Wp ** 2 / v / (1.0 + t) ** 2
         return q1, q2
 
@@ -344,6 +322,9 @@ class ShockProfile:
         self.v_star, self.theta_star, self.u_star = hi.v, hi.theta, hi.u1
         self.v_plus = right.v
         self.lstar = shock_slope_quadratic(hi, self.sigma, transport)
+        self._slope_coef = (4.0 * self.sigma ** 2 * self.transport.A1
+                            / (3.0 * self.transport.A2))
+        self._saddle_den = 1e-10 * self.p_star
 
         eps = SHOCK_EPS_REL * decomp.delta_s
         v0 = self.v_star + eps
@@ -366,23 +347,14 @@ class ShockProfile:
         # diverges logarithmically
         ds = decomp.delta_s
         geo = SHOCK_EPS_REL * np.geomspace(1.0, 0.5 / SHOCK_EPS_REL, 400)
-        vfine = np.unique(np.concatenate([
+        vgrid = np.unique(np.concatenate([
             v0 + ds * (geo - SHOCK_EPS_REL), v1 - ds * (geo - SHOCK_EPS_REL),
             np.linspace(v0, v1, 2001)]))
-        vfine = vfine[(vfine >= v0) & (vfine <= v1)]
-        thfine, yfine = sol.sol(vfine)
-        vgrid, thgrid, ygrid = vfine, thfine, yfine
+        self._vgrid = vgrid[(vgrid >= v0) & (vgrid <= v1)]
+        self._thgrid, ygrid = sol.sol(self._vgrid)
         # recenter so v(0) is the mid-volume
         v_mid = 0.5 * (self.v_star + self.v_plus)
-        y_mid = float(np.interp(v_mid, vgrid, ygrid))
-        ygrid = ygrid - y_mid
-        vgrid = np.concatenate([[self.v_star], vgrid, [self.v_plus]])
-        thgrid = np.concatenate([[self.theta_star], thgrid, [right.theta]])
-        ygrid = np.concatenate([[ygrid[0]], ygrid, [ygrid[-1]]])
-        # strictly increasing y except the padded ends; keep the interior
-        self._y = ygrid[1:-1]
-        self._vgrid = vgrid[1:-1]
-        self._thgrid = thgrid[1:-1]
+        self._y = ygrid - float(np.interp(v_mid, self._vgrid, ygrid))
         self._v_of_y = PchipInterpolator(self._y, self._vgrid)
         self._th_of_y = PchipInterpolator(self._y, self._thgrid)
         self.y_range = (self._y[0], self._y[-1])
@@ -406,12 +378,20 @@ class ShockProfile:
                 - 0.5 * self.sigma ** 2 * (v - self.v_star) ** 2)
 
     def _dtheta_dv(self, v, th):
+        """Orbit slope d theta/d v = 4 sigma^2 A1/(3 A2) num/den of the plane
+        system; at the saddles, where |den| < 1e-10 p^*, the ratio is 0/0
+        and the slope is the saddle root lstar.  v, th are scalars (the
+        orbit ODE, whose per-call cost this keeps free of np.where) or
+        arrays (eval)."""
         den = self._den(v, th)
-        num = self._num(v, th)
-        if den == 0.0:
+        saddle = abs(den) < self._saddle_den
+        vector = type(saddle) is np.ndarray
+        if vector:
+            den = np.where(saddle, 1.0, den)
+        elif saddle:
             return self.lstar
-        return (4.0 * self.sigma ** 2 * self.transport.A1
-                / (3.0 * self.transport.A2)) * num / den
+        slope = self._slope_coef * self._num(v, th) / den
+        return np.where(saddle, self.lstar, slope) if vector else slope
 
     def _dy_dv(self, v, th):
         den = self._den(v, th)
@@ -443,17 +423,7 @@ class ShockProfile:
         np.clip(v_y, 0.0, None, out=np.atleast_1d(v_y))
         return WaveProfile(v=v, u1=self.u_star - self.sigma * (v - self.v_star),
                            theta=th, v_y=v_y, u1_y=-self.sigma * v_y,
-                           theta_y=self._F_field(v, th) * v_y)
-
-    def _F_field(self, v, th):
-        den = self._den(v, th)
-        num = self._num(v, th)
-        coef = 4.0 * self.sigma ** 2 * self.transport.A1 / (3.0 * self.transport.A2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            F = np.where(np.abs(den) > 1e-300, coef * num / den, self.lstar)
-        # near the saddle the ratio is 0/0: fall back to the slope root
-        tiny = 1e-10 * self.p_star
-        return np.where(np.abs(den) < tiny, self.lstar, F)
+                           theta_y=self._dtheta_dv(v, th) * v_y)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +571,7 @@ def shock_micro_leading(wave: ShockProfile, grid_counts=(10, 10, 10),
     grid = VelocityGrid(center=(0.5 * (d.mid_hi.u1 + d.right.u1), 0.0, 0.0),
                         half_width=6.0 * math.sqrt(R_GAS * th_max) + umax,
                         counts=grid_counts)
-    one_xi = 1.0 + np.linalg.norm(grid.nodes, axis=1).reshape(grid.counts)
+    one_xi = one_plus_speed(grid)
     Mref = grid.maxwellian(mref)
     fields, norms = [], []
     xi1 = grid.node_array(0)

@@ -12,7 +12,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gas import DEFAULT_TRANSPORT, FluidTriple, TransportLaw, pressure
+from .gas import (DEFAULT_TRANSPORT, FluidTriple, TransportLaw, pressure,
+                  sound_speed)
 from .profiles import (ContactWave, RarefactionWave, ShockProfile,
                        loglog_slope, tail_decay_rate, verify_shock_expansion)
 from .riemann import (RiemannDecomposition, rh_residual, shock_decomposition)
@@ -44,8 +45,8 @@ def rarefaction_checks(decomp: RiemannDecomposition,
     decay and far-field tails of the approximate rarefaction."""
     wave = RarefactionWave(decomp)
     checks = []
-    lam_lo = -math.sqrt(10 * decomp.left.theta) / (3 * decomp.left.v)
-    lam_hi = -math.sqrt(10 * decomp.mid_lo.theta) / (3 * decomp.mid_lo.v)
+    lam_lo = -sound_speed(decomp.left)
+    lam_hi = -sound_speed(decomp.mid_lo)
     t0 = 1.0
     x = np.linspace(lam_lo * (1 + t0) - 30.0, lam_hi * (1 + t0) + 30.0, 4001)
     prof = wave.eval(t0, x)

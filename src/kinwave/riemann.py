@@ -16,7 +16,7 @@ and the generator opens the contact toward smaller volume on the left
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -36,23 +36,23 @@ def lambda1(v: float, s_ent: float) -> float:
     return -math.sqrt(10.0) / 3.0 * math.exp(0.5 * s_ent) * v ** (-4.0 / 3.0)
 
 
-def _u1_integral(s_ent: float, v_from: float, v_to: float) -> float:
-    """Closed form of int_{v_from}^{v_to} lambda_1(eta, s) deta."""
-    return math.sqrt(10.0) * math.exp(0.5 * s_ent) * (
-        v_to ** (-1.0 / 3.0) - v_from ** (-1.0 / 3.0))
+def isentrope_state(ref: FluidTriple, v):
+    """(theta, u1) at volume v (scalar or array) on the 1-rarefaction curve
+    through ``ref``: the isentrope theta = e^s v^(-2/3) and the closed-form
+    integral of lambda_1, u1 = u1_ref - sqrt(10) e^(s/2)
+    (v^(-1/3) - v_ref^(-1/3))."""
+    s_ent = entropy(ref)
+    theta = math.exp(s_ent) * v ** (-2.0 / 3.0)
+    u1 = ref.u1 - math.sqrt(10.0) * math.exp(0.5 * s_ent) * (
+        v ** (-1.0 / 3.0) - ref.v ** (-1.0 / 3.0))
+    return theta, u1
 
 
 def rarefaction_left_of(right: FluidTriple, v_left: float) -> FluidTriple:
-    """State on the 1-rarefaction curve through ``right`` at volume v_left.
-
-    The curve keeps the entropy of ``right``; the velocity difference is
-    the closed-form integral of lambda_1 along the isentrope.
-    """
+    """State on the 1-rarefaction curve through ``right`` at volume v_left."""
     if not v_left < right.v:
         raise InvalidStrength(f"need v_left < v_right, got {v_left} >= {right.v}")
-    s_ent = entropy(right)
-    theta = math.exp(s_ent) * v_left ** (-2.0 / 3.0)
-    u1 = right.u1 - _u1_integral(s_ent, right.v, v_left)
+    theta, u1 = isentrope_state(right, v_left)
     return FluidTriple(v=v_left, u=(u1, 0.0, 0.0), theta=theta)
 
 
@@ -64,42 +64,53 @@ def u1_difference_quadrature(right: FluidTriple, v_left: float) -> float:
     return -val
 
 
-def _hugoniot_theta_right(mid_hi: FluidTriple, v_plus: float) -> float:
-    """Temperature behind the 3-shock from the Hugoniot relation
-    theta_+ - theta^* = -(p_+ + p^*)(v_+ - v^*)/2."""
-    dv = v_plus - mid_hi.v
-    p_star = pressure(mid_hi)
-    denom = 1.0 + dv / (3.0 * v_plus)
-    return (mid_hi.theta - 0.5 * p_star * dv) / denom
+def hugoniot_theta(base: FluidTriple, dv: float) -> float:
+    """Temperature at volume base.v + dv on the Hugoniot locus of ``base``,
+    theta - theta_b = -(p + p_b) dv / 2 solved for theta (dv > 0 goes
+    downstream of a 3-shock, dv < 0 upstream)."""
+    v_new = base.v + dv
+    if v_new <= 0.0:
+        raise NoPhysicalShock("shock strength exceeds the base volume")
+    denom = 1.0 + dv / (3.0 * v_new)
+    if denom <= 0.0:
+        raise NoPhysicalShock("shock strength beyond Hugoniot range")
+    theta = (base.theta - 0.5 * pressure(base) * dv) / denom
+    if theta <= 0.0:
+        raise NoPhysicalShock("Hugoniot temperature nonpositive")
+    return theta
+
+
+def shock_speed(upstream: FluidTriple, downstream: FluidTriple,
+                delta_s: float) -> float:
+    """Speed sigma = sqrt((p^* - p_+)/delta_s) of the 3-shock from
+    ``upstream`` (v^*, theta^*) to ``downstream`` (v_+ = v^* + delta_s);
+    the velocities do not enter.  Checks that the pressure drops and the
+    Lax condition lambda_3+ < sigma < lambda_3^*."""
+    p_star, p_plus = pressure(upstream), pressure(downstream)
+    if not p_plus < p_star:
+        raise NoPhysicalShock("pressure must drop across the 3-shock")
+    sigma = math.sqrt((p_star - p_plus) / delta_s)
+    if not (sound_speed(downstream) < sigma < sound_speed(upstream)):
+        raise NoPhysicalShock(
+            f"Lax condition failed: {sound_speed(downstream)} < {sigma} < "
+            f"{sound_speed(upstream)}")
+    return sigma
 
 
 def shock_right_of(mid_hi: FluidTriple, delta_s: float) -> tuple[FluidTriple, float]:
-    """Right state and speed of the 3-shock with strength v_+ - v^* = delta_s.
-
-    Solves the Rankine-Hugoniot relations in closed form and checks the Lax
-    condition lambda_3+ < sigma < lambda_3^*.
-    """
+    """Right state and speed of the 3-shock with strength v_+ - v^* = delta_s,
+    from the Rankine-Hugoniot relations in closed form."""
     if not delta_s > 0.0:
         raise InvalidStrength("shock strength must be positive")
     if delta_s > 0.5 * mid_hi.v:
         raise InvalidStrength(
             f"delta_s={delta_s} too large for base volume {mid_hi.v}")
     v_plus = mid_hi.v + delta_s
-    theta_plus = _hugoniot_theta_right(mid_hi, v_plus)
-    if theta_plus <= 0.0:
-        raise NoPhysicalShock("Hugoniot temperature nonpositive")
-    p_star = pressure(mid_hi)
-    p_plus = 2.0 * theta_plus / (3.0 * v_plus)
-    if p_plus >= p_star:
-        raise NoPhysicalShock("pressure must drop across the 3-shock")
-    sigma = math.sqrt((p_star - p_plus) / delta_s)
-    u1_plus = mid_hi.u1 - sigma * delta_s
-    right = FluidTriple(v=v_plus, u=(u1_plus, 0.0, 0.0), theta=theta_plus)
-    if not (sound_speed(right) < sigma < sound_speed(mid_hi)):
-        raise NoPhysicalShock(
-            f"Lax condition failed: {sound_speed(right)} < {sigma} < "
-            f"{sound_speed(mid_hi)}")
-    return right, sigma
+    # dv is v_+ - v^* as rounded (exact here), so base.v + dv is v_+ exactly
+    right = FluidTriple(v=v_plus,
+                        theta=hugoniot_theta(mid_hi, v_plus - mid_hi.v))
+    sigma = shock_speed(mid_hi, right, delta_s)
+    return replace(right, u=(mid_hi.u1 - sigma * delta_s, 0.0, 0.0)), sigma
 
 
 def rh_residual(mid_hi: FluidTriple, right: FluidTriple, sigma: float) -> float:
@@ -149,21 +160,10 @@ def generate_states(right: FluidTriple, delta_r: float, delta_c: float,
         raise InvalidStrength("strengths must be nonnegative")
     # invert the shock: given right and delta_s, recover mid_hi
     if delta_s > 0.0:
-        v_hi = right.v - delta_s
-        if v_hi <= 0.0:
-            raise NoPhysicalShock("shock strength exceeds right volume")
-        denom = 1.0 - delta_s / (3.0 * v_hi)
-        if denom <= 0.0:
-            raise NoPhysicalShock("shock strength beyond Hugoniot range")
-        theta_hi = (right.theta + 0.5 * pressure(right) * delta_s) / denom
-        p_hi = 2.0 * theta_hi / (3.0 * v_hi)
-        if p_hi <= pressure(right):
-            raise NoPhysicalShock("pressure must drop across the 3-shock")
-        sigma = math.sqrt((p_hi - pressure(right)) / delta_s)
-        u1_hi = right.u1 + sigma * delta_s
-        mid_hi = FluidTriple(v=v_hi, u=(u1_hi, 0.0, 0.0), theta=theta_hi)
-        if not (sound_speed(right) < sigma < sound_speed(mid_hi)):
-            raise NoPhysicalShock("Lax condition failed")
+        mid_hi = FluidTriple(v=right.v - delta_s,
+                             theta=hugoniot_theta(right, -delta_s))
+        sigma = shock_speed(mid_hi, right, delta_s)
+        mid_hi = replace(mid_hi, u=(right.u1 + sigma * delta_s, 0.0, 0.0))
     else:
         mid_hi = right
         sigma = sound_speed(mid_hi)
@@ -198,7 +198,7 @@ def _presolve_guess(left: FluidTriple, right: FluidTriple) -> np.ndarray:
 
     def branches(P: float):
         v_lo = (2.0 * math.exp(s_left) / (3.0 * P)) ** 0.6
-        u1_lo = left.u1 - _u1_integral(s_left, left.v, v_lo)
+        _, u1_lo = isentrope_state(left, v_lo)
         v_hi = (right.theta + 0.5 * (P + p_plus) * right.v) / (2.0 * P + 0.5 * p_plus)
         dv = right.v - v_hi
         if dv <= 0.0 or P <= p_plus:
@@ -244,15 +244,13 @@ def solve_riemann(left: FluidTriple, right: FluidTriple) -> RiemannDecomposition
         return RiemannDecomposition(left=left, mid_lo=left, mid_hi=left,
                                     right=right, delta_r=0.0, delta_c=0.0,
                                     delta_s=0.0, sigma=sig)
-    s_left = entropy(left)
     p_plus = pressure(right)
 
     def residual(vv: np.ndarray) -> np.ndarray:
         v_lo, v_hi = vv
         if v_lo <= 0 or v_hi <= 0 or v_lo <= left.v * 0.2:
             return np.array([1e6, 1e6])
-        theta_lo = math.exp(s_left) * v_lo ** (-2.0 / 3.0)
-        u1_lo = left.u1 - _u1_integral(s_left, left.v, v_lo)
+        theta_lo, u1_lo = isentrope_state(left, v_lo)
         p_lo = 2.0 * theta_lo / (3.0 * v_lo)
         # contact: p_hi = p_lo, u1_hi = u1_lo
         theta_hi = 1.5 * p_lo * v_hi
@@ -306,15 +304,12 @@ def solve_riemann(left: FluidTriple, right: FluidTriple) -> RiemannDecomposition
             f"pattern mismatch: delta_R={delta_r:.3e}, delta_S={delta_s:.3e}")
     if max(delta_r, delta_c, delta_s) > MAX_STRENGTH:
         raise OutOfPatternRange("wave strength above configured bound")
-    theta_lo = math.exp(s_left) * v_lo ** (-2.0 / 3.0)
-    u1_lo = left.u1 - _u1_integral(s_left, left.v, v_lo)
+    theta_lo, u1_lo = isentrope_state(left, v_lo)
     mid_lo = FluidTriple(v=v_lo, u=(u1_lo, 0.0, 0.0), theta=theta_lo)
     mid_hi = FluidTriple(v=v_hi, u=(u1_lo, 0.0, 0.0),
                          theta=1.5 * pressure(mid_lo) * v_hi)
     if delta_s > tiny:
-        sigma = math.sqrt((pressure(mid_hi) - p_plus) / (right.v - v_hi))
-        if not (sound_speed(right) < sigma < sound_speed(mid_hi)):
-            raise NoPhysicalShock("Lax condition failed in solve")
+        sigma = shock_speed(mid_hi, right, delta_s)
     else:
         sigma = sound_speed(mid_hi)
     return RiemannDecomposition(left=left, mid_lo=mid_lo, mid_hi=mid_hi,

@@ -52,9 +52,6 @@ class PerturbationSpec:
         for b in self.bumps:
             fields[b.target] = fields[b.target] + b.profile(y)
 
-    def sup_amplitude(self) -> float:
-        return max((abs(b.amplitude) for b in self.bumps), default=0.0)
-
 
 # ---------------------------------------------------------------------------
 # fluid solver

@@ -8,7 +8,6 @@ operations accept/return plain arrays.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -134,6 +133,11 @@ def moments(values: np.ndarray, grid: VelocityGrid) -> gas.ConservedTriple:
     m = w * (fl @ grid.nodes)
     E = 0.5 * w * (fl @ np.einsum("ni,ni->n", grid.nodes, grid.nodes))
     return gas.ConservedTriple(rho=rho, m=m, E=E)
+
+
+def one_plus_speed(grid: VelocityGrid) -> np.ndarray:
+    """The weight 1 + |xi| of the weighted norms, shape ``grid.counts``."""
+    return 1.0 + np.linalg.norm(grid.nodes, axis=1).reshape(grid.counts)
 
 
 def fluid_from_distribution(f: np.ndarray, grid: VelocityGrid) -> FluidTriple:
@@ -265,45 +269,3 @@ class DistributionField:
         if not np.all(np.isfinite(per_y)):
             raise OverflowSignal("weighted norm integrand not finite")
         return float(np.trapezoid(per_y, self.ygrid))
-
-    def save(self, path, binary: bool = True) -> None:
-        """Flat layout: text header (counts, extent, center, nx, y-range),
-        then node values in row-major, xi1-fastest order."""
-        header = {
-            "counts": [int(c) for c in self.grid.counts],
-            "half_width": float(self.grid.half_width),
-            "center": [float(c) for c in self.grid.center],
-            "nx": int(self.ygrid.size),
-            "y0": float(self.ygrid[0]),
-            "y1": float(self.ygrid[-1]),
-            "mref": [float(x) for x in
-                     (self.mref.v, *self.mref.u, self.mref.theta)],
-            "binary": int(binary),
-        }
-        # xi1-fastest: transpose velocity axes before flattening
-        flat = self.values.transpose(0, 3, 2, 1).reshape(self.ygrid.size, -1)
-        with open(path, "wb") as fh:
-            fh.write((json.dumps(header) + "\n").encode())
-            if binary:
-                flat.astype(np.float64).tofile(fh)
-            else:
-                np.savetxt(fh, flat, delimiter=",")
-
-    @classmethod
-    def load(cls, path, sphere_kw: dict | None = None) -> "DistributionField":
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode())
-            grid = VelocityGrid(center=tuple(header["center"]),
-                                half_width=header["half_width"],
-                                counts=tuple(header["counts"]),
-                                **(sphere_kw or {}))
-            nx = header["nx"]
-            if header["binary"]:
-                flat = np.fromfile(fh, dtype=np.float64)
-            else:
-                flat = np.loadtxt(fh, delimiter=",").reshape(-1)
-            vals = flat.reshape((nx,) + grid.counts[::-1]).transpose(0, 3, 2, 1)
-        mv = header["mref"]
-        mref = FluidTriple(v=mv[0], u=tuple(mv[1:4]), theta=mv[4])
-        ygrid = np.linspace(header["y0"], header["y1"], nx)
-        return cls(ygrid=ygrid, grid=grid, values=vals, mref=mref)

@@ -272,13 +272,12 @@ def test_g_tilde_split(decomp):
         rng2.standard_normal(grid.counts) * grid.maxwellian(s)) * 1e-3
         for s, op in zip(s_list, ops)])
     GS = np.zeros_like(G)
-    zero_sources = {"u1_y": np.zeros(2), "theta_y": np.zeros(2)}
-    G_t, G0, G1 = g_tilde_split(G, GS, zero_sources, s_list, ops, grid)
+    zero = np.zeros(2)
+    G_t, G0, G1 = g_tilde_split(G, GS, zero, zero, s_list, ops, grid)
     assert np.array_equal(G0, np.zeros_like(G0))
     assert np.array_equal(G1, G_t)
-    sources = {"u1_y": np.array([1e-3, 2e-3]),
-               "theta_y": np.array([-1e-3, 1e-3])}
-    G_t, G0, G1 = g_tilde_split(G, GS, sources, s_list, ops, grid)
+    du, dth = np.array([1e-3, 2e-3]), np.array([-1e-3, 1e-3])
+    G_t, G0, G1 = g_tilde_split(G, GS, du, dth, s_list, ops, grid)
     assert np.abs(G0).max() > 0
     for i, (s, op) in enumerate(zip(s_list, ops)):
         m = moments(G1[i], grid)
@@ -298,9 +297,8 @@ def test_g0_scales_with_sources(decomp):
     GS = np.zeros_like(G)
     norms = []
     for scale in (1.0, 2.0):
-        src = {"u1_y": np.array([1e-3 * scale]),
-               "theta_y": np.array([5e-4 * scale])}
-        _, G0, _ = g_tilde_split(G, GS, src, [decomp.mid_hi], [op], grid)
+        du, dth = np.array([1e-3 * scale]), np.array([5e-4 * scale])
+        _, G0, _ = g_tilde_split(G, GS, du, dth, [decomp.mid_hi], [op], grid)
         norms.append(math.sqrt(grid.integrate(G0[0] ** 2 / grid.maxwellian(
             decomp.mid_hi))))
     assert norms[1] == pytest.approx(2.0 * norms[0], rel=1e-10)

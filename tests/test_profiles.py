@@ -20,7 +20,7 @@ RIGHT = FluidTriple(v=1.0, u=(0.0, 0.0, 0.0), theta=1.0)
 
 def test_burgers_initial_profile():
     x = np.linspace(-20, 20, 801)
-    w = burgers_w(-1.2, -0.6, 0.0, x)
+    w, _ = burgers_w(-1.2, -0.6, 0.0, x)
     exact = -0.9 + 0.3 * np.tanh(x)
     assert np.abs(w - exact).max() <= 1e-12
 
@@ -28,7 +28,7 @@ def test_burgers_initial_profile():
 def test_burgers_monotone_in_x():
     x = np.linspace(-400, 400, 4001)
     for t in (0.0, 1.0, 10.0, 250.0):
-        w = burgers_w(-1.2, -0.6, t, x)
+        w, _ = burgers_w(-1.2, -0.6, t, x)
         assert np.all(np.diff(w) >= -1e-14)
 
 
@@ -36,7 +36,7 @@ def test_burgers_approaches_centered_fan():
     x = np.linspace(-4000, 100, 8001)
 
     def fan_gap(t):
-        w = burgers_w(-1.2, -0.6, t, x * t / 1000.0)
+        w, _ = burgers_w(-1.2, -0.6, t, x * t / 1000.0)
         fan = np.clip(x * t / 1000.0 / t, -1.2, -0.6)
         return np.abs(w - fan).max()
 
@@ -151,6 +151,27 @@ def test_contact_decay_exponents(decomp):
     assert -0.55 <= loglog_slope(ts, np.asarray(sup_th)) <= -0.45
     assert -1.6 <= loglog_slope(ts, np.asarray(sup_q1)) <= -1.4
     assert -2.1 <= loglog_slope(ts, np.asarray(sup_q2)) <= -1.9
+
+
+def test_contact_error_terms_match_eval(decomp):
+    """error_terms against their definitions from eval: Q1 = u1_t -
+    (4/3)(mu u1_x / v)_x by centred differences in t (step 1e-3 (1+t)) and
+    x (4001 nodes over 40 sqrt(1+t)) at interior nodes, within 5e-3 of
+    sup |Q1| (measured 1.1e-3, the spline-derivative difference error);
+    Q2 = -(4/3) mu u1_x^2 / v from eval's values, within 1e-12 of
+    sup |Q2|."""
+    wave = ContactWave(decomp)
+    mu = wave.transport.mu
+    for t in (3.0, 20.0, 200.0):
+        x = np.linspace(-20.0, 20.0, 4001) * math.sqrt(1.0 + t)
+        dt = 1e-3 * (1.0 + t)
+        d = wave.eval(t, x)
+        u1_t = (wave.eval(t + dt, x).u1 - wave.eval(t - dt, x).u1) / (2.0 * dt)
+        q1 = u1_t - (4.0 / 3.0) * np.gradient(mu(d.theta) * d.u1_y / d.v, x)
+        q2 = -(4.0 / 3.0) * mu(d.theta) * d.u1_y ** 2 / d.v
+        e1, e2 = wave.error_terms(t, x)
+        assert np.abs(q1 - e1)[1:-1].max() <= 5e-3 * np.abs(e1).max()
+        assert np.abs(q2 - e2).max() <= 1e-12 * np.abs(e2).max()
 
 
 def test_contact_selfsimilar_ode_residual(decomp):
