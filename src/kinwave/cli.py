@@ -269,6 +269,7 @@ def cmd_simulate_kinetic(cfg: RunConfig, out: Path, seed: int,
         "min_f": frames[-1]["min_f"],
         "clip_defect": field.clip_defect,
         "clip_defect_relative": field.clip_defect / abs(mass0["mass"]),
+        "lost_interp_weight": field.lost_interp_weight,
         "conservation_drift": drift,
         "runtime": time.perf_counter() - t0,
     }

@@ -58,9 +58,7 @@ class BilinearResult:
 
 def _axis_direction(om: np.ndarray) -> int | None:
     """Index of the coordinate axis +-om is aligned with, else None."""
-    for ax in range(3):
-        ref = np.zeros(3)
-        ref[ax] = 1.0
+    for ax, ref in enumerate(np.eye(3)):
         if np.allclose(np.abs(om), ref, atol=1e-14):
             return ax
     return None
@@ -108,28 +106,40 @@ def q_bilinear_batch(G: np.ndarray, H: np.ndarray,
     """Hard-sphere Q(g, h) for a batch of distribution pairs.
 
     ``G``, ``H`` have shape (nbatch, n1, n2, n3).  The hemisphere restriction
-    (xi - xi*) . Omega >= 0 is applied by masking the full-sphere rule; the
-    loss term uses the same (xi*, Omega) double rule, so gain and loss share
-    one quadrature and conservation defects reflect only the post-collision
-    interpolation.
+    (xi - xi*) . Omega >= 0 masks the full-sphere rule; gain and loss share
+    one (xi*, Omega) quadrature.  For Omega = +-e_a the post-collision
+    velocities swap one lattice coordinate, xi' = (xi*_a, xi_b, xi_c),
+    xi*' = (xi_a, xi*_b, xi*_c), and B(i_a, j_a) = w w_k max(+-(xi_a -
+    xi*_a), 0) depends on that coordinate alone, so the xi* sum factorizes
+    exactly: gain(i) = hbar(i_a) sum_{j_a} B(i_a, j_a) g(j_a, i_b, i_c) and
+    loss_frequency(i) = (B hbar)(i_a), hbar = h summed over the other two
+    axes; one n_a x n_a matmul per direction, O(nbatch N n_a).  Off-axis
+    directions interpolate trilinearly over all N^2 pairs, O(nbatch N^2),
+    and record the gain weight that falls off the lattice.
     """
-    nb = G.shape[0]
-    N = grid.n_nodes
-    Gf = G.reshape(nb, N)
-    Hf = H.reshape(nb, N)
-    nodes = grid.nodes
-    w = grid.weight
-    gain = np.zeros((nb, N))
-    lossfreq = np.zeros((nb, N))
-    lost = 0.0
-    strides = np.array([grid.counts[1] * grid.counts[2], grid.counts[2], 1])
-    multi = np.stack(np.unravel_index(np.arange(N), grid.counts), axis=1)
-    # chunk the xi* index so the (i, j_chunk) pair arrays stay modest
+    nb, N = G.shape[0], grid.n_nodes
+    shape = (nb,) + grid.counts
+    G, H = G.reshape(shape), H.reshape(shape)
+    Gf, Hf = G.reshape(nb, N), H.reshape(nb, N)
+    gain, lossfreq = np.zeros(shape), np.zeros(shape)
+    gain_f, lossfreq_f = gain.reshape(nb, N), lossfreq.reshape(nb, N)
+    nodes, lost = grid.nodes, 0.0
+    # chunk the xi* index so the off-axis (i, j_chunk) pair arrays stay modest
     chunk = max(1, min(N, (1 << 22) // max(N, 1)))
-    for k in range(len(grid.omega)):
-        om = grid.omega[k]
-        wk = w * grid.omega_weight[k]
-        axis = _axis_direction(om)
+    for om, w_om in zip(grid.omega, grid.omega_weight):
+        wk = grid.weight * w_om
+        ax = _axis_direction(om)
+        if ax is not None:
+            # B from the lattice axis, not nodes @ om: the sphere rule
+            # leaves ~1e-16 off-axis components in om
+            x = grid.axes[ax]
+            B = wk * np.maximum(om[ax] * (x[:, None] - x[None, :]), 0.0)
+            # work on views with axis a last: (nb, n_b, n_c, n_a)
+            hbar = np.moveaxis(H, ax + 1, -1).sum(axis=(1, 2))[:, None, None]
+            np.moveaxis(gain, ax + 1, -1)[...] += \
+                hbar * (np.moveaxis(G, ax + 1, -1) @ B.T)
+            np.moveaxis(lossfreq, ax + 1, -1)[...] += hbar @ B.T
+            continue
         proj_i = nodes @ om                        # (N,)
         for j0 in range(0, N, chunk):
             j1 = min(j0 + chunk, N)
@@ -137,41 +147,29 @@ def q_bilinear_batch(G: np.ndarray, H: np.ndarray,
             s = proj_i[:, None] - proj_i[None, j0:j1]      # (N, nc)
             np.maximum(s, 0.0, out=s)              # hemisphere mask: B=0 below
             B = wk * s
-            if axis is not None:
-                # post-collision velocities swap one lattice coordinate:
-                # exact integer gathers, no interpolation loss
-                ax = axis
-                shift = (multi[j0:j1, ax][None, :] - multi[:, ax][:, None]) \
-                    * strides[ax]
-                idx_p = np.arange(N)[:, None] + shift          # xi'
-                idx_sp = np.arange(j0, j1)[None, :] - shift    # xi*'
-                gv = Gf[:, idx_p.reshape(-1)]
-                hv = Hf[:, idx_sp.reshape(-1)]
-            else:
-                sm = s.reshape(-1)
-                ii = np.repeat(np.arange(N), nc)
-                jj = j0 + np.tile(np.arange(nc), N)
-                xi_p = nodes[ii] - sm[:, None] * om[None, :]
-                xis_p = nodes[jj] + sm[:, None] * om[None, :]
-                gv, w1 = _trilinear_gather(Gf, grid, xi_p)
-                hv, w2 = _trilinear_gather(Hf, grid, xis_p)
-                lost += float(np.sum(B.reshape(-1) * (2.0 - w1 - w2)))
+            xi_p = (nodes[:, None] - s[..., None] * om).reshape(-1, 3)
+            xis_p = (nodes[None, j0:j1] + s[..., None] * om).reshape(-1, 3)
+            gv, w1 = _trilinear_gather(Gf, grid, xi_p)
+            hv, w2 = _trilinear_gather(Hf, grid, xis_p)
+            lost += float(np.sum(B.reshape(-1) * (2.0 - w1 - w2)))
             contrib = B.reshape(-1)[None, :] * gv * hv     # (nb, N*nc)
-            gain += contrib.reshape(nb, N, nc).sum(axis=2)
-            lossfreq += (B @ Hf[:, j0:j1].T).T
-    loss = Gf * lossfreq
-    shape = (nb,) + grid.counts
-    return BilinearResult(gain=gain.reshape(shape), loss=loss.reshape(shape),
-                          loss_frequency=lossfreq.reshape(shape),
-                          lost_interp_weight=lost)
+            gain_f += contrib.reshape(nb, N, nc).sum(axis=2)
+            lossfreq_f += (B @ Hf[:, j0:j1].T).T
+    return BilinearResult(gain=gain, loss=G * lossfreq,
+                          loss_frequency=lossfreq, lost_interp_weight=lost)
+
+
+def axis_rule(grid: VelocityGrid) -> bool:
+    """True when every sphere direction of ``grid`` is a coordinate axis,
+    so that ``q_bilinear_batch`` never takes the O(N^2) off-axis path."""
+    return all(_axis_direction(om) is not None for om in grid.omega)
 
 
 def q_bilinear(g: np.ndarray, h: np.ndarray, grid: VelocityGrid) -> BilinearResult:
     """Q(g, h) for a single pair of grid functions (see q_bilinear_batch)."""
     res = q_bilinear_batch(g[None, ...], h[None, ...], grid)
-    return BilinearResult(gain=res.gain[0], loss=res.loss[0],
-                          loss_frequency=res.loss_frequency[0],
-                          lost_interp_weight=res.lost_interp_weight)
+    return BilinearResult(res.gain[0], res.loss[0], res.loss_frequency[0],
+                          res.lost_interp_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +463,23 @@ def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
     nu_def = math.pi * collision_frequency(s, nodes)
     A[np.arange(N), np.arange(N)] -= nu_def
 
-    raw_res = np.empty(5)
-    for j, chi in enumerate(proj.chi):
-        r = (A @ chi.reshape(-1)).reshape(grid.counts)
-        raw_res[j] = math.sqrt(inner(r, r, s, grid)) / math.sqrt(
-            inner(chi, chi, s, grid))
+    def chi_residuals(A):
+        res = [(A @ chi.reshape(-1)).reshape(grid.counts) for chi in proj.chi]
+        return np.array([math.sqrt(inner(r, r, s, grid))
+                         / math.sqrt(inner(chi, chi, s, grid))
+                         for r, chi in zip(res, proj.chi)])
 
-    P = np.eye(N) - proj._chi_flat.T @ (proj._gram_inv @ proj._chi_w)
-    A = P @ A @ P
+    raw_res = chi_residuals(A)
 
-    chi_res = np.empty(5)
-    for j, chi in enumerate(proj.chi):
-        r = (A @ chi.reshape(-1)).reshape(grid.counts)
-        chi_res[j] = math.sqrt(inner(r, r, s, grid)) / math.sqrt(
-            inner(chi, chi, s, grid))
+    # P A P with P = I - C W as rank-5 corrections, O(N^2) instead of two
+    # N^3 GEMMs: A - C (W A) - (A C) W + C ((W A C) W)
+    C, W = proj._chi_flat.T, proj._gram_inv @ proj._chi_w    # (N, 5), (5, N)
+    WA, AC = W @ A, A @ C
+    A -= C @ (WA - (WA @ C) @ W) + AC @ W
+
     op = LinearizedOperator(state=s, grid=grid, matrix=A, nu=nu_def,
-                            chi_residuals=chi_res, raw_chi_residuals=raw_res,
+                            chi_residuals=chi_residuals(A),
+                            raw_chi_residuals=raw_res,
                             projector=proj)
     if cache_dir is not None:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)

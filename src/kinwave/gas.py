@@ -60,9 +60,10 @@ def pressure(s: FluidTriple) -> float:
     return 2.0 * s.theta / (3.0 * s.v)
 
 
-def sound_speed(s: FluidTriple) -> float:
-    """Largest characteristic speed sqrt(5p/(3v)) = sqrt(10*theta)/(3v)."""
-    return math.sqrt(5.0 * pressure(s) / (3.0 * s.v))
+def sound_speed(s: FluidTriple) -> float | np.ndarray:
+    """Largest characteristic speed sqrt(5p/(3v)) = sqrt(10*theta)/(3v);
+    elementwise when ``s.v`` and ``s.theta`` are arrays."""
+    return np.sqrt(5.0 * pressure(s) / (3.0 * s.v))
 
 
 def eigenvalues(s: FluidTriple) -> tuple[float, float, float]:

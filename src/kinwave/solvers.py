@@ -13,10 +13,10 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .ansatz import (AnsatzFrame, CompositeAnsatz, ShiftState,
                      DiagnosticsFrame, diagnostics_frame, shift_H, shift_rhs)
-from .collision import assemble_linearized, q_bilinear_batch
+from .collision import assemble_linearized, axis_rule, q_bilinear_batch
 from .errors import CFLViolation, CostGuard, NonphysicalState, PositivityLoss
 from .gas import (DEFAULT_TRANSPORT, FluidTriple, TransportLaw,
-                  primitive_fields)
+                  primitive_fields, sound_speed)
 from .riemann import RiemannDecomposition
 from .velocity import DistributionField, VelocityGrid, moments
 
@@ -85,8 +85,7 @@ def cfl_limit(state: FluidField, sigma: float,
               transport: TransportLaw = DEFAULT_TRANSPORT) -> float:
     """0.4 * min(advective, viscous) step bound over the grid."""
     dy = state.dy
-    lam = abs(sigma) + np.sqrt(10.0 * state.theta) / (3.0 * state.v) \
-        + np.abs(state.u1) / state.v
+    lam = abs(sigma) + sound_speed(state) + np.abs(state.u1) / state.v
     diff = np.maximum(4.0 * transport.mu(state.theta) / 3.0,
                       transport.kappa(state.theta))
     dt_adv = dy / float(np.max(lam))
@@ -283,7 +282,8 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
 # kinetic solver
 # ---------------------------------------------------------------------------
 
-#: full nonlinear collision quadrature cost guard
+#: cost guard of the full nonlinear collision quadrature with an off-axis
+#: sphere direction (N^2 pairs per direction and cell)
 MAX_FULL_Q_NODES = 8 ** 3
 MAX_FULL_Q_SPHERE = 8
 MAX_FULL_Q_NX = 128
@@ -297,6 +297,7 @@ class KineticField:
     dist: DistributionField
     t: float = 0.0
     clip_defect: float = 0.0          # mass removed by positivity clipping
+    lost_interp_weight: float = 0.0   # gain weight interpolated off-lattice
 
 
 def _cubic_interp_y(values: np.ndarray, foot_idx: np.ndarray) -> np.ndarray:
@@ -340,14 +341,25 @@ def kinetic_step(field: KineticField, dt: float, sigma: float) -> KineticField:
     """Semi-Lagrangian transport followed by the exponential (Duhamel)
     collision update f <- e^{-nu dt} f + (1 - e^{-nu dt})/nu Q+(f, f);
     positivity-preserving up to interpolation undershoot (clipped at zero,
-    recorded)."""
+    recorded).
+
+    With the axis sphere rule the quadrature is the factorized
+    O(N n_a) contraction per cell and direction and runs on any lattice.
+    A rule with an off-axis direction costs O(N^2) per cell and direction
+    and raises CostGuard beyond MAX_FULL_Q_NODES velocity nodes,
+    MAX_FULL_Q_SPHERE directions or MAX_FULL_Q_NX cells.  The gain weight
+    that the off-axis interpolation loses is accumulated on the field.
+    """
     dist = field.dist
     grid = dist.grid
-    if grid.n_nodes > MAX_FULL_Q_NODES or len(grid.omega) > MAX_FULL_Q_SPHERE \
-            or len(dist.ygrid) > MAX_FULL_Q_NX:
+    if not axis_rule(grid) and (
+            grid.n_nodes > MAX_FULL_Q_NODES
+            or len(grid.omega) > MAX_FULL_Q_SPHERE
+            or len(dist.ygrid) > MAX_FULL_Q_NX):
         raise CostGuard(
-            f"full collision quadrature limited to {MAX_FULL_Q_NODES} velocity"
-            f" nodes, {MAX_FULL_Q_SPHERE} sphere nodes, {MAX_FULL_Q_NX} cells")
+            f"off-axis collision quadrature limited to {MAX_FULL_Q_NODES}"
+            f" velocity nodes, {MAX_FULL_Q_SPHERE} sphere nodes,"
+            f" {MAX_FULL_Q_NX} cells")
     star, clip = _transport_semilagrangian(field, dt, sigma)
     res = q_bilinear_batch(star, star, grid)
     nu = res.loss_frequency
@@ -360,8 +372,9 @@ def kinetic_step(field: KineticField, dt: float, sigma: float) -> KineticField:
     new_vals[-1] = dist.values[-1]
     newdist = DistributionField(ygrid=dist.ygrid, grid=grid, values=new_vals,
                                 mref=dist.mref)
-    return KineticField(dist=newdist, t=field.t + dt,
-                        clip_defect=field.clip_defect + clip)
+    return KineticField(
+        dist=newdist, t=field.t + dt, clip_defect=field.clip_defect + clip,
+        lost_interp_weight=field.lost_interp_weight + res.lost_interp_weight)
 
 
 class LinearizedKineticSolver:
@@ -403,7 +416,8 @@ class LinearizedKineticSolver:
         newdist = DistributionField(ygrid=dist.ygrid, grid=grid, values=new,
                                     mref=dist.mref)
         return KineticField(dist=newdist, t=field.t + self.dt,
-                            clip_defect=field.clip_defect + clip)
+                            clip_defect=field.clip_defect + clip,
+                            lost_interp_weight=field.lost_interp_weight)
 
 
 def maxwellian_field(ansatz: CompositeAnsatz, y: np.ndarray,

@@ -195,6 +195,7 @@ y_min = -5
 y_max = 5
 nx = 16
 velocity_counts = 16
+sphere_polar = 2
 
 [solver]
 t_end = 0.04
@@ -204,6 +205,7 @@ kinetic_dt = 0.02
 dir = {out}
 """.format(out=tmp_path / "kin")
     cfgfile = _write(tmp_path, text)
+    # the guard bounds the O(N^2) pair sum of an off-axis sphere rule
     assert cli.main(["simulate-kinetic", "--config", str(cfgfile)]) \
         == cli.EXIT_COST_GUARD
 
@@ -233,6 +235,7 @@ dir = {out}
     summary = json.loads((tmp_path / "kin2" / "summary.json").read_text())
     assert summary["conservation_drift"] <= 1e-3
     assert summary["min_f"] >= 0.0
+    assert summary["lost_interp_weight"] == 0.0     # axis sphere rule
 
 
 def test_cli_collision_check_narrow_grid_guard(tmp_path):

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinwave.collision import (assemble_linearized, collision_frequency,
                                kernels, measure_grad_bounds, q_bilinear,
-                               operator_cache_key, load_operator)
+                               q_bilinear_batch, operator_cache_key,
+                               load_operator)
 from kinwave.errors import NotMicroscopic, SingularPair
 from kinwave.gas import R_GAS, FluidTriple
-from kinwave.velocity import (grid_for_state, inner, moments,
+from kinwave.velocity import (VelocityGrid, grid_for_state, inner, moments,
                               reference_maxwellian)
 
 
@@ -88,6 +91,85 @@ def test_conservation_improves_with_exact_geometry(base_state):
     defect_off = max(abs(d_off.rho), abs(d_off.E))
     assert defect_exact <= 1e-12 * norm2
     assert defect_off > 100 * defect_exact
+
+
+def _pair_sum_oracle(g, h, grid):
+    """Gain and loss frequency of the axis rule by a literal loop over
+    (xi, xi*, Omega): the post-collision velocities xi -/+ ((xi - xi*).Omega)
+    Omega are located on the lattice (they must land on nodes), and each
+    pair adds B g(xi') h(xi*') to the gain and B h(xi*) to the frequency."""
+    nodes = grid.nodes.tolist()
+    lo = [ax[0] for ax in grid.axes]
+    gf, hf = g.reshape(-1).tolist(), h.reshape(-1).tolist()
+
+    def node_index(p):
+        flat = 0
+        for a in range(3):
+            t = (p[a] - lo[a]) / grid.spacing[a]
+            k = round(t)
+            assert abs(t - k) < 1e-9 and 0 <= k < grid.counts[a]
+            flat = flat * grid.counts[a] + k
+        return flat
+
+    gain = [0.0] * grid.n_nodes
+    freq = [0.0] * grid.n_nodes
+    for i, xi in enumerate(nodes):
+        for j, xs in enumerate(nodes):
+            for om, wo in zip(grid.omega.tolist(), grid.omega_weight):
+                s = sum((xi[a] - xs[a]) * om[a] for a in range(3))
+                if s <= 1e-12:
+                    continue
+                B = grid.weight * wo * s
+                ip = node_index([xi[a] - s * om[a] for a in range(3)])
+                jp = node_index([xs[a] + s * om[a] for a in range(3)])
+                gain[i] += B * gf[ip] * hf[jp]
+                freq[i] += B * hf[j]
+    return (np.array(gain).reshape(grid.counts),
+            np.array(freq).reshape(grid.counts))
+
+
+def _assert_matches_oracle(grid, g, h):
+    res = q_bilinear(g, h, grid)
+    gain, freq = _pair_sum_oracle(g, h, grid)
+    assert np.abs(res.gain - gain).max() <= 1e-13 * np.abs(gain).max()
+    assert np.abs(res.loss_frequency - freq).max() <= 1e-13 * np.abs(freq).max()
+    assert res.lost_interp_weight == 0.0
+
+
+def test_axis_rule_factorization_matches_pair_sum(rng):
+    """The factorized axis-rule quadrature equals the literal pair sum on
+    a non-cubic lattice whose centre is off the origin."""
+    grid = VelocityGrid(center=(0.3, 0.0, 0.0), half_width=3.0,
+                        counts=(4, 5, 7))
+    g = np.abs(rng.standard_normal(grid.counts))
+    h = np.abs(rng.standard_normal(grid.counts))
+    _assert_matches_oracle(grid, g, h)
+
+
+@given(counts=st.tuples(*[st.integers(2, 6)] * 3),
+       center=st.floats(-1.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_axis_rule_factorization_random_lattices(counts, center, seed):
+    r = np.random.default_rng(seed)
+    grid = VelocityGrid(center=(center, -0.5 * center, 0.0), half_width=2.5,
+                        counts=counts)
+    _assert_matches_oracle(grid, r.random(grid.counts), r.random(grid.counts))
+
+
+@pytest.mark.parametrize("sphere", [{}, {"sphere_polar": 2}])
+def test_batch_equals_per_pair(rng, sphere):
+    grid = VelocityGrid(center=(0.3, 0.0, 0.0), half_width=3.0,
+                        counts=(4, 5, 7), **sphere)
+    G = np.abs(rng.standard_normal((3,) + grid.counts))
+    H = np.abs(rng.standard_normal((3,) + grid.counts))
+    batch = q_bilinear_batch(G, H, grid)
+    for b in range(3):
+        one = q_bilinear(G[b], H[b], grid)
+        for name in ("gain", "loss", "loss_frequency"):
+            got, want = getattr(batch, name)[b], getattr(one, name)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        # the lost weight belongs to the quadrature, not to the pair
+        assert batch.lost_interp_weight == one.lost_interp_weight
 
 
 # ---------------------------------------------------------------------------

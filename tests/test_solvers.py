@@ -289,16 +289,42 @@ def test_kinetic_H_nonincreasing_homogeneous():
     assert np.max(np.diff(H)) <= 1e-10 * abs(H[0])
 
 
-def test_kinetic_cost_guard():
+def _uniform_kinetic_field(counts, ny=8, **sphere):
     s0 = FluidTriple(v=1.0, u=(0.0, 0.0, 0.0), theta=1.0)
-    grid = VelocityGrid(half_width=5.0, counts=(16,) * 3)
-    y = np.linspace(-5, 5, 8)
-    vals = np.tile(grid.maxwellian(s0), (8, 1, 1, 1))
+    grid = VelocityGrid(half_width=5.0, counts=counts, **sphere)
+    y = np.linspace(-5, 5, ny)
+    vals = np.tile(grid.maxwellian(s0), (ny, 1, 1, 1))
     mref = reference_maxwellian([1.0], [1.0], [0.0])
-    f = KineticField(DistributionField(ygrid=y, grid=grid, values=vals,
-                                       mref=mref))
+    return KineticField(DistributionField(ygrid=y, grid=grid, values=vals,
+                                          mref=mref))
+
+
+def test_kinetic_cost_guard():
+    """The guard bounds the O(N^2) off-axis quadrature only: a 10^3
+    axis-rule step runs, the same lattice with off-axis directions
+    raises."""
+    f = _uniform_kinetic_field((10,) * 3)
+    out = kinetic_step(f, 0.01, 1.0)
+    assert np.abs(out.dist.values - f.dist.values).max() \
+        <= 1e-12 * f.dist.values.max()
     with pytest.raises(CostGuard):
-        kinetic_step(f, 0.01, 1.0)
+        kinetic_step(_uniform_kinetic_field((10,) * 3, sphere_polar=2),
+                     0.01, 1.0)
+
+
+def test_kinetic_lost_interp_weight_accumulates():
+    """The axis rule loses no gain weight; a staggered rule loses the same
+    positive weight every step, and the field adds it up."""
+    f = _uniform_kinetic_field((6,) * 3)
+    for _ in range(2):
+        f = kinetic_step(f, 0.01, 1.0)
+    assert f.lost_interp_weight == 0.0
+    f = _uniform_kinetic_field((6,) * 3, sphere_offset=0.5)
+    one = kinetic_step(f, 0.01, 1.0)
+    two = kinetic_step(one, 0.01, 1.0)
+    assert one.lost_interp_weight > 0.0
+    assert two.lost_interp_weight == pytest.approx(2 * one.lost_interp_weight,
+                                                   rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", ["nan", "negative"])
