@@ -220,6 +220,11 @@ class DiagnosticsFrame:
     CSV_HEADER = ("t,X,Xdot,entropy,lambdaR,lambdaS,sup_phi,sup_psi,"
                   "sup_zeta,l2_pert,micro_norm")
 
+    @property
+    def sup_pert(self) -> float:
+        """Sup norm of the perturbation over its three components."""
+        return max(self.sup_phi, self.sup_psi, self.sup_zeta)
+
     def csv_row(self) -> str:
         mn = "" if self.micro_norm is None else f"{self.micro_norm:.12g}"
         return (f"{self.t:.12g},{self.X:.12g},{self.Xdot:.12g},"

@@ -306,7 +306,11 @@ SHOCK_RTOL = 1e-10
 class ShockProfile:
     """Traveling-wave profile of the viscous system between mid_hi and
     right, integrated with v as the independent variable (the y-approach to
-    the saddle points is exponentially slow, the v-range is compact)."""
+    the saddle points is exponentially slow, the v-range is compact).
+
+    The orbit is written in the deviations s = v - v^*, phi = theta -
+    theta^* from the upstream saddle: the slope there is 0/0, and forming
+    num and den from v, theta would cancel their leading digits."""
 
     def __init__(self, decomp: RiemannDecomposition,
                  transport: TransportLaw = DEFAULT_TRANSPORT):
@@ -329,29 +333,32 @@ class ShockProfile:
         eps = SHOCK_EPS_REL * decomp.delta_s
         v0 = self.v_star + eps
         v1 = self.v_plus - eps
-        th0 = self.theta_star + self.lstar * eps
 
-        def rhs(v, state):
-            th, _y = state
-            if not (0.0 < th <= 2.0 * self.theta_star):
-                raise ProfileBlowup(f"theta = {th} left (0, 2 theta^*]")
-            return [self._dtheta_dv(v, th), self._dy_dv(v, th)]
+        def rhs(s, state):
+            phi, _y = state
+            if not (-self.theta_star < phi <= self.theta_star):
+                raise ProfileBlowup(
+                    f"theta = {self.theta_star + phi} left (0, 2 theta^*]")
+            return [self._dtheta_dv(s, phi), self._dy_dv(s, phi)]
 
-        sol = solve_ivp(rhs, (v0, v1), [th0, 0.0], method="DOP853",
+        sol = solve_ivp(rhs, (eps, (self.v_plus - self.v_star) - eps),
+                        [self.lstar * eps, 0.0], method="DOP853",
                         rtol=SHOCK_RTOL, atol=SHOCK_RTOL * decomp.delta_s,
                         dense_output=True, max_step=decomp.delta_s / 20.0)
         if not sol.success:
             raise ProfileBlowup(f"profile integration failed: {sol.message}")
         # resample the dense orbit geometrically toward both saddles, so the
         # y-spacing of the interpolation nodes stays bounded where y(v)
-        # diverges logarithmically
+        # diverges logarithmically; the nodes are de-duplicated in v (in s,
+        # distinct nodes can give equal y), and s = v - v^* is exact
         ds = decomp.delta_s
         geo = SHOCK_EPS_REL * np.geomspace(1.0, 0.5 / SHOCK_EPS_REL, 400)
         vgrid = np.unique(np.concatenate([
             v0 + ds * (geo - SHOCK_EPS_REL), v1 - ds * (geo - SHOCK_EPS_REL),
             np.linspace(v0, v1, 2001)]))
         self._vgrid = vgrid[(vgrid >= v0) & (vgrid <= v1)]
-        self._thgrid, ygrid = sol.sol(self._vgrid)
+        phigrid, ygrid = sol.sol(self._vgrid - self.v_star)
+        self._thgrid = self.theta_star + phigrid
         # recenter so v(0) is the mid-volume
         v_mid = 0.5 * (self.v_star + self.v_plus)
         self._y = ygrid - float(np.interp(v_mid, self._vgrid, ygrid))
@@ -359,48 +366,52 @@ class ShockProfile:
         self._th_of_y = PchipInterpolator(self._y, self._thgrid)
         self.y_range = (self._y[0], self._y[-1])
         # saddle decay rates for the exponential tails beyond the orbit
-        vy_lo = self.v_y_of(self._vgrid[0], self._thgrid[0])
-        vy_hi = self.v_y_of(self._vgrid[-1], self._thgrid[-1])
+        vy_lo = self.v_y_of(self._vgrid[0] - self.v_star, phigrid[0])
+        vy_hi = self.v_y_of(self._vgrid[-1] - self.v_star, phigrid[-1])
         self._rate_lo = vy_lo / max(self._vgrid[0] - self.v_star, 1e-300)
         self._rate_hi = vy_hi / max(self.v_plus - self._vgrid[-1], 1e-300)
         self._amp_lo = self._vgrid[0] - self.v_star
         self._amp_hi = self.v_plus - self._vgrid[-1]
-        self._thamp_lo = self._thgrid[0] - self.theta_star
+        self._thamp_lo = phigrid[0]
         self._thamp_hi = self.decomp.right.theta - self._thgrid[-1]
 
-    # plane-system right-hand sides ------------------------------------
-    def _den(self, v, th):
-        return (2.0 * th / (3.0 * v) - self.p_star
-                + self.sigma ** 2 * (v - self.v_star))
+    # plane-system right-hand sides in the deviations (s, phi) ------------
+    def _den(self, s, phi):
+        """2 theta/(3 v) - p^* + sigma^2 s, with the difference of the two
+        pressures formed exactly in the deviations."""
+        v = self.v_star + s
+        return ((2.0 / 3.0) * (self.v_star * phi - self.theta_star * s)
+                / (v * self.v_star) + self.sigma ** 2 * s)
 
-    def _num(self, v, th):
-        return (th - self.theta_star + self.p_star * (v - self.v_star)
-                - 0.5 * self.sigma ** 2 * (v - self.v_star) ** 2)
+    def _num(self, s, phi):
+        return phi + self.p_star * s - 0.5 * self.sigma ** 2 * s ** 2
 
-    def _dtheta_dv(self, v, th):
+    def _dtheta_dv(self, s, phi):
         """Orbit slope d theta/d v = 4 sigma^2 A1/(3 A2) num/den of the plane
         system; at the saddles, where |den| < 1e-10 p^*, the ratio is 0/0
-        and the slope is the saddle root lstar.  v, th are scalars (the
+        and the slope is the saddle root lstar.  s, phi are scalars (the
         orbit ODE, whose per-call cost this keeps free of np.where) or
         arrays (eval)."""
-        den = self._den(v, th)
+        den = self._den(s, phi)
         saddle = abs(den) < self._saddle_den
         vector = type(saddle) is np.ndarray
         if vector:
             den = np.where(saddle, 1.0, den)
         elif saddle:
             return self.lstar
-        slope = self._slope_coef * self._num(v, th) / den
+        slope = self._slope_coef * self._num(s, phi) / den
         return np.where(saddle, self.lstar, slope) if vector else slope
 
-    def _dy_dv(self, v, th):
-        den = self._den(v, th)
-        return -(4.0 / 3.0) * self.transport.mu(th) * self.sigma / (v * den)
+    def _dy_dv(self, s, phi):
+        return (-(4.0 / 3.0) * self.transport.mu(self.theta_star + phi)
+                * self.sigma / ((self.v_star + s) * self._den(s, phi)))
 
-    def v_y_of(self, v, th):
-        """dv/dy from the first plane equation (analytic)."""
-        return -3.0 * v * self._den(v, th) / (4.0 * self.transport.mu(th)
-                                              * self.sigma)
+    def v_y_of(self, s, phi):
+        """dv/dy from the first plane equation (analytic), at the deviations
+        s = v - v^*, phi = theta - theta^*."""
+        return (-3.0 * (self.v_star + s) * self._den(s, phi)
+                / (4.0 * self.transport.mu(self.theta_star + phi)
+                   * self.sigma))
 
     def eval(self, y) -> WaveProfile:
         """Profile values and y-derivatives."""
@@ -419,11 +430,12 @@ class ShockProfile:
             ex = np.exp(-self._rate_hi * np.maximum(y - self.y_range[1], 0.0))
             v = np.where(hi, self.v_plus - self._amp_hi * ex, v)
             th = np.where(hi, self.decomp.right.theta - self._thamp_hi * ex, th)
-        v_y = self.v_y_of(v, th)
+        s, phi = v - self.v_star, th - self.theta_star
+        v_y = self.v_y_of(s, phi)
         np.clip(v_y, 0.0, None, out=np.atleast_1d(v_y))
-        return WaveProfile(v=v, u1=self.u_star - self.sigma * (v - self.v_star),
+        return WaveProfile(v=v, u1=self.u_star - self.sigma * s,
                            theta=th, v_y=v_y, u1_y=-self.sigma * v_y,
-                           theta_y=self._dtheta_dv(v, th) * v_y)
+                           theta_y=self._dtheta_dv(s, phi) * v_y)
 
 
 # ---------------------------------------------------------------------------

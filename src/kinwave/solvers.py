@@ -4,6 +4,7 @@ stability diagnostics."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -81,8 +82,20 @@ class FluidField:
                           self.t)
 
 
+class StepLimit(float):
+    """A step bound that names the bound that set it: ``binding`` is
+    "advective" or "viscous"."""
+
+    binding: str
+
+    def __new__(cls, value: float, binding: str):
+        limit = super().__new__(cls, value)
+        limit.binding = binding
+        return limit
+
+
 def cfl_limit(state: FluidField, sigma: float,
-              transport: TransportLaw = DEFAULT_TRANSPORT) -> float:
+              transport: TransportLaw = DEFAULT_TRANSPORT) -> StepLimit:
     """0.4 * min(advective, viscous) step bound over the grid."""
     dy = state.dy
     lam = abs(sigma) + sound_speed(state) + np.abs(state.u1) / state.v
@@ -90,7 +103,8 @@ def cfl_limit(state: FluidField, sigma: float,
                       transport.kappa(state.theta))
     dt_adv = dy / float(np.max(lam))
     dt_visc = float(np.min(dy ** 2 * state.v / (2.0 * diff)))
-    return CFL_SAFETY * min(dt_adv, dt_visc)
+    return StepLimit(CFL_SAFETY * min(dt_adv, dt_visc),
+                     "advective" if dt_adv <= dt_visc else "viscous")
 
 
 def _face_fluxes(U, theta: np.ndarray, sigma: float, dy: float,
@@ -179,14 +193,17 @@ class RunResult:
     frames: list[DiagnosticsFrame]
     shift: ShiftState
     final: FluidField
-    runtime: float
+    steps: int
+    stepping_s: float                 # wall-clock seconds of the time loop
+    dt_range: tuple[float, float] | None   # over the CFL-set steps
+    cfl_binding: str | None           # bound that set most of those steps
     blowup_time: float | None = None
 
     def summary(self) -> dict:
         f0, fT = self.frames[0], self.frames[-1]
-        sup0 = max(f0.sup_phi, f0.sup_psi, f0.sup_zeta)
-        supT = max(fT.sup_phi, fT.sup_psi, fT.sup_zeta)
+        sup0, supT = f0.sup_pert, fT.sup_pert
         max_xdot = self.shift.max_abs_xdot()
+        dt_min, dt_max = self.dt_range or (None, None)
         return {
             "t_end": fT.t,
             "sup_initial": sup0,
@@ -198,7 +215,9 @@ class RunResult:
             "xdot_max": max_xdot,
             "X_final": fT.X,
             "X_over_T": fT.X / fT.t if fT.t > 0 else 0.0,
-            "runtime": self.runtime,
+            "dt_min": dt_min,
+            "dt_max": dt_max,
+            "cfl_binding": self.cfl_binding,
             "blowup_time": self.blowup_time,
         }
 
@@ -218,8 +237,9 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
               progress=None) -> RunResult:
     """Evolve the composite data plus ``cfg.perturbation`` up to
     ``cfg.t_end`` and co-integrate the shift (frozen within each step),
-    emitting a diagnostics frame every ``cfg.output_interval``."""
-    t_start = time.perf_counter()
+    emitting a diagnostics frame every ``cfg.output_interval``; ``progress``
+    is called with each frame as it is recorded.  The step statistics leave
+    out the last step when it is shortened to land on ``t_end``."""
     t_end, transport = cfg.t_end, cfg.transport
     y = np.arange(cfg.y_min, cfg.y_max + 0.5 * cfg.dy, cfg.dy)
     ans = CompositeAnsatz(decomp, transport)
@@ -233,6 +253,8 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
     def record(fr_ansatz: AnsatzFrame, xdot: float):
         fields = (state.v, [state.u1, state.u2, state.u3], state.theta)
         frames.append(diagnostics_frame(state.t, fields, fr_ansatz, shift, xdot))
+        if progress is not None:
+            progress(frames[-1])
 
     # between output frames the shift integrand only needs the ansatz on a
     # window around the shock layer (the layer weight decays like
@@ -248,18 +270,24 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
         return shift_rhs((state.v[i0:i1], state.u1[i0:i1],
                           state.theta[i0:i1]), fr_w, decomp.delta_s, H)
 
+    steps, dt_lo, dt_hi = 0, math.inf, 0.0
+    binding_steps = {"advective": 0, "viscous": 0}
     next_out = 0.0
+    t_loop = time.perf_counter()
     while state.t < t_end - 1e-12:
-        dt = cfl_limit(state, decomp.sigma, transport) * cfg.dt_factor
-        dt = min(dt, t_end - state.t)
+        limit = cfl_limit(state, decomp.sigma, transport)
+        dt = limit * cfg.dt_factor
+        if dt <= t_end - state.t:
+            binding_steps[limit.binding] += 1
+            dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
+        else:
+            dt = t_end - state.t
         if state.t >= next_out - 1e-12:
             fr = ans.frame(state.t, shift.X, y)
             xdot = shift_rhs((state.v, state.u1, state.theta), fr,
                              decomp.delta_s, H) if decomp.delta_s > 0 else 0.0
             record(fr, xdot)
             next_out += cfg.output_interval
-            if progress is not None:
-                progress(state.t, frames[-1])
         else:
             xdot = layer_xdot(state.t)
         try:
@@ -269,13 +297,18 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
             blowup = state.t
             break
         shift.advance(xdot, dt)
+        steps += 1
     if blowup is None:
         fr = ans.frame(state.t, shift.X, y)
         xdot = shift_rhs((state.v, state.u1, state.theta), fr,
                          decomp.delta_s, H) if decomp.delta_s > 0 else 0.0
         record(fr, xdot)
-    return RunResult(frames=frames, shift=shift, final=state,
-                     runtime=time.perf_counter() - t_start, blowup_time=blowup)
+    return RunResult(frames=frames, shift=shift, final=state, steps=steps,
+                     stepping_s=time.perf_counter() - t_loop,
+                     dt_range=(dt_lo, dt_hi) if dt_hi > 0.0 else None,
+                     cfl_binding=(max(binding_steps, key=binding_steps.get)
+                                  if dt_hi > 0.0 else None),
+                     blowup_time=blowup)
 
 
 # ---------------------------------------------------------------------------

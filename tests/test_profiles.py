@@ -220,7 +220,7 @@ def test_slope_quadratic_root_selected():
 
 def test_shock_monotonicity_and_relations():
     mid = FluidTriple(v=0.92, u=(0.09, 0, 0), theta=1.05)
-    for ds in (0.04, 0.08, 0.16):
+    for ds in (0.01, 0.02, 0.04, 0.08, 0.16):
         d = shock_decomposition(mid, ds)
         y = np.linspace(-30 / ds, 30 / ds, 3001)
         p = ShockProfile(d).eval(y)
@@ -234,13 +234,14 @@ def test_shock_monotonicity_and_relations():
         assert c_th.max() <= 2.0 * ds
 
 
-def test_shock_plane_system_residual():
+@pytest.mark.parametrize("ds", [0.02, 0.1])
+def test_shock_plane_system_residual(ds):
     """Finite differences of the sampled profile satisfy the two plane
     equations (scaled sup norm)."""
     d = shock_decomposition(FluidTriple(v=0.92, u=(0.09, 0, 0), theta=1.05),
-                            0.1)
+                            ds)
     wave = ShockProfile(d)
-    y = np.linspace(-250, 250, 20001)
+    y = np.linspace(-25 / ds, 25 / ds, 20001)
     prof = wave.eval(y)
     v_y_fd = np.gradient(prof.v, y)
     th_y_fd = np.gradient(prof.theta, y)
@@ -256,6 +257,22 @@ def test_shock_plane_system_residual():
     scale = np.abs(p - p_star).max()
     assert np.abs(r1[2:-2]).max() / scale <= 1e-5
     assert np.abs(r2[2:-2]).max() / scale <= 1e-5
+
+
+def test_shock_orbit_slope_calls(monkeypatch):
+    """The orbit of the kinetic-sanity shock (delta_S = 0.05) costs a few
+    thousand slope calls; written in v, theta instead of the deviations
+    from the saddle, cancellation in the 0/0 slope made it 55,100."""
+    calls = []
+    slope = ShockProfile._dtheta_dv
+
+    def counted(self, s, phi):
+        calls.append(1)
+        return slope(self, s, phi)
+
+    monkeypatch.setattr(ShockProfile, "_dtheta_dv", counted)
+    ShockProfile(generate_states(FluidTriple(v=1.0, theta=1.0), 0, 0, 0.05))
+    assert len(calls) <= 10_000
 
 
 def test_shock_tail_rates_scale_with_strength():
