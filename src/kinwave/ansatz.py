@@ -5,7 +5,7 @@ perturbation norms, microscopic field split)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class AnsatzFrame:
 
     @property
     def p(self) -> np.ndarray:
-        return 2.0 * self.theta / (3.0 * self.v)
+        return pressure(self)
 
 
 class CompositeAnsatz:
@@ -181,26 +181,20 @@ def lambda_functionals(fields, frame: AnsatzFrame) -> tuple[float, float]:
 # shift history and diagnostics records
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ShiftState:
-    """Piecewise-linear record of the shift and its rate."""
+    """The shift X, advanced one explicit step at a time, and the running
+    max of |Xdot| over those steps."""
 
-    H: float
-    times: list[float] = field(default_factory=lambda: [0.0])
-    X_values: list[float] = field(default_factory=lambda: [0.0])
-    Xdot_values: list[float] = field(default_factory=list)
-
-    @property
-    def X(self) -> float:
-        return self.X_values[-1]
+    def __init__(self):
+        self.X = 0.0
+        self._xdot_max = 0.0
 
     def advance(self, xdot: float, dt: float) -> None:
-        self.Xdot_values.append(xdot)
-        self.X_values.append(self.X_values[-1] + dt * xdot)
-        self.times.append(self.times[-1] + dt)
+        self.X += dt * xdot
+        self._xdot_max = max(self._xdot_max, abs(xdot))
 
     def max_abs_xdot(self) -> float:
-        return max((abs(x) for x in self.Xdot_values), default=0.0)
+        return self._xdot_max
 
 
 @dataclass

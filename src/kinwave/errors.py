@@ -48,7 +48,8 @@ class NoPhysicalShock(KinwaveError):
 
 class OutOfPatternRange(KinwaveError):
     """The Riemann data is not (locally) a rarefaction-contact-shock
-    pattern, or the Newton solve left the trusted neighborhood."""
+    pattern: no shock strength closes the contact, the rarefaction
+    strength is negative, or a strength exceeds the bound."""
 
 
 class InversionFailure(KinwaveError):

@@ -449,7 +449,7 @@ def expansion_lhs(wave: ShockProfile) -> float:
     v_mid = 0.5 * (d.mid_hi.v + d.right.v)
     th_mid = float(wave._th_of_y(float(PchipInterpolator(
         wave._v_of_y(wave._y), wave._y)(v_mid))))
-    p_mid = 2.0 * th_mid / (3.0 * v_mid)
+    p_mid = pressure(FluidTriple(v=v_mid, theta=th_mid))
     p_plus = pressure(d.right)
     p_star = pressure(d.mid_hi)
     return ((p_mid - p_plus) / (v_mid - d.right.v)

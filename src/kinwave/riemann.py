@@ -18,15 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import InvalidStrength, NoPhysicalShock, OutOfPatternRange
 from .gas import FluidTriple, entropy, pressure, sound_speed
 
-#: Newton tolerance / iteration cap for the two-state solve.
-NEWTON_TOL = 1e-12
-NEWTON_MAXIT = 50
 #: Largest wave strength solve_riemann will accept.
 MAX_STRENGTH = 0.5
 
@@ -46,6 +43,12 @@ def isentrope_state(ref: FluidTriple, v):
     u1 = ref.u1 - math.sqrt(10.0) * math.exp(0.5 * s_ent) * (
         v ** (-1.0 / 3.0) - ref.v ** (-1.0 / 3.0))
     return theta, u1
+
+
+def isentrope_volume(ref: FluidTriple, p: float) -> float:
+    """Volume at pressure p on the isentrope through ``ref``, the inverse
+    of p v^(5/3) = const."""
+    return ref.v * (pressure(ref) / p) ** 0.6
 
 
 def rarefaction_left_of(right: FluidTriple, v_left: float) -> FluidTriple:
@@ -80,21 +83,23 @@ def hugoniot_theta(base: FluidTriple, dv: float) -> float:
     return theta
 
 
-def shock_speed(upstream: FluidTriple, downstream: FluidTriple,
-                delta_s: float) -> float:
-    """Speed sigma = sqrt((p^* - p_+)/delta_s) of the 3-shock from
-    ``upstream`` (v^*, theta^*) to ``downstream`` (v_+ = v^* + delta_s);
-    the velocities do not enter.  Checks that the pressure drops and the
-    Lax condition lambda_3+ < sigma < lambda_3^*."""
-    p_star, p_plus = pressure(upstream), pressure(downstream)
-    if not p_plus < p_star:
-        raise NoPhysicalShock("pressure must drop across the 3-shock")
-    sigma = math.sqrt((p_star - p_plus) / delta_s)
+def rh_speed(upstream: FluidTriple, downstream: FluidTriple,
+             delta_s: float) -> float:
+    """Rankine-Hugoniot speed sigma = sqrt((p^* - p_+)/delta_s) of the
+    3-shock from ``upstream`` (v^*, theta^*) to ``downstream``
+    (v_+ = v^* + delta_s); the velocities do not enter.  Unchecked: a
+    pressure rise that rounding leaves at a weak shock gives 0."""
+    return math.sqrt(max(pressure(upstream) - pressure(downstream), 0.0)
+                     / delta_s)
+
+
+def check_lax(upstream: FluidTriple, downstream: FluidTriple,
+              sigma: float) -> None:
+    """Raise NoPhysicalShock unless lambda_3+ < sigma < lambda_3^*."""
     if not (sound_speed(downstream) < sigma < sound_speed(upstream)):
         raise NoPhysicalShock(
             f"Lax condition failed: {sound_speed(downstream)} < {sigma} < "
             f"{sound_speed(upstream)}")
-    return sigma
 
 
 def shock_right_of(mid_hi: FluidTriple, delta_s: float) -> tuple[FluidTriple, float]:
@@ -109,8 +114,20 @@ def shock_right_of(mid_hi: FluidTriple, delta_s: float) -> tuple[FluidTriple, fl
     # dv is v_+ - v^* as rounded (exact here), so base.v + dv is v_+ exactly
     right = FluidTriple(v=v_plus,
                         theta=hugoniot_theta(mid_hi, v_plus - mid_hi.v))
-    sigma = shock_speed(mid_hi, right, delta_s)
+    sigma = rh_speed(mid_hi, right, delta_s)
+    check_lax(mid_hi, right, sigma)
     return replace(right, u=(mid_hi.u1 - sigma * delta_s, 0.0, 0.0)), sigma
+
+
+def shock_left_of(right: FluidTriple, delta_s: float) -> tuple[FluidTriple, float]:
+    """Upstream state mid_hi (v^* = v_+ - delta_s) and unchecked speed of the
+    3-shock into ``right``; delta_s = 0 gives (right, lambda_3(right))."""
+    if delta_s == 0.0:
+        return right, sound_speed(right)
+    mid_hi = FluidTriple(v=right.v - delta_s,
+                         theta=hugoniot_theta(right, -delta_s))
+    sigma = rh_speed(mid_hi, right, delta_s)
+    return replace(mid_hi, u=(right.u1 + sigma * delta_s, 0.0, 0.0)), sigma
 
 
 def rh_residual(mid_hi: FluidTriple, right: FluidTriple, sigma: float) -> float:
@@ -158,15 +175,9 @@ def generate_states(right: FluidTriple, delta_r: float, delta_c: float,
     ``right`` with the requested strengths (oracle for solve_riemann)."""
     if min(delta_r, delta_c, delta_s) < 0.0:
         raise InvalidStrength("strengths must be nonnegative")
-    # invert the shock: given right and delta_s, recover mid_hi
+    mid_hi, sigma = shock_left_of(right, delta_s)
     if delta_s > 0.0:
-        mid_hi = FluidTriple(v=right.v - delta_s,
-                             theta=hugoniot_theta(right, -delta_s))
-        sigma = shock_speed(mid_hi, right, delta_s)
-        mid_hi = replace(mid_hi, u=(right.u1 + sigma * delta_s, 0.0, 0.0))
-    else:
-        mid_hi = right
-        sigma = sound_speed(mid_hi)
+        check_lax(mid_hi, right, sigma)
     # contact: equal u1 and p, volume opens to the left
     if delta_c > 0.0:
         v_lo = mid_hi.v - delta_c
@@ -183,46 +194,6 @@ def generate_states(right: FluidTriple, delta_r: float, delta_c: float,
                                 delta_s=delta_s, sigma=sigma)
 
 
-def _presolve_guess(left: FluidTriple, right: FluidTriple) -> np.ndarray:
-    """Initial (v_*, v^*) from a scalar solve for the contact pressure.
-
-    For a given contact pressure P the rarefaction and shock branches give
-    closed-form volumes and velocities; the velocity mismatch across the
-    contact is monotone in P, so a bracketed root gives an excellent
-    Newton starting point.
-    """
-    from scipy.optimize import brentq
-
-    s_left = entropy(left)
-    p_plus = pressure(right)
-
-    def branches(P: float):
-        v_lo = (2.0 * math.exp(s_left) / (3.0 * P)) ** 0.6
-        _, u1_lo = isentrope_state(left, v_lo)
-        v_hi = (right.theta + 0.5 * (P + p_plus) * right.v) / (2.0 * P + 0.5 * p_plus)
-        dv = right.v - v_hi
-        if dv <= 0.0 or P <= p_plus:
-            u1_hi = right.u1
-        else:
-            u1_hi = right.u1 + math.sqrt((P - p_plus) / dv) * dv
-        return v_lo, v_hi, u1_lo - u1_hi
-
-    def f(P: float) -> float:
-        return branches(P)[2]
-
-    p_a = p_plus * (1.0 + 1e-12)
-    p_b = p_plus
-    for _ in range(60):
-        p_b *= 1.05
-        if f(p_a) * f(p_b) <= 0.0:
-            break
-    else:
-        raise OutOfPatternRange("no contact-pressure bracket")
-    P = brentq(f, p_a, p_b, xtol=1e-13, rtol=1e-14)
-    v_lo, v_hi, _ = branches(P)
-    return np.array([v_lo, v_hi])
-
-
 def shock_decomposition(mid_hi: FluidTriple, delta_s: float) -> RiemannDecomposition:
     """Pure-shock decomposition with a fixed upstream state (zero
     rarefaction and contact strengths); used for strength sweeps."""
@@ -235,84 +206,48 @@ def shock_decomposition(mid_hi: FluidTriple, delta_s: float) -> RiemannDecomposi
 def solve_riemann(left: FluidTriple, right: FluidTriple) -> RiemannDecomposition:
     """Decompose (left, right) into R1-CD2-S3 with two intermediate states.
 
-    Damped Newton on (v_*, v^*) with a finite-difference Jacobian.  Raises
-    OutOfPatternRange when the iteration fails, produces negative strengths
-    (wrong pattern) or a strength above MAX_STRENGTH.
+    One bracketed root in the shock strength: the 3-shock into ``right``
+    gives mid_hi and the contact pressure p(mid_hi), the isentrope of
+    ``left`` at that pressure gives mid_lo, and the root closes the
+    contact, u1(mid_lo) = u1(mid_hi); the mismatch falls strictly with
+    delta_S.  Raises OutOfPatternRange when no strength up to
+    min(MAX_STRENGTH, 0.7 v_+) closes the contact, on a wrong pattern
+    (negative delta_R) or for a strength above MAX_STRENGTH.
     """
     if left == right:
         sig = sound_speed(right)
         return RiemannDecomposition(left=left, mid_lo=left, mid_hi=left,
                                     right=right, delta_r=0.0, delta_c=0.0,
                                     delta_s=0.0, sigma=sig)
-    p_plus = pressure(right)
 
-    def residual(vv: np.ndarray) -> np.ndarray:
-        v_lo, v_hi = vv
-        if v_lo <= 0 or v_hi <= 0 or v_lo <= left.v * 0.2:
-            return np.array([1e6, 1e6])
+    def states(delta_s: float):
+        mid_hi, sigma = shock_left_of(right, delta_s)
+        v_lo = isentrope_volume(left, pressure(mid_hi))
         theta_lo, u1_lo = isentrope_state(left, v_lo)
-        p_lo = 2.0 * theta_lo / (3.0 * v_lo)
-        # contact: p_hi = p_lo, u1_hi = u1_lo
-        theta_hi = 1.5 * p_lo * v_hi
-        dv = right.v - v_hi
-        if dv <= 0:
-            return np.array([1e6, 1e6])
-        # Hugoniot and velocity matching across the shock
-        r1 = right.theta - theta_hi + 0.5 * (p_plus + p_lo) * dv
-        sig2 = (p_lo - p_plus) / dv
-        if sig2 <= 0:
-            return np.array([1e6, 1e6])
-        r2 = right.u1 - u1_lo + math.sqrt(sig2) * dv
-        return np.array([r1, r2])
+        return FluidTriple(v=v_lo, u=(u1_lo, 0.0, 0.0), theta=theta_lo), \
+            mid_hi, sigma
 
-    vv = _presolve_guess(left, right)
-    res = residual(vv)
-    for _ in range(NEWTON_MAXIT):
-        if np.max(np.abs(res)) < NEWTON_TOL:
-            break
-        J = np.empty((2, 2))
-        for j in range(2):
-            dvj = 1e-7 * max(abs(vv[j]), 1.0)
-            vp = vv.copy()
-            vp[j] += dvj
-            J[:, j] = (residual(vp) - res) / dvj
-        try:
-            step = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError as exc:
-            raise OutOfPatternRange(f"singular Jacobian: {exc}") from exc
-        lam = 1.0
-        for _ in range(40):
-            cand = vv + lam * step
-            rc = residual(cand)
-            if np.linalg.norm(rc) < np.linalg.norm(res):
-                vv, res = cand, rc
-                break
-            lam *= 0.5
-        else:
-            raise OutOfPatternRange("Newton damping stalled")
-    else:
-        raise OutOfPatternRange(
-            f"Newton did not converge: residual {np.max(np.abs(res)):.3e}")
+    def mismatch(delta_s: float) -> float:
+        mid_lo, mid_hi, _ = states(delta_s)
+        return mid_lo.u1 - mid_hi.u1
 
-    v_lo, v_hi = vv
-    delta_r = v_lo - left.v
-    delta_s = right.v - v_hi
-    delta_c = abs(v_hi - v_lo)
-    tiny = 1e-11 * max(left.v, right.v)
-    if delta_r < -tiny or delta_s < -tiny:
+    # the pressure on the Hugoniot locus of ``right`` diverges at
+    # delta_S = 3 v_+ / 4 (compression ratio 4)
+    ds_hi = min(MAX_STRENGTH, 0.7 * right.v)
+    if mismatch(0.0) * mismatch(ds_hi) > 0.0:
         raise OutOfPatternRange(
-            f"pattern mismatch: delta_R={delta_r:.3e}, delta_S={delta_s:.3e}")
+            f"no shock strength in [0, {ds_hi:.3g}] closes the contact")
+    delta_s = brentq(mismatch, 0.0, ds_hi, xtol=1e-15 * right.v)
+    mid_lo, mid_hi, sigma = states(delta_s)
+    delta_r = mid_lo.v - left.v
+    if delta_r < -1e-11 * max(left.v, right.v):
+        raise OutOfPatternRange(f"pattern mismatch: delta_R={delta_r:.3e}")
+    delta_r = max(delta_r, 0.0)
+    delta_c = abs(mid_hi.v - mid_lo.v)
     if max(delta_r, delta_c, delta_s) > MAX_STRENGTH:
         raise OutOfPatternRange("wave strength above configured bound")
-    theta_lo, u1_lo = isentrope_state(left, v_lo)
-    mid_lo = FluidTriple(v=v_lo, u=(u1_lo, 0.0, 0.0), theta=theta_lo)
-    mid_hi = FluidTriple(v=v_hi, u=(u1_lo, 0.0, 0.0),
-                         theta=1.5 * pressure(mid_lo) * v_hi)
-    if delta_s > tiny:
-        sigma = shock_speed(mid_hi, right, delta_s)
-    else:
-        sigma = sound_speed(mid_hi)
+    if delta_s > 0.0:
+        check_lax(mid_hi, right, sigma)
     return RiemannDecomposition(left=left, mid_lo=mid_lo, mid_hi=mid_hi,
-                                right=right, delta_r=max(delta_r, 0.0),
-                                delta_c=delta_c, delta_s=max(delta_s, 0.0),
-                                sigma=sigma)
+                                right=right, delta_r=delta_r,
+                                delta_c=delta_c, delta_s=delta_s, sigma=sigma)

@@ -246,7 +246,7 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
     state = initial_fluid_field(ans, y, cfg.perturbation)
     H = shift_H(decomp.mid_hi, decomp.sigma_star, transport) \
         if decomp.delta_s > 0 else 0.0
-    shift = ShiftState(H=H)
+    shift = ShiftState()
     frames: list[DiagnosticsFrame] = []
     blowup = None
 

@@ -235,16 +235,15 @@ def test_layer_coordinate(decomp, ansatz):
 
 
 def test_shift_state_records():
-    st = ShiftState(H=2.0)
+    st = ShiftState()
     st.advance(0.5, 0.1)
     st.advance(-0.25, 0.1)
     assert st.X == pytest.approx(0.025)
     assert st.max_abs_xdot() == 0.5
-    assert st.times[-1] == pytest.approx(0.2)
 
 
 def test_diagnostics_frame_and_csv(decomp, frame0):
-    st = ShiftState(H=1.0)
+    st = ShiftState()
     bump = 0.01 * np.exp(-(YGRID / 8.0) ** 2)
     fields = (frame0.v + bump, [frame0.u1, bump, np.zeros_like(YGRID)],
               frame0.theta)

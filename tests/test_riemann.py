@@ -97,7 +97,7 @@ def test_round_trip_example():
 
 def test_round_trip_strength_lattice():
     grid_vals = (0.0, 0.05, 0.12, 0.2, 0.3)
-    worst = 0.0
+    worst = worst_state = 0.0
     for dr in grid_vals:
         for dc in grid_vals:
             for ds in grid_vals:
@@ -107,9 +107,29 @@ def test_round_trip_strength_lattice():
                 if d.left == d.right:
                     continue
                 s = solve_riemann(d.left, d.right)
+                s.validate(tol=1e-10)
                 worst = max(worst, abs(s.delta_r - dr), abs(s.delta_c - dc),
                             abs(s.delta_s - ds))
+                for got, want in ((s.mid_lo, d.mid_lo), (s.mid_hi, d.mid_hi)):
+                    worst_state = max(worst_state, abs(got.v - want.v),
+                                      abs(got.u1 - want.u1),
+                                      abs(got.theta - want.theta))
+                worst_state = max(worst_state, abs(s.sigma - d.sigma))
     assert worst <= 1e-8
+    assert worst_state <= 1e-12
+
+
+@pytest.mark.parametrize("v_plus", (0.4, 1.0, 2.0))
+@pytest.mark.parametrize("ratio", (1e-8, 1e-7, 1e-6))
+@pytest.mark.parametrize("dr,dc", ((0.0, 0.0), (0.05, 0.05), (0.1, 0.0)))
+def test_round_trip_weak_shock(v_plus, ratio, dr, dc):
+    """A shock of strength down to 1e-8 v_+ is recovered to 1e-12: the
+    root in delta_S lands on the generator's own states, so the final Lax
+    check sees what generate_states saw."""
+    d = generate_states(FluidTriple(v=v_plus, theta=1.0), dr, dc,
+                        ratio * v_plus)
+    s = solve_riemann(d.left, d.right)
+    assert abs(s.delta_s - ratio * v_plus) <= 1e-12
 
 
 def test_swapped_pattern_detected():

@@ -4,7 +4,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-LAUNCH = Path(__file__).resolve().parents[1] / "bench" / "launch.py"
+from kinwave.config import load_config
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+LAUNCH = BENCH / "launch.py"
 
 #: the positional parameters each trace counter of bench/launch.py reads
 #: from the wrapped call, as {position: name} (it falls back to the name
@@ -48,3 +51,12 @@ def test_bench_trace_counters_match_signatures():
                 f"{name}: parameter {pos} of {path} is not '{param}'"
         seen.add(counter.__name__)
     assert seen == set(COUNTER_ARGS)
+
+
+def test_bench_workloads_load():
+    """Every pinned workload INI passes the strict config schema, so a key
+    removed from the schema fails here instead of at benchmark time."""
+    inis = sorted((BENCH / "workloads").glob("*.ini"))
+    assert inis
+    for ini in inis:
+        load_config(ini)
