@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveState
+from .errors import NonphysicalState
 from .gas import DEFAULT_TRANSPORT, FluidTriple, TransportLaw, pressure
 from .profiles import ContactWave, RarefactionWave, ShockProfile, WaveProfile
 from .riemann import RiemannDecomposition
@@ -86,15 +86,6 @@ def layer_weight(vS, v_star: float, delta_s: float) -> np.ndarray:
     return 1.0 + delta_s ** 0.75 / delta_s * (vS - v_star)
 
 
-def weight_a(y, shock: ShockProfile, delta_s: float) -> np.ndarray:
-    """The shock-layer weight at y (unshifted)."""
-    return layer_weight(shock.eval(y).v, shock.v_star, delta_s)
-
-
-def weight_a_prime(y, shock: ShockProfile, delta_s: float) -> np.ndarray:
-    return delta_s ** (-0.25) * shock.eval(y).v_y
-
-
 def shift_H(mid_hi: FluidTriple, sigma_star: float,
             transport: TransportLaw = DEFAULT_TRANSPORT) -> float:
     """Coupling constant of the shift ODE,
@@ -153,7 +144,7 @@ def relative_entropy(fields, frame: AnsatzFrame) -> float:
     + sum psi_i^2 / 2 ] dy with Phi(z) = z - 1 - ln z."""
     v, u, th = fields[0], fields[1], fields[2]
     if not all(np.all(x > 0) for x in (v, th, frame.v, frame.theta)):
-        raise NonpositiveState("relative entropy needs positive v, theta")
+        raise NonphysicalState("relative entropy needs positive v, theta")
     zv = v / frame.v
     zt = th / frame.theta
     psi2 = _psi2(u, frame)
@@ -280,7 +271,7 @@ def g_tilde_split(G: np.ndarray, shock_micro_shifted: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# auxiliary inequalities / changes of variables
+# auxiliary inequalities
 # ---------------------------------------------------------------------------
 
 def poincare_check(z: np.ndarray, f: np.ndarray) -> tuple[float, float]:
@@ -294,27 +285,3 @@ def poincare_check(z: np.ndarray, f: np.ndarray) -> tuple[float, float]:
     rhs = 0.5 * float(np.trapezoid(z * (1.0 - z) * fp ** 2, z))
     return lhs, rhs
 
-
-class LayerCoordinate:
-    """Bijection y <-> z = (v^S(y - X) - v^*)/delta_s onto (0, 1)."""
-
-    def __init__(self, shock: ShockProfile, X: float = 0.0):
-        self.shock = shock
-        self.X = X
-        self.delta_s = shock.decomp.delta_s
-
-    def z_of(self, y) -> np.ndarray:
-        vS = self.shock.eval(np.asarray(y) - self.X).v
-        return (vS - self.shock.v_star) / self.delta_s
-
-    def dz_dy(self, y) -> np.ndarray:
-        return self.shock.eval(np.asarray(y) - self.X).v_y / self.delta_s
-
-    def identity_residual(self, y) -> np.ndarray:
-        """Algebraic identity z(1-z) = (v^S - v^*)(v_+ - v^S)/delta_s^2,
-        reported as a pointwise residual."""
-        vS = self.shock.eval(np.asarray(y) - self.X).v
-        z = (vS - self.shock.v_star) / self.delta_s
-        rhs = (vS - self.shock.v_star) * (self.shock.v_plus - vS) \
-            / self.delta_s ** 2
-        return z * (1.0 - z) - rhs

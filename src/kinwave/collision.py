@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import eigh, lu_factor, lu_solve
 from scipy.special import erf
 
-from .errors import GridTooNarrow, IllConditioned, NotMicroscopic, SingularPair
+from .errors import IllConditioned, NotMicroscopic, SingularPair
 from .gas import R_GAS, FluidTriple
 from .velocity import Projector, VelocityGrid, inner, one_plus_speed
 
@@ -510,38 +510,3 @@ def measure_dissipativity(op: LinearizedOperator, mref: FluidTriple,
             best = min(best, num / den)
     return best
 
-
-@dataclass
-class GradBoundReport:
-    loss_constant: float
-    gain_constant: float
-    trials: int
-
-    def finite(self) -> bool:
-        return math.isfinite(self.loss_constant) and math.isfinite(self.gain_constant)
-
-
-def measure_grad_bounds(grid: VelocityGrid, mref: FluidTriple, trials: int,
-                        rng: np.random.Generator) -> GradBoundReport:
-    """Empirical constants in the weighted gain/loss bounds: the max over
-    random pairs of the ratio of int (1+|xi|)^{-1} Q_pm^2 / M# to the
-    product of the matching weighted norms."""
-    if trials < 10:
-        raise ValueError("need at least 10 trials")
-    Mref = grid.maxwellian(mref)
-    one_xi = one_plus_speed(grid)
-    c_loss = c_gain = 0.0
-    for _ in range(trials):
-        g = np.abs(rng.standard_normal(grid.counts)) * Mref
-        h = np.abs(rng.standard_normal(grid.counts)) * Mref
-        res = q_bilinear(g, h, grid)
-        lhs_loss = grid.integrate(res.loss ** 2 / (one_xi * Mref))
-        lhs_gain = grid.integrate(res.gain ** 2 / (one_xi * Mref))
-        n_g = grid.integrate(g ** 2 / Mref)
-        n_gx = grid.integrate(one_xi * g ** 2 / Mref)
-        n_h = grid.integrate(h ** 2 / Mref)
-        n_hx = grid.integrate(one_xi * h ** 2 / Mref)
-        c_loss = max(c_loss, lhs_loss / (n_gx * n_h))
-        c_gain = max(c_gain, lhs_gain / (n_g * n_hx))
-    return GradBoundReport(loss_constant=c_loss, gain_constant=c_gain,
-                           trials=trials)

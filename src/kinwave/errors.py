@@ -68,10 +68,6 @@ class NoRealRoot(KinwaveError):
     """The slope quadratic has no real root (fatal diagnostic)."""
 
 
-class NonpositiveState(KinwaveError):
-    """Relative-entropy ratio argument was nonpositive."""
-
-
 class CFLViolation(KinwaveError):
     """Requested time step exceeds the stability limit."""
 

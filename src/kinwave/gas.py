@@ -66,12 +66,6 @@ def sound_speed(s: FluidTriple) -> float | np.ndarray:
     return np.sqrt(5.0 * pressure(s) / (3.0 * s.v))
 
 
-def eigenvalues(s: FluidTriple) -> tuple[float, float, float]:
-    """Characteristic speeds (lambda1, lambda2, lambda3) = (-c, 0, c)."""
-    c = sound_speed(s)
-    return (-c, 0.0, c)
-
-
 def entropy(s: FluidTriple) -> float:
     """s(v, theta) = ln theta + (2/3) ln v.
 
@@ -103,13 +97,6 @@ def maxwellian(s, xi: np.ndarray) -> np.ndarray:
         * np.exp(-q / (2.0 * a2))
 
 
-def primitive_to_conserved(s: FluidTriple) -> ConservedTriple:
-    rho = s.rho
-    u = np.asarray(s.u)
-    E = rho * (s.theta + 0.5 * float(u @ u))
-    return ConservedTriple(rho=rho, m=rho * u, E=E)
-
-
 def primitive_fields(c: ConservedTriple
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elementwise (v, u, theta) of conserved fields of batch shape B:
@@ -127,11 +114,6 @@ def primitive_fields(c: ConservedTriple
         raise NonphysicalState(
             f"internal energy not positive: min rho*theta = {np.min(e_int)}")
     return 1.0 / rho, m / rho[..., None], e_int / rho
-
-
-def conserved_to_primitive(c: ConservedTriple) -> FluidTriple:
-    v, u, theta = primitive_fields(c)
-    return FluidTriple(v=float(v), u=tuple(u), theta=float(theta))
 
 
 @dataclass(frozen=True)

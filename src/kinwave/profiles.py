@@ -498,7 +498,6 @@ class ExpansionReport:
     measured_coefficients: np.ndarray       # lhs / delta_s
     curvature_measured: np.ndarray
     curvature_predicted: np.ndarray
-    trivial: bool = False
 
     @property
     def residuals(self) -> np.ndarray:
@@ -516,9 +515,6 @@ def verify_shock_expansion(generator: Callable[[float], ShockProfile],
     profile omits microscopic corrections, so only the linear coefficient
     is expected to match)."""
     strengths = np.asarray(strengths, dtype=float)
-    if np.all(strengths == 0.0):
-        z = np.zeros_like(strengths)
-        return ExpansionReport(strengths, z, z, z, z, z, trivial=True)
     lhs, pred, cm, cp = [], [], [], []
     for ds in strengths:
         w = generator(float(ds))

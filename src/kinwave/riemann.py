@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import InvalidStrength, NoPhysicalShock, OutOfPatternRange
@@ -53,18 +52,11 @@ def isentrope_volume(ref: FluidTriple, p: float) -> float:
 
 def rarefaction_left_of(right: FluidTriple, v_left: float) -> FluidTriple:
     """State on the 1-rarefaction curve through ``right`` at volume v_left."""
-    if not v_left < right.v:
-        raise InvalidStrength(f"need v_left < v_right, got {v_left} >= {right.v}")
+    if not 0.0 < v_left < right.v:
+        raise InvalidStrength(
+            f"need 0 < v_left < v_right, got v_left={v_left}, v_right={right.v}")
     theta, u1 = isentrope_state(right, v_left)
     return FluidTriple(v=v_left, u=(u1, 0.0, 0.0), theta=theta)
-
-
-def u1_difference_quadrature(right: FluidTriple, v_left: float) -> float:
-    """Adaptive-quadrature oracle for the rarefaction velocity change."""
-    s_ent = entropy(right)
-    val, _ = quad(lambda v: lambda1(v, s_ent), right.v, v_left,
-                  epsabs=1e-13, epsrel=1e-13)
-    return -val
 
 
 def hugoniot_theta(base: FluidTriple, dv: float) -> float:
@@ -156,17 +148,6 @@ class RiemannDecomposition:
     def sigma_star(self) -> float:
         """lambda_3 at mid_hi, the upper Lax bound."""
         return sound_speed(self.mid_hi)
-
-    def validate(self, tol: float = 1e-10) -> None:
-        """Check the defining curve relations; raises on violation."""
-        if abs(entropy(self.left) - entropy(self.mid_lo)) > 1e-9:
-            raise OutOfPatternRange("mid_lo not on the isentrope of left")
-        if abs(self.mid_lo.u1 - self.mid_hi.u1) > tol or \
-                abs(pressure(self.mid_lo) - pressure(self.mid_hi)) > tol:
-            raise OutOfPatternRange("contact relation u1 = u1, p = p violated")
-        if self.delta_s > 0.0 and rh_residual(self.mid_hi, self.right,
-                                              self.sigma) > tol:
-            raise OutOfPatternRange("Rankine-Hugoniot residual too large")
 
 
 def generate_states(right: FluidTriple, delta_r: float, delta_c: float,

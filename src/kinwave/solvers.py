@@ -76,11 +76,6 @@ class FluidField:
     def dy(self) -> float:
         return float(self.y[1] - self.y[0])
 
-    def copy(self) -> "FluidField":
-        return FluidField(self.y, self.v.copy(), self.u1.copy(),
-                          self.u2.copy(), self.u3.copy(), self.theta.copy(),
-                          self.t)
-
 
 class StepLimit(float):
     """A step bound that names the bound that set it: ``binding`` is
@@ -462,11 +457,3 @@ def maxwellian_field(ansatz: CompositeAnsatz, y: np.ndarray,
     u[:, 0] = fr.u1
     return grid.maxwellian((fr.v, u, fr.theta))
 
-
-def kinetic_H_functional(field: KineticField) -> float:
-    """int f ln f dxi dy (entropy bookkeeping for homogeneous runs)."""
-    f = field.dist.values
-    grid = field.dist.grid
-    safe = np.where(f > 0, f, 1.0)
-    per_y = grid.weight * np.sum(f * np.log(safe), axis=(1, 2, 3))
-    return float(np.trapezoid(per_y, field.dist.ygrid))

@@ -53,8 +53,13 @@ class VelocityGrid:
     quadrature directions on +-e1, +-e2.  For those directions the
     post-collision velocities are exact lattice nodes, which makes the
     bilinear collision quadrature conserve mass, momentum and energy to
-    roundoff on any lattice.  Off-axis rules (polar >= 2 or fractional
-    offset) sample the sphere more densely but lose that exactness.
+    roundoff on any lattice.  It conserves more than that: a collision
+    along +-e_a swaps the a-th coordinates of xi and xi*, so every
+    coordinate marginal is conserved, Q(f, f) = 0 for every product
+    f1(xi1) f2(xi2) f3(xi3), Maxwellian or not, and the rule has 3n - 2
+    collision invariants on an n^3 lattice instead of 5.  Off-axis rules
+    (polar >= 2 or fractional offset) sample the sphere more densely but
+    lose that exactness.
     """
 
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -96,9 +101,6 @@ class VelocityGrid:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.counts)
-
     def node_array(self, component: int) -> np.ndarray:
         """Node coordinate ``component`` as an array of shape ``counts``."""
         return self.nodes[:, component].reshape(self.counts)
@@ -138,11 +140,6 @@ def moments(values: np.ndarray, grid: VelocityGrid) -> gas.ConservedTriple:
 def one_plus_speed(grid: VelocityGrid) -> np.ndarray:
     """The weight 1 + |xi| of the weighted norms, shape ``grid.counts``."""
     return 1.0 + np.linalg.norm(grid.nodes, axis=1).reshape(grid.counts)
-
-
-def fluid_from_distribution(f: np.ndarray, grid: VelocityGrid) -> FluidTriple:
-    """Primitive state carried by f, with v = 1/rho (Lagrangian volume)."""
-    return gas.conserved_to_primitive(moments(f, grid))
 
 
 def inner(g1: np.ndarray, g2: np.ndarray, mref: FluidTriple,
@@ -260,12 +257,3 @@ class DistributionField:
     @property
     def dy(self) -> float:
         return float(self.ygrid[1] - self.ygrid[0])
-
-    def weighted_norm2(self, values: np.ndarray | None = None) -> float:
-        """Squared norm integral |f|^2 / M_# dxi dy."""
-        vals = self.values if values is None else values
-        Mref = self.grid.maxwellian(self.mref)
-        per_y = self.grid.weight * np.sum(vals ** 2 / Mref, axis=(1, 2, 3))
-        if not np.all(np.isfinite(per_y)):
-            raise OverflowSignal("weighted norm integrand not finite")
-        return float(np.trapezoid(per_y, self.ygrid))

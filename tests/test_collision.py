@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinwave.collision import (assemble_linearized, collision_frequency,
-                               kernels, measure_grad_bounds, q_bilinear,
+                               kernels, q_bilinear,
                                q_bilinear_batch, operator_cache_key,
                                load_operator)
 from kinwave.errors import NotMicroscopic, SingularPair
@@ -380,26 +380,3 @@ def test_sigma_tilde_two_resolutions(base_state, rng):
         vals.append(measure_dissipativity(op, mref, 40, rng))
     assert vals[0] > 0 and vals[1] > 0
     assert abs(vals[1] / vals[0] - 1.0) <= 0.3
-
-
-def test_measure_grad_bounds(base_state, rng):
-    g = grid_for_state(base_state, counts=(6,) * 3)
-    mref = reference_maxwellian([base_state.theta], [base_state.v],
-                                [base_state.u1])
-    rep = measure_grad_bounds(g, mref, 10, rng)
-    assert rep.finite()
-    assert rep.loss_constant > 0 and rep.gain_constant > 0
-    with pytest.raises(ValueError):
-        measure_grad_bounds(g, mref, 5, rng)
-
-
-@pytest.mark.slow
-def test_grad_bound_stable_under_refinement(base_state, rng):
-    mref = reference_maxwellian([base_state.theta], [base_state.v],
-                                [base_state.u1])
-    g1 = grid_for_state(base_state, counts=(6,) * 3)
-    g2 = grid_for_state(base_state, counts=(8,) * 3)
-    r1 = measure_grad_bounds(g1, mref, 10, np.random.default_rng(5))
-    r2 = measure_grad_bounds(g2, mref, 10, np.random.default_rng(5))
-    assert abs(r2.loss_constant / r1.loss_constant - 1.0) <= 0.2
-    assert abs(r2.gain_constant / r1.gain_constant - 1.0) <= 0.3

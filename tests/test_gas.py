@@ -6,12 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinwave.errors import NonphysicalState
-from kinwave.gas import (ConservedTriple, FluidTriple, conserved_to_primitive,
-                         eigenvalues, entropy, maxwellian, pressure,
-                         primitive_to_conserved, sound_speed)
+from kinwave.gas import (ConservedTriple, FluidTriple, entropy, maxwellian,
+                         pressure, primitive_fields, sound_speed)
+from kinwave.riemann import lambda1
 
 positive = st.floats(min_value=0.05, max_value=20.0)
 velocity = st.floats(min_value=-5.0, max_value=5.0)
+
+
+def _conserved(s: FluidTriple) -> ConservedTriple:
+    """(rho, rho u, rho (theta + |u|^2/2)) of a primitive state."""
+    u = np.asarray(s.u)
+    return ConservedTriple(rho=s.rho, m=s.rho * u,
+                           E=s.rho * (s.theta + 0.5 * float(u @ u)))
 
 
 def test_pressure_direct_values():
@@ -23,18 +30,19 @@ def test_pressure_direct_values():
 
 
 def test_eigenvalues_values_and_symmetry():
-    lam = eigenvalues(FluidTriple(v=1.0, theta=1.2))
-    assert lam[2] == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-12)
-    assert lam[0] == -lam[2]
-    assert lam[1] == 0.0
-    assert eigenvalues(FluidTriple(v=1.0, theta=0.9))[2] == pytest.approx(1.0)
+    s = FluidTriple(v=1.0, theta=1.2)
+    assert sound_speed(s) == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-12)
+    # lambda_1 on the isentrope through s is -lambda_3
+    assert lambda1(s.v, entropy(s)) == pytest.approx(-sound_speed(s),
+                                                     rel=1e-14)
+    assert sound_speed(FluidTriple(v=1.0, theta=0.9)) == pytest.approx(1.0)
 
 
 @given(v=positive, theta=positive)
 @settings(max_examples=50, deadline=None)
 def test_eigenvalue_pressure_consistency(v, theta):
     s = FluidTriple(v=v, theta=theta)
-    lam3 = eigenvalues(s)[2]
+    lam3 = sound_speed(s)
     assert lam3 ** 2 * (3.0 * v / 5.0) == pytest.approx(pressure(s), rel=1e-14)
 
 
@@ -79,10 +87,15 @@ def test_maxwellian_mass_quadrature(base_state, small_grid):
 
 
 def test_conversion_example():
-    c = primitive_to_conserved(FluidTriple(v=0.5, u=(1, 0, 0), theta=1.0))
+    c = _conserved(FluidTriple(v=0.5, u=(1, 0, 0), theta=1.0))
     assert c.rho == pytest.approx(2.0)
     assert c.m == pytest.approx((2.0, 0.0, 0.0))
     assert c.E == pytest.approx(3.0)
+    v, u, theta = primitive_fields(ConservedTriple(rho=2.0, m=(2.0, 0, 0),
+                                                   E=3.0))
+    assert v == pytest.approx(0.5)
+    assert u == pytest.approx((1.0, 0.0, 0.0))
+    assert theta == pytest.approx(1.0)
 
 
 def test_round_trip_random(rng):
@@ -90,21 +103,16 @@ def test_round_trip_random(rng):
         s = FluidTriple(v=rng.uniform(0.1, 5.0),
                         u=tuple(rng.uniform(-2, 2, 3)),
                         theta=rng.uniform(0.1, 5.0))
-        s2 = conserved_to_primitive(primitive_to_conserved(s))
-        assert s2.v == pytest.approx(s.v, rel=1e-14)
-        assert np.allclose(s2.u, s.u, rtol=0, atol=1e-14)
-        assert s2.theta == pytest.approx(s.theta, rel=1e-13)
+        v, u, theta = primitive_fields(_conserved(s))
+        assert v == pytest.approx(s.v, rel=1e-14)
+        assert np.allclose(u, s.u, rtol=0, atol=1e-14)
+        assert theta == pytest.approx(s.theta, rel=1e-13)
 
 
 def test_nonphysical_rejected():
     with pytest.raises(NonphysicalState):
-        conserved_to_primitive(ConservedTriple(rho=1.0, m=(2, 0, 0), E=1.0))
+        primitive_fields(ConservedTriple(rho=1.0, m=(2, 0, 0), E=1.0))
     with pytest.raises(NonphysicalState):
         FluidTriple(v=-1.0, theta=1.0)
     with pytest.raises(NonphysicalState):
-        conserved_to_primitive(ConservedTriple(rho=-1.0, m=(0, 0, 0), E=1.0))
-
-
-def test_sound_speed_matches_eigenvalue():
-    s = FluidTriple(v=1.7, theta=0.6)
-    assert sound_speed(s) == pytest.approx(eigenvalues(s)[2])
+        primitive_fields(ConservedTriple(rho=-1.0, m=(0, 0, 0), E=1.0))

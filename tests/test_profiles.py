@@ -298,11 +298,6 @@ def test_shock_expansion_report():
         <= 3.0 * rep.delta_s[0]
 
 
-def test_shock_expansion_trivial_input():
-    rep = verify_shock_expansion(lambda ds: None, strengths=(0.0, 0.0))
-    assert rep.trivial
-
-
 def test_shock_strength_guards():
     from kinwave.riemann import RiemannDecomposition
     mid = FluidTriple(v=0.92, u=(0.09, 0, 0), theta=1.05)

@@ -1,14 +1,34 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from kinwave.errors import (InvalidStrength, NoPhysicalShock,
                             OutOfPatternRange)
 from kinwave.gas import FluidTriple, entropy, pressure, sound_speed
-from kinwave.riemann import (generate_states, rarefaction_left_of,
+from kinwave.riemann import (generate_states, lambda1, rarefaction_left_of,
                              rh_residual, shock_decomposition, shock_right_of,
-                             solve_riemann, u1_difference_quadrature)
+                             solve_riemann)
 
 RIGHT = FluidTriple(v=1.0, u=(0.0, 0.0, 0.0), theta=1.0)
+
+
+def _u1_difference_quadrature(right, v_left):
+    """Adaptive-quadrature oracle for the rarefaction velocity change,
+    u1(v_left) - u1(v_right) = -int_{v_right}^{v_left} lambda_1 dv."""
+    s_ent = entropy(right)
+    val, _ = quad(lambda v: lambda1(v, s_ent), right.v, v_left,
+                  epsabs=1e-13, epsrel=1e-13)
+    return -val
+
+
+def _assert_on_curves(d, tol=1e-10):
+    """mid_lo lies on the isentrope of left, the contact carries equal u1
+    and p, and the shock satisfies Rankine-Hugoniot."""
+    assert abs(entropy(d.left) - entropy(d.mid_lo)) <= 1e-9
+    assert abs(d.mid_lo.u1 - d.mid_hi.u1) <= tol
+    assert abs(pressure(d.mid_lo) - pressure(d.mid_hi)) <= tol
+    if d.delta_s > 0.0:
+        assert rh_residual(d.mid_hi, d.right, d.sigma) <= tol
 
 
 def test_rarefaction_zero_strength_limit():
@@ -16,13 +36,20 @@ def test_rarefaction_zero_strength_limit():
     assert s.u1 == pytest.approx(RIGHT.u1, abs=1e-12)
     with pytest.raises(InvalidStrength):
         rarefaction_left_of(RIGHT, RIGHT.v)
+    with pytest.raises(InvalidStrength):
+        rarefaction_left_of(RIGHT, 0.0)
+    # delta_R at and beyond v_mid_lo leaves no positive left volume
+    with pytest.raises(InvalidStrength):
+        generate_states(FluidTriple(v=0.5), 0.1, 0.1, 0.3)
+    with pytest.raises(InvalidStrength):
+        generate_states(FluidTriple(v=1.0), 0.3, 0.3, 0.5)
 
 
 def test_rarefaction_entropy_and_quadrature_oracle():
     for v_left in (0.9, 0.75, 0.5):
         s = rarefaction_left_of(RIGHT, v_left)
         assert entropy(s) == pytest.approx(entropy(RIGHT), abs=1e-12)
-        du_quad = u1_difference_quadrature(RIGHT, v_left)
+        du_quad = _u1_difference_quadrature(RIGHT, v_left)
         assert s.u1 - RIGHT.u1 == pytest.approx(du_quad, abs=1e-10)
 
 
@@ -79,7 +106,7 @@ def test_generate_contact_only():
 
 
 def test_generate_satisfies_invariants(decomp):
-    decomp.validate(tol=1e-10)
+    _assert_on_curves(decomp)
 
 
 def test_solve_trivial():
@@ -107,7 +134,7 @@ def test_round_trip_strength_lattice():
                 if d.left == d.right:
                     continue
                 s = solve_riemann(d.left, d.right)
-                s.validate(tol=1e-10)
+                _assert_on_curves(s)
                 worst = max(worst, abs(s.delta_r - dr), abs(s.delta_c - dc),
                             abs(s.delta_s - ds))
                 for got, want in ((s.mid_lo, d.mid_lo), (s.mid_hi, d.mid_hi)):
