@@ -149,8 +149,7 @@ def cmd_collision_check(cfg: RunConfig, out: Path, seed: int) -> int:
                               extent_radii=cfg.velocity_extent)
         # the basis gate is a resolution check; the projection algebra and
         # the measured residuals below remain exact on coarse lattices
-        op = assemble_linearized(base, grid, cache_dir=cfg.cache_dir,
-                                 gram_tol=0.1)
+        op = assemble_linearized(base, grid, gram_tol=0.1)
         sig = measure_dissipativity(op, mref, 100, rng)
         sigmas[label] = sig
         lam, ndim = op.spectrum_meta()
@@ -189,13 +188,6 @@ def cmd_collision_check(cfg: RunConfig, out: Path, seed: int) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILURE
 
 
-def _write_frames_csv(path: Path, frames: list[DiagnosticsFrame]) -> None:
-    with open(path, "w") as fh:
-        fh.write(DiagnosticsFrame.CSV_HEADER + "\n")
-        for fr in frames:
-            fh.write(fr.csv_row() + "\n")
-
-
 def _write_timings(out: Path, steps: int, setup_s: float, stepping_s: float,
                    t_output: float) -> None:
     """Wall-clock seconds of a simulation, kept out of the result files so
@@ -206,17 +198,23 @@ def _write_timings(out: Path, steps: int, setup_s: float, stepping_s: float,
         "output_s": time.perf_counter() - t_output, "steps": steps})
 
 
-def _progress_line(frame: DiagnosticsFrame) -> None:
-    print(f"t={frame.t:.6g} X={frame.X:.6g} Xdot={frame.Xdot:.6g} "
-          f"sup_pert={frame.sup_pert:.6g}", file=sys.stderr, flush=True)
-
-
 def cmd_simulate_fluid(cfg: RunConfig, out: Path, seed: int) -> int:
     t_start = time.perf_counter()
     decomp = _decomposition(cfg)
-    result = fluid_run(decomp, cfg, progress=_progress_line)
+    # each frame reaches diagnostics.csv as it is recorded, so a run that
+    # stops on a fault keeps the frames before it
+    with open(out / "diagnostics.csv", "w") as csv:
+        csv.write(DiagnosticsFrame.CSV_HEADER + "\n")
+
+        def progress(frame: DiagnosticsFrame) -> None:
+            csv.write(frame.csv_row() + "\n")
+            csv.flush()
+            print(f"t={frame.t:.6g} X={frame.X:.6g} Xdot={frame.Xdot:.6g} "
+                  f"sup_pert={frame.sup_pert:.6g}", file=sys.stderr,
+                  flush=True)
+
+        result = fluid_run(decomp, cfg, progress=progress)
     t_output = time.perf_counter()
-    _write_frames_csv(out / "diagnostics.csv", result.frames)
     summary = result.summary()
     summary["seed"] = seed
     ts = np.array([f.t for f in result.frames])
@@ -267,8 +265,7 @@ def cmd_simulate_kinetic(cfg: RunConfig, out: Path, seed: int,
     mass0 = _kinetic_invariants(field)
     frames = []
     if linearized:
-        solver = LinearizedKineticSolver(field, decomp.sigma, cfg.kinetic_dt,
-                                         cache_dir=cfg.cache_dir)
+        solver = LinearizedKineticSolver(field, decomp.sigma, cfg.kinetic_dt)
     nsteps = max(1, int(round(cfg.t_end / cfg.kinetic_dt)))
     t_loop = time.perf_counter()
     for n in range(nsteps):

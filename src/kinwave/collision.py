@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh, lu_factor, lu_solve
@@ -299,7 +298,6 @@ class LinearizedOperator:
     state: FluidTriple
     grid: VelocityGrid
     matrix: np.ndarray
-    nu: np.ndarray                      # defining-normalization frequency
     chi_residuals: np.ndarray           # after null-space projection
     raw_chi_residuals: np.ndarray       # kernel quadrature alone
     projector: Projector = field(repr=False)
@@ -372,47 +370,9 @@ class LinearizedOperator:
         out[n:] = rows @ sol[:n]
         return out
 
-    def save(self, path) -> None:
-        np.savez_compressed(
-            path, matrix=self.matrix, nu=self.nu,
-            chi_residuals=self.chi_residuals,
-            raw_chi_residuals=self.raw_chi_residuals,
-            state=np.array([self.state.v, *self.state.u, self.state.theta]),
-            grid_meta=np.array([*self.grid.center, self.grid.half_width,
-                                *self.grid.counts, self.grid.sphere_polar,
-                                self.grid.sphere_azimuth, self.grid.sphere_offset]))
-
-
-def load_operator(path, s: FluidTriple, grid: VelocityGrid,
-                  gram_tol: float = 1e-3) -> LinearizedOperator | None:
-    """Reload a dumped operator if it matches the requested state/grid."""
-    path = Path(path)
-    if not path.exists():
-        return None
-    data = np.load(path)
-    st = data["state"]
-    gm = data["grid_meta"]
-    want_state = np.array([s.v, *s.u, s.theta])
-    want_grid = np.array([*grid.center, grid.half_width, *grid.counts,
-                          grid.sphere_polar, grid.sphere_azimuth,
-                          grid.sphere_offset])
-    if not (np.allclose(st, want_state) and np.allclose(gm, want_grid)):
-        return None
-    return LinearizedOperator(state=s, grid=grid, matrix=data["matrix"],
-                              nu=data["nu"], chi_residuals=data["chi_residuals"],
-                              raw_chi_residuals=data["raw_chi_residuals"],
-                              projector=Projector(s, grid, gram_tol=gram_tol))
-
-
-def operator_cache_key(s: FluidTriple, grid: VelocityGrid) -> str:
-    raw = (s.v, *s.u, s.theta, *grid.center, grid.half_width, *grid.counts,
-           grid.sphere_polar, grid.sphere_azimuth, grid.sphere_offset)
-    return "L_" + "_".join(f"{x:.10g}" for x in raw) + ".npz"
-
 
 def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
-                        cache_dir=None, gram_tol: float = 1e-3
-                        ) -> LinearizedOperator:
+                        gram_tol: float = 1e-3) -> LinearizedOperator:
     """Assemble the dense linearized operator at state ``s``.
 
     One K1/K2 kernel-quadrature row per node (near-singular k2 cells
@@ -426,11 +386,6 @@ def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
     exactly five-dimensional kernel while leaving <g, L h> unchanged for
     microscopic g, h.  The pre-sandwich chi residuals are recorded.
     """
-    if cache_dir is not None:
-        cached = load_operator(Path(cache_dir) / operator_cache_key(s, grid),
-                               s, grid, gram_tol=gram_tol)
-        if cached is not None:
-            return cached
     proj = Projector(s, grid, gram_tol=gram_tol)   # GridTooNarrow if unresolvable
     nodes = grid.nodes
     N = grid.n_nodes
@@ -460,8 +415,7 @@ def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
 
     # h -> sqrt(M) K(h/sqrt(M)): row scaling sqM_i, column scaling 1/sqM_j
     A = grid.weight * (sqM[:, None] * K / sqM[None, :])
-    nu_def = math.pi * collision_frequency(s, nodes)
-    A[np.arange(N), np.arange(N)] -= nu_def
+    A[np.arange(N), np.arange(N)] -= math.pi * collision_frequency(s, nodes)
 
     def chi_residuals(A):
         res = [(A @ chi.reshape(-1)).reshape(grid.counts) for chi in proj.chi]
@@ -477,14 +431,10 @@ def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
     WA, AC = W @ A, A @ C
     A -= C @ (WA - (WA @ C) @ W) + AC @ W
 
-    op = LinearizedOperator(state=s, grid=grid, matrix=A, nu=nu_def,
-                            chi_residuals=chi_residuals(A),
-                            raw_chi_residuals=raw_res,
-                            projector=proj)
-    if cache_dir is not None:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        op.save(Path(cache_dir) / operator_cache_key(s, grid))
-    return op
+    return LinearizedOperator(state=s, grid=grid, matrix=A,
+                              chi_residuals=chi_residuals(A),
+                              raw_chi_residuals=raw_res,
+                              projector=proj)
 
 
 # ---------------------------------------------------------------------------

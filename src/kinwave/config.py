@@ -24,7 +24,7 @@ _SCHEMA = {
                      "micro_width"},
     "solver": {"t_end", "output_interval", "dt_factor", "kinetic_dt",
                "mu_coefficient", "kappa_coefficient", "seed"},
-    "output": {"dir", "write_fields", "cache_dir"},
+    "output": {"dir", "write_fields"},
 }
 
 _RANGES = {
@@ -79,7 +79,6 @@ class RunConfig:
     seed: int = 0
     out_dir: Path = Path("out")
     write_fields: bool = False
-    cache_dir: Path | None = None
 
 
 def _parse_bumps(text: str) -> tuple[GaussianBump, ...]:
@@ -194,8 +193,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     cfg.seed = geti("solver", "seed", 0)
     if parser.has_option("output", "dir"):
         cfg.out_dir = Path(parser.get("output", "dir"))
-    if parser.has_option("output", "cache_dir"):
-        cfg.cache_dir = Path(parser.get("output", "cache_dir"))
     if parser.has_option("output", "write_fields"):
         cfg.write_fields = parser.getboolean("output", "write_fields")
     if cfg.y_min >= cfg.y_max:

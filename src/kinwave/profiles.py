@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -505,19 +504,16 @@ class ExpansionReport:
         return self.measured_lhs - self.predicted_coefficients * self.delta_s
 
 
-def verify_shock_expansion(generator: Callable[[float], ShockProfile],
-                           strengths=(0.04, 0.08, 0.16),
+def verify_shock_expansion(waves: list[ShockProfile],
                            transport: TransportLaw = DEFAULT_TRANSPORT
                            ) -> ExpansionReport:
-    """Measure the chord-slope difference across a strength sweep against
-    the predicted linear coefficient at each strength's upstream state;
-    ``generator`` maps a strength to a built profile (the viscous-level
-    profile omits microscopic corrections, so only the linear coefficient
-    is expected to match)."""
-    strengths = np.asarray(strengths, dtype=float)
+    """Measure the chord-slope difference across a strength sweep of built
+    profiles against the predicted linear coefficient at each strength's
+    upstream state (the viscous-level profile omits microscopic
+    corrections, so only the linear coefficient is expected to match)."""
+    strengths = np.asarray([w.decomp.delta_s for w in waves], dtype=float)
     lhs, pred, cm, cp = [], [], [], []
-    for ds in strengths:
-        w = generator(float(ds))
+    for w in waves:
         lhs.append(expansion_lhs(w))
         pred.append(predicted_expansion_coefficient(w.decomp.mid_hi, transport))
         cm.append(measured_curvature(w))
@@ -561,8 +557,7 @@ class ShockMicroProfile:
 
 def shock_micro_leading(wave: ShockProfile, grid_counts=(10, 10, 10),
                         n_samples: int = 15, span: float | None = None,
-                        cache_dir=None, gram_tol: float = 0.5
-                        ) -> ShockMicroProfile:
+                        gram_tol: float = 0.5) -> ShockMicroProfile:
     """Leading microscopic content of the shock profile: per sampled y,
     invert the local linearized operator on the projected streaming term
     of the local Maxwellian."""
@@ -586,8 +581,7 @@ def shock_micro_leading(wave: ShockProfile, grid_counts=(10, 10, 10),
     for i, y in enumerate(ysamp):
         s = FluidTriple(v=prof.v[i], u=(prof.u1[i], 0.0, 0.0),
                         theta=prof.theta[i])
-        op = assemble_linearized(s, grid, cache_dir=cache_dir,
-                                 gram_tol=gram_tol)
+        op = assemble_linearized(s, grid, gram_tol=gram_tol)
         My = maxwellian_y_derivative(
             s, (prof.v_y[i], prof.u1_y[i], prof.theta_y[i]), grid)
         rhs = op.projector.micro(xi1 * My) / s.v

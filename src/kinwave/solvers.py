@@ -409,8 +409,7 @@ class LinearizedKineticSolver:
     """Micro-macro kinetic stepper with frozen per-block linearized
     collision operators (assembled on a coarse x-subgrid at start-up)."""
 
-    def __init__(self, field: KineticField, sigma: float, dt: float,
-                 cache_dir=None):
+    def __init__(self, field: KineticField, sigma: float, dt: float):
         self.sigma = sigma
         self.dt = dt
         grid = field.dist.grid
@@ -424,8 +423,7 @@ class LinearizedKineticSolver:
             mid = (cells.start + cells.stop) // 2
             s = FluidTriple(v=float(v[mid]), u=tuple(u[mid]),
                             theta=float(theta[mid]))
-            op = assemble_linearized(s, grid, cache_dir=cache_dir,
-                                     gram_tol=0.5)
+            op = assemble_linearized(s, grid, gram_tol=0.5)
             self.blocks.append(
                 (cells, lu_factor(np.eye(grid.n_nodes) - self.dt * op.matrix)))
 

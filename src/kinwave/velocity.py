@@ -21,16 +21,15 @@ from .gas import R_GAS, FluidTriple
 EXTENT_RADII = 6.0
 
 
-def sphere_rule(n_polar: int = 2, n_azimuth: int = 4,
-                azimuth_offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def sphere_rule(n_polar: int = 2,
+                n_azimuth: int = 4) -> tuple[np.ndarray, np.ndarray]:
     """Product quadrature on the unit sphere.
 
-    Gauss-Legendre in cos(polar angle) times a uniform azimuth rule; the
-    polar axis is e3.  Weights sum to 4*pi exactly.  ``azimuth_offset`` is
-    in units of the azimuth spacing (0.5 staggers the nodes off the axes).
+    Gauss-Legendre in cos(polar angle) times a uniform azimuth rule with a
+    node at azimuth 0; the polar axis is e3.  Weights sum to 4*pi exactly.
     """
     x, wx = np.polynomial.legendre.leggauss(n_polar)
-    phi = 2.0 * math.pi * (np.arange(n_azimuth) + azimuth_offset) / n_azimuth
+    phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
     wphi = 2.0 * math.pi / n_azimuth
     ct, p = np.meshgrid(x, phi, indexing="ij")
     st = np.sqrt(1.0 - ct ** 2)
@@ -49,7 +48,7 @@ class VelocityGrid:
     h1*h2*h3 realizes the midpoint rule (spectrally accurate for
     Maxwellian-type integrands).
 
-    The default sphere rule (polar=1, azimuth=4, offset=0) puts the
+    The default sphere rule (polar=1, azimuth=4) puts the
     quadrature directions on +-e1, +-e2.  For those directions the
     post-collision velocities are exact lattice nodes, which makes the
     bilinear collision quadrature conserve mass, momentum and energy to
@@ -58,7 +57,7 @@ class VelocityGrid:
     coordinate marginal is conserved, Q(f, f) = 0 for every product
     f1(xi1) f2(xi2) f3(xi3), Maxwellian or not, and the rule has 3n - 2
     collision invariants on an n^3 lattice instead of 5.  Off-axis rules
-    (polar >= 2 or fractional offset) sample the sphere more densely but
+    (polar >= 2, or azimuth 3 or >= 5) sample the sphere more densely but
     lose that exactness.
     """
 
@@ -67,7 +66,6 @@ class VelocityGrid:
     counts: tuple[int, int, int] = (16, 16, 16)
     sphere_polar: int = 1
     sphere_azimuth: int = 4
-    sphere_offset: float = 0.0
 
     axes: tuple[np.ndarray, ...] = field(init=False, repr=False)
     nodes: np.ndarray = field(init=False, repr=False)       # (N, 3)
@@ -86,8 +84,7 @@ class VelocityGrid:
         axes = tuple(c[i] - L + (np.arange(n[i]) + 0.5) * h[i] for i in range(3))
         X1, X2, X3 = np.meshgrid(*axes, indexing="ij")
         nodes = np.stack([X1, X2, X3], axis=-1).reshape(-1, 3)
-        om, ow = sphere_rule(self.sphere_polar, self.sphere_azimuth,
-                             self.sphere_offset)
+        om, ow = sphere_rule(self.sphere_polar, self.sphere_azimuth)
         object.__setattr__(self, "center", tuple(c))
         object.__setattr__(self, "counts", n)
         object.__setattr__(self, "axes", axes)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kinwave import cli
+from kinwave import cli, solvers
 from kinwave.config import PRESETS, load_config
 from kinwave.errors import ConfigError, NonphysicalState
 from kinwave.profiles import ContactWave
@@ -109,6 +109,7 @@ def test_cli_riemann_every_preset(tmp_path, name):
     "[perturbation]\nmicro_center = inf",
     "[perturbation]\nmicro_width = 0",
     "[perturbation]\nbumps = v:0.01:inf:5",
+    "[output]\ncache_dir = x",
 ])
 def test_cli_invalid_config_exits_before_work(tmp_path, text):
     cfgfile = _write(tmp_path, text + "\n")
@@ -199,6 +200,35 @@ def test_cli_simulate_fluid_progress_lines(tmp_path, capsys):
     assert len(lines) == len(csv) - 1
     assert all(line.startswith("t=") and " sup_pert=" in line
                for line in lines)
+
+
+def test_cli_simulate_fluid_keeps_frames_before_fault(tmp_path, capsys,
+                                                     monkeypatch):
+    """diagnostics.csv is streamed: a run that stops on a numerical fault
+    exits 3 and keeps every frame recorded before it, byte for byte."""
+    text = BASE_CONFIG.replace("t_end = 1.0",
+                               "t_end = 1.0\noutput_interval = 0.1")
+    cfgfile = _write(tmp_path, text.format(out=tmp_path / "full"))
+    assert cli.main(["simulate-fluid", "--config", str(cfgfile)]) == 0
+    full = (tmp_path / "full" / "diagnostics.csv").read_text().splitlines()
+    capsys.readouterr()
+
+    step, calls = solvers.fluid_step, []
+
+    def faulty_step(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 20:
+            raise NonphysicalState("injected fault")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "fluid_step", faulty_step)
+    assert cli.main(["simulate-fluid", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "cut")]) \
+        == cli.EXIT_NUMERICAL_GUARD
+    frames = len(capsys.readouterr().err.splitlines()) - 1   # error line
+    csv = (tmp_path / "cut" / "diagnostics.csv").read_text().splitlines()
+    assert 2 <= frames < len(full) - 1
+    assert csv == full[:1 + frames]
 
 
 def test_cli_simulate_kinetic_guard(tmp_path):

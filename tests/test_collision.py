@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinwave.collision import (assemble_linearized, collision_frequency,
-                               kernels, q_bilinear,
-                               q_bilinear_batch, operator_cache_key,
-                               load_operator)
+                               kernels, q_bilinear, q_bilinear_batch)
 from kinwave.errors import NotMicroscopic, SingularPair
 from kinwave.gas import R_GAS, FluidTriple
 from kinwave.velocity import (VelocityGrid, grid_for_state, inner, moments,
@@ -354,18 +352,6 @@ def test_operator_matches_bilinear_form(base_state):
     weak_kernel = inner(h, Lh, base_state, g)
     weak_direct = inner(h, direct, base_state, g)
     assert weak_kernel == pytest.approx(weak_direct, rel=0.1)
-
-
-def test_operator_cache_roundtrip(tmp_path, base_state):
-    g = grid_for_state(base_state, counts=(6,) * 3, extent_radii=5.0)
-    op = assemble_linearized(base_state, g, cache_dir=tmp_path,
-                             gram_tol=0.9)
-    key = operator_cache_key(base_state, g)
-    assert (tmp_path / key).exists()
-    op2 = load_operator(tmp_path / key, base_state, g, gram_tol=0.9)
-    assert np.array_equal(op.matrix, op2.matrix)
-    other = FluidTriple(v=2.0, theta=0.5)
-    assert load_operator(tmp_path / key, other, g, gram_tol=0.9) is None
 
 
 @pytest.mark.slow

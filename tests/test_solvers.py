@@ -329,13 +329,13 @@ def test_kinetic_cost_guard():
 
 
 def test_kinetic_lost_interp_weight_accumulates():
-    """The axis rule loses no gain weight; a staggered rule loses the same
+    """The axis rule loses no gain weight; an off-axis rule loses the same
     positive weight every step, and the field adds it up."""
     f = _uniform_kinetic_field((6,) * 3)
     for _ in range(2):
         f = kinetic_step(f, 0.01, 1.0)
     assert f.lost_interp_weight == 0.0
-    f = _uniform_kinetic_field((6,) * 3, sphere_offset=0.5)
+    f = _uniform_kinetic_field((6,) * 3, sphere_polar=2)
     one = kinetic_step(f, 0.01, 1.0)
     two = kinetic_step(one, 0.01, 1.0)
     assert one.lost_interp_weight > 0.0

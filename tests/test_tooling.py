@@ -2,11 +2,12 @@
 for the package exporting only what it runs."""
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
 
-from kinwave.config import load_config
+from kinwave.config import RunConfig, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -104,3 +105,15 @@ def test_package_defines_only_what_it_uses():
         and node.name not in used and node.name not in UNCALLED_KEPT)
     assert not unused, f"defined but never used in the package: {unused}"
     assert not set(UNCALLED_KEPT) & used, "UNCALLED_KEPT entry now has a caller"
+
+
+def test_every_config_field_is_read():
+    """Every RunConfig field is read as an attribute somewhere in the
+    package outside config.py, so a key that nothing reads fails here."""
+    read = {node.attr
+            for path in PACKAGE.glob("*.py") if path.name != "config.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+    unread = [f.name for f in dataclasses.fields(RunConfig)
+              if f.name not in read]
+    assert not unread, f"RunConfig fields that nothing reads: {unread}"
