@@ -173,8 +173,8 @@ def lambda_functionals(fields, frame: AnsatzFrame) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 class ShiftState:
-    """The shift X, advanced one explicit step at a time, and the running
-    max of |Xdot| over those steps."""
+    """The shift X, advanced by weighted Xdot samples (the stages of an
+    explicit step), and the running max of |Xdot| over those samples."""
 
     def __init__(self):
         self.X = 0.0

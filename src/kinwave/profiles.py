@@ -140,8 +140,10 @@ class RarefactionWave:
         v = self._v_of_w(w)
         theta, u1 = isentrope_state(self.decomp.mid_lo, v)
         v_x = -0.75 * v / w * w_x
-        return WaveProfile(v=v, u1=u1, theta=theta, v_y=v_x, u1_y=-w * v_x,
-                           theta_y=-(2.0 * theta / (3.0 * v)) * v_x)
+        prof = WaveProfile(v=v, u1=u1, theta=theta, v_y=v_x, u1_y=-w * v_x,
+                           theta_y=None)
+        prof.theta_y = -pressure(prof) * v_x    # d theta = -p dv, isentrope
+        return prof
 
 
 # ---------------------------------------------------------------------------

@@ -75,14 +75,14 @@ def hugoniot_theta(base: FluidTriple, dv: float) -> float:
     return theta
 
 
-def rh_speed(upstream: FluidTriple, downstream: FluidTriple,
-             delta_s: float) -> float:
-    """Rankine-Hugoniot speed sigma = sqrt((p^* - p_+)/delta_s) of the
-    3-shock from ``upstream`` (v^*, theta^*) to ``downstream``
-    (v_+ = v^* + delta_s); the velocities do not enter.  Unchecked: a
-    pressure rise that rounding leaves at a weak shock gives 0."""
-    return math.sqrt(max(pressure(upstream) - pressure(downstream), 0.0)
-                     / delta_s)
+def rh_speed(base: FluidTriple, dv: float) -> float:
+    """Rankine-Hugoniot speed of the 3-shock between ``base`` and the state
+    at volume base.v + dv on its Hugoniot locus (dv > 0: ``base`` is
+    upstream, dv < 0: downstream).  sigma^2 = (p^* - p_+)/delta_S, written
+    with the Hugoniot relation as 5 p_b / (3 v_b + 4 dv), which needs no
+    pressure difference and keeps its digits at any weak strength; the
+    velocities do not enter."""
+    return math.sqrt(5.0 * pressure(base) / (3.0 * base.v + 4.0 * dv))
 
 
 def check_lax(upstream: FluidTriple, downstream: FluidTriple,
@@ -106,19 +106,20 @@ def shock_right_of(mid_hi: FluidTriple, delta_s: float) -> tuple[FluidTriple, fl
     # dv is v_+ - v^* as rounded (exact here), so base.v + dv is v_+ exactly
     right = FluidTriple(v=v_plus,
                         theta=hugoniot_theta(mid_hi, v_plus - mid_hi.v))
-    sigma = rh_speed(mid_hi, right, delta_s)
+    sigma = rh_speed(mid_hi, delta_s)
     check_lax(mid_hi, right, sigma)
     return replace(right, u=(mid_hi.u1 - sigma * delta_s, 0.0, 0.0)), sigma
 
 
 def shock_left_of(right: FluidTriple, delta_s: float) -> tuple[FluidTriple, float]:
-    """Upstream state mid_hi (v^* = v_+ - delta_s) and unchecked speed of the
-    3-shock into ``right``; delta_s = 0 gives (right, lambda_3(right))."""
+    """Upstream state mid_hi (v^* = v_+ - delta_s) and speed of the 3-shock
+    into ``right``, without the Lax check; delta_s = 0 gives
+    (right, lambda_3(right))."""
     if delta_s == 0.0:
         return right, sound_speed(right)
     mid_hi = FluidTriple(v=right.v - delta_s,
                          theta=hugoniot_theta(right, -delta_s))
-    sigma = rh_speed(mid_hi, right, delta_s)
+    sigma = rh_speed(right, -delta_s)
     return replace(mid_hi, u=(right.u1 + sigma * delta_s, 0.0, 0.0)), sigma
 
 

@@ -10,13 +10,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_banded
 
 from .ansatz import (AnsatzFrame, CompositeAnsatz, ShiftState,
                      DiagnosticsFrame, diagnostics_frame, shift_H, shift_rhs)
 from .collision import assemble_linearized, axis_rule, q_bilinear_batch
 from .errors import CFLViolation, CostGuard, NonphysicalState, PositivityLoss
-from .gas import (DEFAULT_TRANSPORT, FluidTriple, TransportLaw,
+from .gas import (DEFAULT_TRANSPORT, FluidTriple, TransportLaw, pressure,
                   primitive_fields, sound_speed)
 from .riemann import RiemannDecomposition
 from .velocity import DistributionField, VelocityGrid, moments
@@ -25,6 +25,10 @@ if TYPE_CHECKING:                     # config imports this module
     from .config import RunConfig
 
 CFL_SAFETY = 0.4
+#: ARS(2,2,2): the implicit diagonal GAMMA and the explicit weight DELTA of
+#: the first stage in the last row (negative)
+ARS_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
+ARS_DELTA = 1.0 - 1.0 / (2.0 * ARS_GAMMA)
 
 
 # ---------------------------------------------------------------------------
@@ -77,106 +81,170 @@ class FluidField:
         return float(self.y[1] - self.y[0])
 
 
-class StepLimit(float):
-    """A step bound that names the bound that set it: ``binding`` is
-    "advective" or "viscous"."""
-
-    binding: str
-
-    def __new__(cls, value: float, binding: str):
-        limit = super().__new__(cls, value)
-        limit.binding = binding
-        return limit
-
-
-def cfl_limit(state: FluidField, sigma: float,
-              transport: TransportLaw = DEFAULT_TRANSPORT) -> StepLimit:
-    """0.4 * min(advective, viscous) step bound over the grid."""
-    dy = state.dy
+def cfl_limit(state: FluidField, sigma: float) -> float:
+    """0.4 times the advective step bound over the grid.  The viscous and
+    heat terms are implicit in ``fluid_step`` and set no bound."""
     lam = abs(sigma) + sound_speed(state) + np.abs(state.u1) / state.v
-    diff = np.maximum(4.0 * transport.mu(state.theta) / 3.0,
-                      transport.kappa(state.theta))
-    dt_adv = dy / float(np.max(lam))
-    dt_visc = float(np.min(dy ** 2 * state.v / (2.0 * diff)))
-    return StepLimit(CFL_SAFETY * min(dt_adv, dt_visc),
-                     "advective" if dt_adv <= dt_visc else "viscous")
+    return CFL_SAFETY * state.dy / float(np.max(lam))
 
 
-def _face_fluxes(U, theta: np.ndarray, sigma: float, dy: float,
-                 transport: TransportLaw) -> list[np.ndarray]:
-    """Fluxes of the conserved rows U = (v, u1, u2, u3, E) at the n - 1
-    cell faces: face averages of the node values, one-sided face
-    differences for the gradients."""
-    v, u1, u2, u3, E = U
-    p = 2.0 * theta / (3.0 * v)
-    vm, u1m, u2m, u3m, Em, pm, mum, kapm = (
-        0.5 * (w[1:] + w[:-1])
-        for w in (v, u1, u2, u3, E, p, transport.mu(theta),
-                  transport.kappa(theta)))
-    du1, du2, du3, dth = (np.diff(w) / dy for w in (u1, u2, u3, theta))
-    mu_v = mum / vm
-    return [-sigma * vm - u1m,
-            -sigma * u1m + pm - (4.0 / 3.0) * mu_v * du1,
-            -sigma * u2m - mu_v * du2,
-            -sigma * u3m - mu_v * du3,
-            -sigma * Em + pm * u1m - kapm / vm * dth
-            - mu_v * ((4.0 / 3.0) * u1m * du1 + u2m * du2 + u3m * du3)]
+def _face(w: np.ndarray) -> np.ndarray:
+    """Averages of node values at the n - 1 cell faces."""
+    return 0.5 * (w[1:] + w[:-1])
+
+
+def _advective_fluxes(state: FluidField, E: np.ndarray,
+                      sigma: float) -> list[np.ndarray]:
+    """Advective and pressure fluxes of the conserved rows
+    (v, u1, u2, u3, E) at the n - 1 cell faces."""
+    vm, u1m, u2m, u3m, Em, pm = (
+        _face(w) for w in (state.v, state.u1, state.u2, state.u3, E,
+                           pressure(state)))
+    return [-sigma * vm - u1m, -sigma * u1m + pm, -sigma * u2m,
+            -sigma * u3m, -sigma * Em + pm * u1m]
+
+
+def _kinetic(u1, u2, u3):
+    """|u|^2/2."""
+    return 0.5 * (u1 ** 2 + u2 ** 2 + u3 ** 2)
+
+
+def _viscous_fluxes(u, visc, dy: float) -> list[np.ndarray]:
+    """Viscous face fluxes of the conserved rows (v, u1, u2, u3, E):
+    -c diff(u_j)/dy with the face coefficients c = ``visc``, and in the
+    energy row the work of those fluxes (the heat flux is added by the
+    caller)."""
+    Fu = [-c * np.diff(w) / dy for c, w in zip(visc, u)]
+    work = sum(f * _face(w) for f, w in zip(Fu, u))
+    return [np.zeros_like(work), *Fu, work]
+
+
+def _diffuse(coef: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve x - diff(coef * diff(x)) = rhs at the interior nodes, with x
+    pinned to ``rhs`` at the two end nodes; ``coef`` lives on the n - 1
+    faces.  The interior matrix is diagonally dominant."""
+    ab = np.zeros((3, len(rhs) - 2))
+    ab[0, 1:] = ab[2, :-1] = -coef[1:-1]
+    ab[1] = 1.0 + coef[1:] + coef[:-1]
+    b = rhs[1:-1].copy()
+    b[0] += coef[0] * rhs[0]
+    b[-1] += coef[-1] * rhs[-1]
+    x = rhs.copy()
+    x[1:-1] = solve_banded((1, 1), ab, b, overwrite_ab=True,
+                           overwrite_b=True, check_finite=False)
+    return x
 
 
 def fluid_step(state: FluidField, dt: float, sigma: float,
                transport: TransportLaw = DEFAULT_TRANSPORT,
-               source=None, check_cfl: bool = True
+               source=None, check_cfl: bool = True, stage=None
                ) -> tuple[FluidField, np.ndarray]:
-    """One Heun (explicit RK2) step of the five-field viscous system in the
-    frame moving with speed sigma, in flux form for the conserved fields
-    (v, u1, u2, u3, E) with E = theta + |u|^2/2.
+    """One ARS(2,2,2) IMEX step (Ascher, Ruuth and Spiteri 1997) of the
+    five-field viscous system in the frame moving with speed sigma, in
+    flux form for the conserved fields (v, u1, u2, u3, E) with
+    E = theta + |u|^2/2.
 
-    ``source(t, y)`` adds residuals (v, u1, u2, u3, E) at t and t + dt.
-    The two end nodes stay pinned.  Returns the new state and the
+    The advective and pressure fluxes are explicit.  The viscous and heat
+    fluxes are linearly implicit: each implicit stage solves one
+    tridiagonal system per velocity component, then one for theta, with E
+    built from the new u and the viscous work taken at the new u.  The
+    coefficients mu/v and kappa/v of a stage are taken at the explicit
+    predictor of that stage; lagging them at the start of the step would
+    cost an order.  ``source(t, y)`` adds residuals (v, u1, u2, u3, E) to
+    the explicit rates at t and t + GAMMA dt.  ``stage(mid)`` is called
+    with the state of the second stage (at t + GAMMA dt) before it is
+    used.  The two end nodes stay pinned.  Returns the new state and the
     time-integrated boundary flux of each conserved field (inflow at the
-    left end minus outflow at the right), so that the totals plus the
-    accumulated boundary fluxes stay constant.
+    left end minus outflow at the right, explicit and implicit fluxes of
+    both stages), so that the totals plus the accumulated boundary fluxes
+    stay constant.
     """
-    if check_cfl and dt > cfl_limit(state, sigma, transport) * (1.0 + 1e-12):
-        raise CFLViolation(
-            f"dt={dt} exceeds limit {cfl_limit(state, sigma, transport)}")
+    if check_cfl and dt > cfl_limit(state, sigma) * (1.0 + 1e-12):
+        raise CFLViolation(f"dt={dt} exceeds limit {cfl_limit(state, sigma)}")
     dy = state.dy
-    t_new = state.t + dt
+    h = ARS_GAMMA * dt
     # the conserved fields stay separate 1-D arrays: stacking them into
     # (5, n) and (8, n) blocks made the step slower on a 4k-node grid
-    E = state.theta + 0.5 * (state.u1 ** 2 + state.u2 ** 2 + state.u3 ** 2)
-    U0 = (state.v, state.u1, state.u2, state.u3, E)
+    U0 = (state.v, state.u1, state.u2, state.u3,
+          state.theta + _kinetic(state.u1, state.u2, state.u3))
 
-    def rate(U, theta, t):
-        F = _face_fluxes(U, theta, sigma, dy, transport)
-        R = [np.diff(f) / -dy for f in F]
-        if source is not None:
-            R = [r + s[1:-1] for r, s in zip(R, source(t, state.y))]
-        return F, R
+    def rates(F):
+        return [np.diff(f) / -dy for f in F]
 
-    def advance(R, h):
+    def combine(*terms):
+        """U0 plus weighted rates on the interior nodes."""
         out = []
-        for u, r in zip(U0, R):
+        for k, u in enumerate(U0):
             w = u.copy()
-            w[1:-1] += h * r
+            w[1:-1] += sum(c * R[k] for c, R in terms)
             out.append(w)
         return out
 
-    def temperature(U):
-        theta = U[4] - 0.5 * (U[1] ** 2 + U[2] ** 2 + U[3] ** 2)
-        theta[0], theta[-1] = state.theta[0], state.theta[-1]
-        if not (np.all(U[0] > 0) and np.all(theta > 0)):
-            raise PositivityLoss(f"v or theta nonpositive at t={t_new}")
-        return theta
+    def explicit(st, E):
+        F = _advective_fluxes(st, E, sigma)
+        R = rates(F)
+        if source is not None:
+            R = [q + s[1:-1] for q, s in zip(R, source(st.t, st.y))]
+        return F, R
 
-    F1, R1 = rate(U0, state.theta, state.t)
-    U1 = advance(R1, dt)
-    F2, R2 = rate(U1, temperature(U1), t_new)
-    U2 = advance([r1 + r2 for r1, r2 in zip(R1, R2)], 0.5 * dt)
-    theta = temperature(U2)
-    bflux = 0.5 * dt * np.array([(f1[0] + f2[0]) - (f1[-1] + f2[-1])
-                                 for f1, f2 in zip(F1, F2)])
-    return FluidField(state.y, *U2[:4], theta, t_new), bflux
+    def coefficients(U, t):
+        """Face values of (4/3 mu/v, mu/v, mu/v) and of kappa/v at the
+        conserved fields U, after checking that U is finite with v and
+        theta positive.  A stage predictor carries every rate of that
+        stage's right-hand side, so a non-finite value fails here, before
+        any solve."""
+        theta = U[4] - _kinetic(*U[1:4])
+        if not (np.all(U[0] > 0) and np.all(theta > 0)
+                and all(np.isfinite(w).all() for w in U[1:4])):
+            raise PositivityLoss(
+                f"v or theta nonpositive or not finite at t={t}")
+        vm = _face(U[0])
+        mu_v = _face(transport.mu(theta)) / vm
+        kap_v = _face(transport.kappa(theta)) / vm
+        return (4.0 / 3.0 * mu_v, mu_v, mu_v), kap_v
+
+    def implicit(base, coef, t):
+        """Solve U = base + h R_visc(U) for the stage at time t; returns
+        the stage state, its E and its viscous and heat face fluxes."""
+        visc, kap = coef
+        u = [_diffuse(h / dy ** 2 * c, b) for c, b in zip(visc, base[1:4])]
+        F = _viscous_fluxes(u, visc, dy)
+        ke = _kinetic(*u)
+        rhs = base[4] - ke
+        rhs[1:-1] -= h / dy * np.diff(F[4])
+        rhs[0], rhs[-1] = state.theta[0], state.theta[-1]
+        theta = _diffuse(h / dy ** 2 * kap, rhs)
+        if not np.all(theta > 0):
+            raise PositivityLoss(f"theta nonpositive at t={t}")
+        F[4] = F[4] - kap * np.diff(theta) / dy
+        return FluidField(state.y, base[0], *u, theta, t), theta + ke, F
+
+    # ARS(2,2,2): explicit tableau (GAMMA; DELTA, 1 - DELTA), implicit
+    # tableau (GAMMA; 1 - GAMMA, GAMMA) at the same stage times; the
+    # predictors need the implicit rates at the step start too
+    visc0, kap0 = coefficients(U0, state.t)
+    Fi1 = _viscous_fluxes(U0[1:4], visc0, dy)
+    Fi1[4] = Fi1[4] - kap0 * np.diff(state.theta) / dy
+    Ri1 = rates(Fi1)
+    Fe1, Re1 = explicit(state, U0[4])
+    mid, E2, Fi2 = implicit(combine((h, Re1)),
+                            coefficients(combine((h, Re1), (h, Ri1)),
+                                         state.t + h), state.t + h)
+    if stage is not None:
+        stage(mid)
+    Fe2, Re2 = explicit(mid, E2)
+    Ri2 = rates(Fi2)
+    w1, w2 = ARS_DELTA * dt, (1.0 - ARS_DELTA) * dt
+    t_new = state.t + dt
+    new, _, Fi3 = implicit(
+        combine((w1, Re1), (w2, Re2), ((1.0 - ARS_GAMMA) * dt, Ri2)),
+        coefficients(combine((w1, Re1), (w1, Ri1), (w2, Re2), (w2, Ri2)),
+                     t_new), t_new)
+    weights = ((ARS_DELTA, Fe1), (1.0 - ARS_DELTA, Fe2),
+               (1.0 - ARS_GAMMA, Fi2), (ARS_GAMMA, Fi3))
+    bflux = dt * np.array([sum(c * (F[k][0] - F[k][-1]) for c, F in weights)
+                           for k in range(5)])
+    return new, bflux
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +259,6 @@ class RunResult:
     steps: int
     stepping_s: float                 # wall-clock seconds of the time loop
     dt_range: tuple[float, float] | None   # over the CFL-set steps
-    cfl_binding: str | None           # bound that set most of those steps
     blowup_time: float | None = None
 
     def summary(self) -> dict:
@@ -212,7 +279,6 @@ class RunResult:
             "X_over_T": fT.X / fT.t if fT.t > 0 else 0.0,
             "dt_min": dt_min,
             "dt_max": dt_max,
-            "cfl_binding": self.cfl_binding,
             "blowup_time": self.blowup_time,
         }
 
@@ -231,10 +297,12 @@ def initial_fluid_field(ansatz: CompositeAnsatz, y: np.ndarray,
 def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
               progress=None) -> RunResult:
     """Evolve the composite data plus ``cfg.perturbation`` up to
-    ``cfg.t_end`` and co-integrate the shift (frozen within each step),
-    emitting a diagnostics frame every ``cfg.output_interval``; ``progress``
-    is called with each frame as it is recorded.  The step statistics leave
-    out the last step when it is shortened to land on ``t_end``."""
+    ``cfg.t_end`` and co-integrate the shift with the explicit weights of
+    the ``fluid_step`` tableau (Xdot at the step start and at the second
+    stage), emitting a diagnostics frame every ``cfg.output_interval``;
+    ``progress`` is called with each frame as it is recorded.  The step
+    statistics leave out the last step when it is shortened to land on
+    ``t_end``."""
     t_end, transport = cfg.t_end, cfg.transport
     y = np.arange(cfg.y_min, cfg.y_max + 0.5 * cfg.dy, cfg.dy)
     ans = CompositeAnsatz(decomp, transport)
@@ -256,24 +324,21 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
     # exp(-c delta_s |y|); the window covers >= 15 e-foldings)
     window = 15.0 / decomp.delta_s if decomp.delta_s > 0 else 0.0
 
-    def layer_xdot(t: float) -> float:
+    def layer_xdot(st: FluidField, X: float) -> float:
         if decomp.delta_s <= 0:
             return 0.0
-        i0 = int(np.searchsorted(y, shift.X - window))
-        i1 = int(np.searchsorted(y, shift.X + window)) + 1
-        fr_w = ans.frame(t, shift.X, y[i0:i1])
-        return shift_rhs((state.v[i0:i1], state.u1[i0:i1],
-                          state.theta[i0:i1]), fr_w, decomp.delta_s, H)
+        i0 = int(np.searchsorted(y, X - window))
+        i1 = int(np.searchsorted(y, X + window)) + 1
+        fr_w = ans.frame(st.t, X, y[i0:i1])
+        return shift_rhs((st.v[i0:i1], st.u1[i0:i1], st.theta[i0:i1]),
+                         fr_w, decomp.delta_s, H)
 
     steps, dt_lo, dt_hi = 0, math.inf, 0.0
-    binding_steps = {"advective": 0, "viscous": 0}
     next_out = 0.0
     t_loop = time.perf_counter()
     while state.t < t_end - 1e-12:
-        limit = cfl_limit(state, decomp.sigma, transport)
-        dt = limit * cfg.dt_factor
+        dt = cfl_limit(state, decomp.sigma) * cfg.dt_factor
         if dt <= t_end - state.t:
-            binding_steps[limit.binding] += 1
             dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
         else:
             dt = t_end - state.t
@@ -284,14 +349,20 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
             record(fr, xdot)
             next_out += cfg.output_interval
         else:
-            xdot = layer_xdot(state.t)
+            xdot = layer_xdot(state, shift.X)
+        xdot_mid = []
+
+        def stage(mid: FluidField) -> None:
+            xdot_mid.append(layer_xdot(mid, shift.X + ARS_GAMMA * dt * xdot))
+
         try:
             state, _ = fluid_step(state, dt, decomp.sigma, transport,
-                                  check_cfl=False)
+                                  check_cfl=False, stage=stage)
         except PositivityLoss:
             blowup = state.t
             break
-        shift.advance(xdot, dt)
+        shift.advance(xdot, ARS_DELTA * dt)
+        shift.advance(xdot_mid[0], (1.0 - ARS_DELTA) * dt)
         steps += 1
     if blowup is None:
         fr = ans.frame(state.t, shift.X, y)
@@ -301,8 +372,6 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
     return RunResult(frames=frames, shift=shift, final=state, steps=steps,
                      stepping_s=time.perf_counter() - t_loop,
                      dt_range=(dt_lo, dt_hi) if dt_hi > 0.0 else None,
-                     cfl_binding=(max(binding_steps, key=binding_steps.get)
-                                  if dt_hi > 0.0 else None),
                      blowup_time=blowup)
 
 

@@ -183,9 +183,8 @@ def test_cli_simulate_fluid_short(tmp_path):
     assert min(timings["setup_s"], timings["stepping_s"],
                timings["output_s"]) >= 0.0
     assert timings["steps"] > 0
-    # dy = 0.5 puts the step under the viscous bound
-    assert summary["cfl_binding"] == "viscous"
-    assert 0.0 < summary["dt_min"] <= summary["dt_max"]
+    # the step follows the advective bound only: about 0.1 at dy = 0.5
+    assert 0.05 < summary["dt_min"] <= summary["dt_max"] < 0.2
     csv = (tmp_path / "sim" / "diagnostics.csv").read_text().splitlines()
     assert csv[0].startswith("t,X,Xdot,entropy")
     assert len(csv) >= 3
@@ -217,7 +216,7 @@ def test_cli_simulate_fluid_keeps_frames_before_fault(tmp_path, capsys,
 
     def faulty_step(*args, **kwargs):
         calls.append(None)
-        if len(calls) == 20:
+        if len(calls) == 5:
             raise NonphysicalState("injected fault")
         return step(*args, **kwargs)
 
