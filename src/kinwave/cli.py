@@ -291,6 +291,8 @@ def cmd_simulate_kinetic(cfg: RunConfig, out: Path, seed: int,
         "lost_interp_weight": field.lost_interp_weight,
         "conservation_drift": drift,
     }
+    if linearized:
+        summary["operator_drift"] = field.operator_drift
     _write_json(out / "summary.json", summary)
     _write_json(out / "kinetic_frames.json", frames, indent=1)
     print(json.dumps(summary, sort_keys=True, indent=2, default=_json_default))

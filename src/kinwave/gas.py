@@ -1,4 +1,5 @@
-"""Equation of state and equilibrium distributions for the monatomic gas.
+"""Equation of state, macroscopic states and transport law of the monatomic
+gas (the Maxwellian on a velocity lattice is ``VelocityGrid.maxwellian``).
 
 The gas constant is fixed at R = 2/3 so that the internal energy per unit
 mass equals the temperature and p = 2*theta/(3*v).  All states are expressed
@@ -74,27 +75,6 @@ def entropy(s: FluidTriple) -> float:
     use.
     """
     return math.log(s.theta) + (2.0 / 3.0) * math.log(s.v)
-
-
-def maxwellian(s, xi: np.ndarray) -> np.ndarray:
-    """Local Maxwellian M_[rho,u,theta](xi) with rho = 1/v.
-
-    ``s`` is one FluidTriple or a batch ``(v, u, theta)`` of arrays with
-    shape B (``u`` of shape B + (3,)), as ``primitive_fields`` returns it.
-    ``xi`` has shape (..., 3); the return value has shape B + (...).
-    """
-    v, u, theta = (s.v, s.u, s.theta) if isinstance(s, FluidTriple) else s
-    v = np.asarray(v, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if not (np.all(v > 0.0) and np.all(theta > 0.0)):
-        raise NonphysicalState("Maxwellian needs v > 0 and theta > 0")
-    xi = np.asarray(xi, dtype=float)
-    per_node = (...,) + (None,) * (xi.ndim - 1)     # B -> B + (1,)*(xi.ndim-1)
-    a2 = R_GAS * theta[per_node]
-    du = xi - np.asarray(u, dtype=float)[per_node + (slice(None),)]
-    q = np.einsum("...i,...i->...", du, du)
-    return (1.0 / v)[per_node] * (2.0 * math.pi * a2) ** (-1.5) \
-        * np.exp(-q / (2.0 * a2))
 
 
 def primitive_fields(c: ConservedTriple

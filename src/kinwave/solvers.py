@@ -16,8 +16,8 @@ from .ansatz import (AnsatzFrame, CompositeAnsatz, ShiftState,
                      DiagnosticsFrame, diagnostics_frame, shift_H, shift_rhs)
 from .collision import assemble_linearized, axis_rule, q_bilinear_batch
 from .errors import CFLViolation, CostGuard, NonphysicalState, PositivityLoss
-from .gas import (DEFAULT_TRANSPORT, FluidTriple, TransportLaw, pressure,
-                  primitive_fields, sound_speed)
+from .gas import (DEFAULT_TRANSPORT, R_GAS, FluidTriple, TransportLaw,
+                  pressure, primitive_fields, sound_speed)
 from .riemann import RiemannDecomposition
 from .velocity import DistributionField, VelocityGrid, moments
 
@@ -122,7 +122,11 @@ def _viscous_fluxes(u, visc, dy: float) -> list[np.ndarray]:
 def _diffuse(coef: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve x - diff(coef * diff(x)) = rhs at the interior nodes, with x
     pinned to ``rhs`` at the two end nodes; ``coef`` lives on the n - 1
-    faces.  The interior matrix is diagonally dominant."""
+    faces.  The interior matrix is diagonally dominant.  A zero ``rhs``
+    (the transverse velocities of a planar run) is its own solution and
+    is returned without a solve."""
+    if not rhs.any():
+        return rhs.copy()
     ab = np.zeros((3, len(rhs) - 2))
     ab[0, 1:] = ab[2, :-1] = -coef[1:-1]
     ab[1] = 1.0 + coef[1:] + coef[:-1]
@@ -395,12 +399,15 @@ class KineticField:
     t: float = 0.0
     clip_defect: float = 0.0          # mass removed by positivity clipping
     lost_interp_weight: float = 0.0   # gain weight interpolated off-lattice
+    operator_drift: float = 0.0       # state drift from the frozen operators
 
 
 def _cubic_interp_y(values: np.ndarray, foot_idx: np.ndarray) -> np.ndarray:
-    """Cubic Lagrange interpolation along the first axis at fractional
-    indices (clamped to the boundary values)."""
-    n = values.shape[0]
+    """Cubic Lagrange interpolation of ``values`` (ny, n1, ...) along the
+    first axis, column j of the second axis at the fractional indices
+    ``foot_idx[:, j]`` (clamped to the boundary values); one gather of the
+    four stencil rows of every (cell, column) pair."""
+    n, n1 = foot_idx.shape
     idx = np.clip(foot_idx, 0.0, n - 1.0)
     i1 = np.clip(np.floor(idx).astype(int), 1, n - 3)
     s = idx - i1
@@ -408,9 +415,13 @@ def _cubic_interp_y(values: np.ndarray, foot_idx: np.ndarray) -> np.ndarray:
     w1 = (s + 1.0) * (s - 1.0) * (s - 2.0) / 2.0
     w2 = -(s + 1.0) * s * (s - 2.0) / 2.0
     w3 = (s + 1.0) * s * (s - 1.0) / 6.0
-    sl = (slice(None),) + (None,) * (values.ndim - 1)
-    return (w0[sl] * values[i1 - 1] + w1[sl] * values[i1]
-            + w2[sl] * values[i1 + 1] + w3[sl] * values[i1 + 2])
+    rows = values[i1 + np.arange(-1, 3)[:, None, None], np.arange(n1)]
+    sl = (...,) + (None,) * (values.ndim - 2)
+    out = w0[sl] * rows[0]
+    out += w1[sl] * rows[1]
+    out += w2[sl] * rows[2]
+    out += w3[sl] * rows[3]
+    return out
 
 
 def _transport_semilagrangian(field: KineticField, dt: float, sigma: float
@@ -420,16 +431,11 @@ def _transport_semilagrangian(field: KineticField, dt: float, sigma: float
     dist = field.dist
     grid = dist.grid
     v, u, _ = primitive_fields(moments(dist.values, grid))
-    u1 = u[:, 0]
-    dy = dist.dy
-    xi1_axis = grid.axes[0]
-    new = np.empty_like(dist.values)
-    yidx = np.arange(len(dist.ygrid))
-    for i1, xi1 in enumerate(xi1_axis):
-        c = (xi1 - u1) / v - sigma
-        foot = yidx - c * dt / dy
-        new[:, i1, :, :] = _cubic_interp_y(dist.values[:, i1, :, :], foot)
-    clip = float(np.sum(np.minimum(new, 0.0)) * grid.weight * dy)
+    # characteristic speed and foot index of every (cell, xi1 column)
+    c = (grid.axes[0] - u[:, :1]) / v[:, None] - sigma
+    foot = np.arange(len(dist.ygrid))[:, None] - c * dt / dist.dy
+    new = _cubic_interp_y(dist.values, foot)
+    clip = float(np.sum(np.minimum(new, 0.0)) * grid.weight * dist.dy)
     np.maximum(new, 0.0, out=new)
     return new, abs(clip)
 
@@ -476,7 +482,16 @@ def kinetic_step(field: KineticField, dt: float, sigma: float) -> KineticField:
 
 class LinearizedKineticSolver:
     """Micro-macro kinetic stepper with frozen per-block linearized
-    collision operators (assembled on a coarse x-subgrid at start-up)."""
+    collision operators (assembled on a coarse x-subgrid at start-up).
+
+    Each block of LINEARIZED_BLOCK cells keeps the propagator
+    P = (I - dt L)^{-1} of its operator L, frozen at the block's middle
+    cell; L <= 0 in the M-weighted metric, so I - dt L is well
+    conditioned and P is formed once, by an LU solve against I.  A step
+    is the transport, the local Maxwellians M of the transported cells and
+    f <- M + P (f - M), one matmul per block with the cells as rows.  The
+    step records on the field the largest relative distance of a cell's
+    state from the state its operator is frozen at (``operator_drift``)."""
 
     def __init__(self, field: KineticField, sigma: float, dt: float):
         self.sigma = sigma
@@ -484,35 +499,52 @@ class LinearizedKineticSolver:
         grid = field.dist.grid
         ny = len(field.dist.ygrid)
         v, u, theta = primitive_fields(moments(field.dist.values, grid))
-        # (cells, LU of I - dt L) per block of LINEARIZED_BLOCK cells, with
-        # L frozen at the block's middle cell
+        eye = np.eye(grid.n_nodes)
+        # (cells, P) per block, and per cell the state (v, u, theta) at
+        # which its block's operator is frozen
         self.blocks = []
+        mid = np.empty(ny, dtype=int)
         for start in range(0, ny, LINEARIZED_BLOCK):
             cells = slice(start, min(start + LINEARIZED_BLOCK, ny))
-            mid = (cells.start + cells.stop) // 2
-            s = FluidTriple(v=float(v[mid]), u=tuple(u[mid]),
-                            theta=float(theta[mid]))
+            m = (cells.start + cells.stop) // 2
+            mid[cells] = m
+            s = FluidTriple(v=float(v[m]), u=tuple(u[m]),
+                            theta=float(theta[m]))
             op = assemble_linearized(s, grid, gram_tol=0.5)
             self.blocks.append(
-                (cells, lu_factor(np.eye(grid.n_nodes) - self.dt * op.matrix)))
+                (cells, lu_solve(lu_factor(eye - self.dt * op.matrix), eye)))
+        self.frozen = (v[mid], u[mid], theta[mid])
+
+    def _drift(self, v: np.ndarray, u: np.ndarray,
+               theta: np.ndarray) -> float:
+        """Largest relative distance of the cell states (v, u, theta) from
+        the states their operators are frozen at: the largest of
+        |v/v0 - 1|, |theta/theta0 - 1| and |u - u0|/sqrt(R theta0)."""
+        v0, u0, theta0 = self.frozen
+        du = np.linalg.norm(u - u0, axis=-1) / np.sqrt(R_GAS * theta0)
+        return float(max(np.max(np.abs(v / v0 - 1.0)),
+                         np.max(np.abs(theta / theta0 - 1.0)), np.max(du)))
 
     def step(self, field: KineticField) -> KineticField:
         dist = field.dist
         grid = dist.grid
         star, clip = _transport_semilagrangian(field, self.dt, self.sigma)
-        M = grid.maxwellian(primitive_fields(moments(star, grid)))
+        state = primitive_fields(moments(star, grid))
+        M = grid.maxwellian(state)
         G = (star - M).reshape(len(dist.ygrid), -1)
         new = M.reshape(G.shape)
-        for cells, lu in self.blocks:
-            new[cells] += lu_solve(lu, G[cells].T).T
+        for cells, P in self.blocks:
+            new[cells] += G[cells] @ P.T
         new = new.reshape(star.shape)
         new[0] = dist.values[0]
         new[-1] = dist.values[-1]
         newdist = DistributionField(ygrid=dist.ygrid, grid=grid, values=new,
                                     mref=dist.mref)
-        return KineticField(dist=newdist, t=field.t + self.dt,
-                            clip_defect=field.clip_defect + clip,
-                            lost_interp_weight=field.lost_interp_weight)
+        return KineticField(
+            dist=newdist, t=field.t + self.dt,
+            clip_defect=field.clip_defect + clip,
+            lost_interp_weight=field.lost_interp_weight,
+            operator_drift=max(field.operator_drift, self._drift(*state)))
 
 
 def maxwellian_field(ansatz: CompositeAnsatz, y: np.ndarray,

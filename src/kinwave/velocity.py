@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gas
-from .errors import GridTooNarrow, OverflowSignal
+from .errors import GridTooNarrow, NonphysicalState, OverflowSignal
 from .gas import R_GAS, FluidTriple
 
 #: Default grid extent in thermal radii, sqrt(R*theta) units.
@@ -102,11 +102,29 @@ class VelocityGrid:
         """Node coordinate ``component`` as an array of shape ``counts``."""
         return self.nodes[:, component].reshape(self.counts)
 
-    def maxwellian(self, s: FluidTriple) -> np.ndarray:
-        """Maxwellian of one state (shape ``counts``) or of a batch
-        ``(v, u, theta)`` of shape B (shape B + ``counts``)."""
-        M = gas.maxwellian(s, self.nodes)
-        return M.reshape(M.shape[:-1] + self.counts)
+    def maxwellian(self, s) -> np.ndarray:
+        """Local Maxwellian rho (2 pi R theta)^(-3/2)
+        exp(-|xi - u|^2 / (2 R theta)) with rho = 1/v on the lattice.
+
+        ``s`` is one FluidTriple (shape ``counts``) or a batch
+        ``(v, u, theta)`` of arrays with shape B (``u`` of shape B + (3,)),
+        as ``primitive_fields`` returns it (shape B + ``counts``).  The
+        lattice is a tensor product, so each state takes one exponential
+        per axis node, combined by an outer product.  Raises
+        NonphysicalState unless v > 0 and theta > 0 (a NaN fails too).
+        """
+        v, u, theta = (s.v, s.u, s.theta) if isinstance(s, FluidTriple) else s
+        v = np.asarray(v, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        if not (np.all(v > 0.0) and np.all(theta > 0.0)):
+            raise NonphysicalState("Maxwellian needs v > 0 and theta > 0")
+        u = np.asarray(u, dtype=float)
+        two_a2 = (2.0 * R_GAS * theta)[..., None]
+        f1, f2, f3 = (np.exp(-(axis - u[..., k, None]) ** 2 / two_a2)
+                      for k, axis in enumerate(self.axes))
+        amp = 1.0 / v[..., None] * (math.pi * two_a2) ** -1.5
+        return ((amp * f1)[..., :, None, None] * f2[..., None, :, None]
+                * f3[..., None, None, :])
 
     def integrate(self, f: np.ndarray) -> float:
         return self.weight * float(np.sum(f))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kinwave
 from kinwave import cli, solvers
 from kinwave.config import PRESETS, load_config
 from kinwave.errors import ConfigError, NonphysicalState
@@ -260,8 +265,7 @@ dir = {out}
         == cli.EXIT_COST_GUARD
 
 
-def test_cli_simulate_kinetic_short(tmp_path):
-    text = """
+TINY_KINETIC = """
 [strengths]
 delta_r = 0.02
 delta_c = 0.02
@@ -276,19 +280,51 @@ velocity_counts = 6
 [solver]
 t_end = 0.06
 kinetic_dt = 0.02
+"""
 
-[output]
-dir = {out}
-""".format(out=tmp_path / "kin2")
-    cfgfile = _write(tmp_path, text)
-    assert cli.main(["simulate-kinetic", "--config", str(cfgfile)]) == 0
+
+def test_cli_simulate_kinetic_short(tmp_path):
+    cfgfile = _write(tmp_path, TINY_KINETIC)
+    assert cli.main(["simulate-kinetic", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "kin2")]) == 0
     summary = json.loads((tmp_path / "kin2" / "summary.json").read_text())
     assert summary["conservation_drift"] <= 1e-3
     assert summary["min_f"] >= 0.0
     assert summary["lost_interp_weight"] == 0.0     # axis sphere rule
+    assert "operator_drift" not in summary          # linearized mode only
     assert "runtime" not in summary
     timings = json.loads((tmp_path / "kin2" / "timings.json").read_text())
     assert timings["steps"] == 3
+
+
+def test_cli_module_run_is_deterministic(tmp_path):
+    """``python -m kinwave.cli`` in a fresh process exits 0 and writes
+    byte-identical result JSON twice."""
+    cfgfile = _write(tmp_path, TINY_KINETIC)
+    env = dict(os.environ)
+    src = str(Path(kinwave.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    results = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "kinwave.cli", "simulate-kinetic",
+             "--linearized", "--config", str(cfgfile), "--out", str(out)],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        results.append([(out / f).read_bytes()
+                        for f in ("summary.json", "kinetic_frames.json")])
+    assert results[0] == results[1]
+
+
+def test_cli_kinetic_sanity_operator_drift(tmp_path):
+    """The linearized summary records how far the cells moved from the
+    states their operators were frozen at: positive on kinetic-sanity."""
+    assert cli.main(["simulate-kinetic", "--linearized", "--preset",
+                     "kinetic-sanity", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert 0.0 < summary["operator_drift"] < 1.0
 
 
 def test_cli_collision_check_narrow_grid_guard(tmp_path):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinwave.errors import NonphysicalState
-from kinwave.gas import (ConservedTriple, FluidTriple, entropy, maxwellian,
+from kinwave.gas import (R_GAS, ConservedTriple, FluidTriple, entropy,
                          pressure, primitive_fields, sound_speed)
 from kinwave.riemann import lambda1
+from kinwave.velocity import VelocityGrid, moments
 
 positive = st.floats(min_value=0.05, max_value=20.0)
 velocity = st.floats(min_value=-5.0, max_value=5.0)
@@ -70,18 +71,61 @@ def test_entropy_constant_along_sampled_isentrope(v, theta):
             == pytest.approx(s0, abs=1e-12)
 
 
+def _dense_maxwellian(v, u, theta, xi):
+    """rho (2 pi R theta)^(-3/2) exp(-|xi - u|^2 / (2 R theta)) with one
+    exponential per node: states of batch shape B (``u`` of shape
+    B + (3,)) at nodes ``xi`` of shape (N, 3), shape B + (N,)."""
+    v, u, theta = (np.asarray(x, dtype=float) for x in (v, u, theta))
+    a2 = R_GAS * theta[..., None]
+    q = np.sum((xi - u[..., None, :]) ** 2, axis=-1)
+    return (1.0 / v)[..., None] * (2.0 * math.pi * a2) ** -1.5 \
+        * np.exp(-q / (2.0 * a2))
+
+
 def test_maxwellian_peak_and_symmetry():
     s = FluidTriple(v=0.8, u=(0.4, -0.2, 0.1), theta=1.3)
-    peak = maxwellian(s, np.array(s.u))
+    grid = VelocityGrid(center=s.u, half_width=4.0, counts=(5, 7, 9))
+    M = grid.maxwellian(s)
     a2 = (2.0 / 3.0) * s.theta
-    assert peak == pytest.approx(s.rho * (2 * math.pi * a2) ** -1.5, rel=1e-14)
-    d = np.array([0.3, -0.7, 0.2])
-    assert maxwellian(s, np.array(s.u) + d) \
-        == pytest.approx(maxwellian(s, np.array(s.u) - d), rel=1e-14)
+    assert M[2, 3, 4] == pytest.approx(s.rho * (2 * math.pi * a2) ** -1.5,
+                                       rel=1e-14)
+    assert M.max() == M[2, 3, 4]
+    np.testing.assert_allclose(M, M[::-1, ::-1, ::-1], rtol=1e-14, atol=0)
+
+
+def test_tensor_maxwellian_matches_dense(rng):
+    """The per-axis product agrees with one exponential per node, for one
+    state and for a batch, on an uneven lattice off the bulk velocity."""
+    grid = VelocityGrid(center=(0.1, -0.2, 0.3), half_width=5.0,
+                        counts=(4, 5, 6))
+    s = FluidTriple(v=0.8, u=(0.45, -0.3, 0.2), theta=1.3)
+    want = _dense_maxwellian(s.v, s.u, s.theta, grid.nodes)
+    np.testing.assert_allclose(grid.maxwellian(s), want.reshape(grid.counts),
+                               rtol=1e-13, atol=0)
+    v, th = rng.uniform(0.5, 2.0, (2, 7))
+    u = rng.uniform(-1.0, 1.0, (7, 3))
+    got = grid.maxwellian((v, u, th))
+    assert got.shape == (7,) + grid.counts
+    np.testing.assert_allclose(
+        got, _dense_maxwellian(v, u, th, grid.nodes).reshape(got.shape),
+        rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("bad", ["v", "theta", "nan"])
+def test_maxwellian_rejects_nonphysical(bad):
+    grid = VelocityGrid(half_width=5.0, counts=(4, 4, 4))
+    v, u, th = np.ones(3), np.zeros((3, 3)), np.ones(3)
+    if bad == "v":
+        v[1] = 0.0
+    elif bad == "theta":
+        th[2] = -1.0
+    else:
+        th[0] = np.nan
+    with pytest.raises(NonphysicalState):
+        grid.maxwellian((v, u, th))
 
 
 def test_maxwellian_mass_quadrature(base_state, small_grid):
-    from kinwave.velocity import moments
     M = small_grid.maxwellian(base_state)
     assert moments(M, small_grid).rho == pytest.approx(base_state.rho, rel=2e-7)
 

@@ -3,17 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
+from kinwave import solvers
 from kinwave.ansatz import CompositeAnsatz
+from kinwave.collision import assemble_linearized
 from kinwave.config import RunConfig
 from kinwave.errors import (CFLViolation, CostGuard, NonphysicalState,
                             PositivityLoss)
 from kinwave.gas import R_GAS, FluidTriple, primitive_fields
 from kinwave.riemann import generate_states, shock_decomposition
-from kinwave.solvers import (FluidField, GaussianBump, KineticField,
-                             LinearizedKineticSolver, PerturbationSpec,
-                             cfl_limit, fluid_run, fluid_step,
-                             initial_fluid_field, kinetic_step,
+from kinwave.solvers import (LINEARIZED_BLOCK, FluidField, GaussianBump,
+                             KineticField, LinearizedKineticSolver,
+                             PerturbationSpec, cfl_limit, fluid_run,
+                             fluid_step, initial_fluid_field, kinetic_step,
                              maxwellian_field)
 from kinwave.velocity import (DistributionField, VelocityGrid, moments,
                               reference_maxwellian)
@@ -68,6 +71,32 @@ def test_nonfinite_state_rejected():
     st.u1[10] = np.nan                    # reaches v and theta in one stage
     with pytest.raises(PositivityLoss):
         fluid_step(st, 1e-3, 0.0, check_cfl=False)
+
+
+def test_zero_transverse_velocity_skips_its_solves(monkeypatch):
+    """Each implicit stage solves one tridiagonal system per velocity
+    component and one for theta, except a component that is zero
+    everywhere: that one stays exactly zero without a solve.  A nonzero u2
+    is still solved."""
+    calls = []
+    solve = solvers.solve_banded
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_banded", counting)
+    st = _const_field()
+    st.u1 = 0.2 + 0.05 * np.sin(st.y)
+    dt = 0.5 * cfl_limit(st, 1.0)
+    new, _ = fluid_step(st, dt, 1.0)
+    assert len(calls) == 2 * 2                  # u1, theta per stage
+    assert not new.u2.any() and not new.u3.any()
+    calls.clear()
+    st.u2 = 0.01 * np.exp(-st.y ** 2)
+    new, _ = fluid_step(st, dt, 1.0)
+    assert len(calls) == 2 * 3                  # u1, u2, theta per stage
+    assert np.abs(new.u2[1:-1]).min() > 0.0 and not new.u3.any()
 
 
 def test_manufactured_solution_convergence_order():
@@ -355,12 +384,17 @@ def test_kinetic_maxwellian_steady():
     assert f.clip_defect == 0.0
 
 
-def test_kinetic_positivity_and_conservation():
-    s0, grid, y, vals, mref = _kinetic_setup(ny=32)
-    mod = 1.0 + 0.3 * np.sin(np.linspace(0, 3, 32))[:, None, None, None] \
+def _perturbed_kinetic_field(ny=24):
+    s0, grid, y, vals, mref = _kinetic_setup(ny=ny)
+    mod = 1.0 + 0.3 * np.sin(np.linspace(0, 3, ny))[:, None, None, None] \
         * np.exp(-(grid.node_array(0) - 0.5) ** 2)[None, ...]
-    f = KineticField(DistributionField(ygrid=y, grid=grid, values=vals * mod,
-                                       mref=mref))
+    return KineticField(DistributionField(ygrid=y, grid=grid, values=vals * mod,
+                                          mref=mref))
+
+
+def test_kinetic_positivity_and_conservation():
+    f = _perturbed_kinetic_field(ny=32)
+    grid, y = f.dist.grid, f.dist.ygrid
     inv0 = [moments(v, grid) for v in f.dist.values]
     mass0 = np.trapezoid([m.rho for m in inv0], y)
     E0 = np.trapezoid([m.E for m in inv0], y)
@@ -494,6 +528,98 @@ def test_kinetic_linearized_source_driven(decomp):
     # non-equilibrium content saturates at the streaming-source scale
     assert dev10 <= 0.2
     assert dev20 <= max(1.5 * dev10, 0.2)
+
+
+def _cubic_interp_column(values, foot_idx):
+    """Cubic Lagrange interpolation along the first axis at the fractional
+    indices ``foot_idx`` (one per row), clamped to the boundary values."""
+    n = values.shape[0]
+    idx = np.clip(foot_idx, 0.0, n - 1.0)
+    i1 = np.clip(np.floor(idx).astype(int), 1, n - 3)
+    s = idx - i1
+    w0 = -s * (s - 1.0) * (s - 2.0) / 6.0
+    w1 = (s + 1.0) * (s - 1.0) * (s - 2.0) / 2.0
+    w2 = -(s + 1.0) * s * (s - 2.0) / 2.0
+    w3 = (s + 1.0) * s * (s - 1.0) / 6.0
+    sl = (slice(None),) + (None,) * (values.ndim - 1)
+    return (w0[sl] * values[i1 - 1] + w1[sl] * values[i1]
+            + w2[sl] * values[i1 + 1] + w3[sl] * values[i1 + 2])
+
+
+def test_transport_matches_per_column_loop():
+    """The one-gather transport is bit-identical to interpolating each xi1
+    column of the lattice in turn."""
+    f = _perturbed_kinetic_field()
+    dist, grid = f.dist, f.dist.grid
+    dt, sigma = 0.05, 0.7
+    v, u, _ = primitive_fields(moments(dist.values, grid))
+    want = np.empty_like(dist.values)
+    yidx = np.arange(len(dist.ygrid))
+    for i1, xi1 in enumerate(grid.axes[0]):
+        c = (xi1 - u[:, 0]) / v - sigma
+        want[:, i1] = _cubic_interp_column(dist.values[:, i1],
+                                           yidx - c * dt / dist.dy)
+    clip = abs(float(np.sum(np.minimum(want, 0.0)) * grid.weight * dist.dy))
+    np.maximum(want, 0.0, out=want)
+    got, got_clip = solvers._transport_semilagrangian(f, dt, sigma)
+    assert np.array_equal(got, want)
+    assert got_clip == clip
+
+
+def test_linearized_propagator_matches_lu_solve():
+    """One step with the block propagators P = (I - dt L)^{-1} agrees with
+    the step that makes one LU solve per block."""
+    f = _perturbed_kinetic_field()
+    dist, grid = f.dist, f.dist.grid
+    ny, dt, sigma = len(dist.ygrid), 0.02, 1.0
+    solver = LinearizedKineticSolver(f, sigma, dt)
+    got = solver.step(f).dist.values
+    star, _ = solvers._transport_semilagrangian(f, dt, sigma)
+    M = grid.maxwellian(primitive_fields(moments(star, grid)))
+    G = (star - M).reshape(ny, -1)
+    want = M.reshape(G.shape).copy()
+    v, u, theta = primitive_fields(moments(dist.values, grid))
+    for start in range(0, ny, LINEARIZED_BLOCK):
+        cells = slice(start, min(start + LINEARIZED_BLOCK, ny))
+        m = (cells.start + cells.stop) // 2
+        op = assemble_linearized(
+            FluidTriple(v=float(v[m]), u=tuple(u[m]), theta=float(theta[m])),
+            grid, gram_tol=0.5)
+        lu = lu_factor(np.eye(grid.n_nodes) - dt * op.matrix)
+        want[cells] += lu_solve(lu, G[cells].T).T
+    want = want.reshape(star.shape)
+    want[[0, -1]] = dist.values[[0, -1]]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_linearized_operator_drift():
+    """The drift is the largest relative distance of a transported cell's
+    (v, u, theta) from the state its block's operator is frozen at, here
+    recomputed from the middle cell of each block.  Uniform Maxwellian
+    data reads zero to roundoff on its first step (later steps mix the
+    pinned end cells into the relaxed interior, which moves the states
+    near the ends); the field keeps the running maximum."""
+    f = _uniform_kinetic_field((6,) * 3, ny=24)
+    assert LinearizedKineticSolver(f, 0.3, 0.02).step(f).operator_drift \
+        <= 1e-14
+    f = _perturbed_kinetic_field()
+    dist, grid, ny = f.dist, f.dist.grid, len(f.dist.ygrid)
+    solver = LinearizedKineticSolver(f, 1.0, 0.02)
+    one = solver.step(f)
+    v0, u0, theta0 = primitive_fields(moments(dist.values, grid))
+    star, _ = solvers._transport_semilagrangian(f, 0.02, 1.0)
+    v, u, theta = primitive_fields(moments(star, grid))
+    want = 0.0
+    for i in range(ny):
+        start = i - i % LINEARIZED_BLOCK
+        m = (start + min(start + LINEARIZED_BLOCK, ny)) // 2
+        want = max(want, abs(v[i] / v0[m] - 1.0),
+                   abs(theta[i] / theta0[m] - 1.0),
+                   float(np.linalg.norm(u[i] - u0[m]))
+                   / math.sqrt(R_GAS * theta0[m]))
+    assert want > 0.0
+    assert one.operator_drift == pytest.approx(want, rel=1e-12)
+    assert solver.step(one).operator_drift >= one.operator_drift
 
 
 @pytest.mark.slow
