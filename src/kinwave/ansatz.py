@@ -130,12 +130,8 @@ def _phi_entropy(z: np.ndarray) -> np.ndarray:
 
 
 def _psi2(u, frame: AnsatzFrame) -> np.ndarray:
-    """|psi|^2 = (u1 - u1bar)^2 + u2^2 + u3^2 of the velocity fields u;
-    a u without the transverse components carries (u1,) only."""
-    psi2 = (u[0] - frame.u1) ** 2
-    if len(u) > 1:
-        psi2 = psi2 + u[1] ** 2 + u[2] ** 2
-    return psi2
+    """|psi|^2 = (u1 - u1bar)^2 + u2^2 + u3^2 of the velocity fields u."""
+    return (u[0] - frame.u1) ** 2 + u[1] ** 2 + u[2] ** 2
 
 
 def relative_entropy(fields, frame: AnsatzFrame) -> float:
@@ -225,7 +221,7 @@ def diagnostics_frame(t: float, fields, frame: AnsatzFrame, shift: ShiftState,
     v, u, th = fields[0], fields[1], fields[2]
     phi = v - frame.v
     psi1 = u[0] - frame.u1
-    psi23 = np.sqrt(u[1] ** 2 + u[2] ** 2) if len(u) > 1 else 0.0
+    psi23 = np.sqrt(u[1] ** 2 + u[2] ** 2)
     zeta = th - frame.theta
     lam_r, lam_s = lambda_functionals(fields, frame)
     pert2 = phi ** 2 + _psi2(u, frame) + zeta ** 2

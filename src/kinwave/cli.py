@@ -9,6 +9,7 @@ Exit codes: 0 pass, 1 check failure, 2 configuration/IO error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,14 +23,14 @@ from .ansatz import CompositeAnsatz, DiagnosticsFrame
 from .collision import assemble_linearized, measure_dissipativity, q_bilinear
 from .config import PRESETS, RunConfig, check_range, load_config
 from .errors import ConfigError, CostGuard, KinwaveError, NonphysicalState
-from .gas import R_GAS, FluidTriple, primitive_fields
+from .gas import R_GAS, ConservedTriple, FluidTriple, primitive_fields
 from .profiles import loglog_slope
 from .reports import profile_report
 from .riemann import generate_states
 from .solvers import (KineticField, LinearizedKineticSolver, fluid_run,
                       kinetic_step, maxwellian_field)
-from .velocity import (DistributionField, VelocityGrid, grid_for_state,
-                       moments, reference_maxwellian)
+from .velocity import (VelocityGrid, grid_for_state, moments,
+                       reference_maxwellian)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -260,25 +261,26 @@ def cmd_simulate_kinetic(cfg: RunConfig, out: Path, seed: int,
         env = np.exp(-((y - cfg.perturbation.micro_center)
                        / cfg.perturbation.micro_width) ** 2)
         vals = vals + cfg.perturbation.micro_amplitude * env[:, None, None, None] * mode
-    field = KineticField(DistributionField(ygrid=y, grid=grid, values=vals,
-                                           mref=mref))
-    mass0 = _kinetic_invariants(field)
+    field = KineticField(y, grid, vals)
+    mass0 = _kinetic_invariants(moments(vals, grid), y)
     frames = []
     if linearized:
-        solver = LinearizedKineticSolver(field, decomp.sigma, cfg.kinetic_dt)
+        step = LinearizedKineticSolver(field, decomp.sigma,
+                                       cfg.kinetic_dt).step
+    else:
+        step = functools.partial(kinetic_step, dt=cfg.kinetic_dt,
+                                 sigma=decomp.sigma)
     nsteps = max(1, int(round(cfg.t_end / cfg.kinetic_dt)))
     t_loop = time.perf_counter()
     for n in range(nsteps):
-        if linearized:
-            field = solver.step(field)
-        else:
-            field = kinetic_step(field, cfg.kinetic_dt, decomp.sigma)
+        field = step(field)
         if (n + 1) % max(1, nsteps // 20) == 0 or n == nsteps - 1:
+            c = moments(field.values, grid)
             frames.append({
-                "t": field.t, "min_f": float(field.dist.values.min()),
+                "t": field.t, "min_f": float(field.values.min()),
                 "clip_defect": field.clip_defect,
-                "micro_norm": _micro_content(field),
-                "invariants": _kinetic_invariants(field)})
+                "micro_norm": _micro_content(field, c, mref),
+                "invariants": _kinetic_invariants(c, y)})
     t_output = time.perf_counter()
     massT = frames[-1]["invariants"]
     drift = max(abs(massT[k] / mass0[k] - 1.0) for k in ("mass", "energy"))
@@ -300,19 +302,20 @@ def cmd_simulate_kinetic(cfg: RunConfig, out: Path, seed: int,
     return EXIT_OK
 
 
-def _micro_content(field: KineticField) -> float:
-    """Weighted squared distance of f from its local Maxwellian family."""
-    grid = field.dist.grid
-    f = field.dist.values
-    G = f - grid.maxwellian(primitive_fields(moments(f, grid)))
-    per_cell = grid.weight * np.sum(G ** 2 / grid.maxwellian(field.dist.mref),
+def _micro_content(field: KineticField, c: ConservedTriple,
+                   mref: FluidTriple) -> float:
+    """Weighted squared distance of f from its local Maxwellian family,
+    in the metric of the reference Maxwellian ``mref``; ``c`` holds the
+    moments of f."""
+    grid = field.grid
+    G = field.values - grid.maxwellian(primitive_fields(c))
+    per_cell = grid.weight * np.sum(G ** 2 / grid.maxwellian(mref),
                                     axis=(1, 2, 3))
-    return float(np.sum(per_cell)) * field.dist.dy
+    return float(np.sum(per_cell)) * field.dy
 
 
-def _kinetic_invariants(field: KineticField) -> dict:
-    c = moments(field.dist.values, field.dist.grid)
-    y = field.dist.ygrid
+def _kinetic_invariants(c: ConservedTriple, y: np.ndarray) -> dict:
+    """Mass, momentum and energy over y of the cell moments ``c``."""
     return {
         "mass": float(np.trapezoid(c.rho, y)),
         "momentum": float(np.trapezoid(c.m[:, 0], y)),

@@ -319,12 +319,12 @@ class LinearizedOperator:
 
     def _factorized_kkt(self):
         """LU of the bordered system [[L, chi^T], [rows, 0]] and the
-        constraint functionals rows = weight * chi / M, built once."""
+        constraint functionals rows = weight * chi / M (the projector's),
+        built once."""
         if self._kkt is None:
             N = self.grid.n_nodes
             chi = self.projector._chi_flat              # (5, N)
-            Mf = self.grid.maxwellian(self.state).reshape(-1)
-            rows = self.grid.weight * chi / Mf          # constraint functionals
+            rows = self.projector._chi_w
             K = np.zeros((N + 5, N + 5))
             K[:N, :N] = self.matrix
             K[:N, N:] = chi.T

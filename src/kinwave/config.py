@@ -164,9 +164,9 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         return parser.getint(sec, key) if parser.has_option(sec, key) else default
 
     cfg.right_state = FluidTriple(
-        v=getf("states", "v_right", 1.0),
-        u=(getf("states", "u1_right", 0.0), 0.0, 0.0),
-        theta=getf("states", "theta_right", 1.0))
+        v=getf("states", "v_right", cfg.right_state.v),
+        u=(getf("states", "u1_right", cfg.right_state.u1), 0.0, 0.0),
+        theta=getf("states", "theta_right", cfg.right_state.theta))
     cfg.delta_r = getf("strengths", "delta_r", cfg.delta_r)
     cfg.delta_c = getf("strengths", "delta_c", cfg.delta_c)
     cfg.delta_s = getf("strengths", "delta_s", cfg.delta_s)
@@ -180,17 +180,20 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     cfg.nx = geti("grid", "nx", cfg.nx)
     cfg.perturbation = PerturbationSpec(
         bumps=_parse_bumps(parser.get("perturbation", "bumps", fallback="")),
-        micro_amplitude=getf("perturbation", "micro_amplitude", 0.0),
-        micro_center=getf("perturbation", "micro_center", 0.0),
-        micro_width=getf("perturbation", "micro_width", 10.0))
+        micro_amplitude=getf("perturbation", "micro_amplitude",
+                             cfg.perturbation.micro_amplitude),
+        micro_center=getf("perturbation", "micro_center",
+                          cfg.perturbation.micro_center),
+        micro_width=getf("perturbation", "micro_width",
+                         cfg.perturbation.micro_width))
     cfg.t_end = getf("solver", "t_end", cfg.t_end)
     cfg.output_interval = getf("solver", "output_interval", cfg.output_interval)
     cfg.dt_factor = getf("solver", "dt_factor", cfg.dt_factor)
     cfg.kinetic_dt = getf("solver", "kinetic_dt", cfg.kinetic_dt)
     cfg.transport = TransportLaw(
-        A1=getf("solver", "mu_coefficient", 1.0),
-        A2=getf("solver", "kappa_coefficient", 2.5))
-    cfg.seed = geti("solver", "seed", 0)
+        A1=getf("solver", "mu_coefficient", cfg.transport.A1),
+        A2=getf("solver", "kappa_coefficient", cfg.transport.A2))
+    cfg.seed = geti("solver", "seed", cfg.seed)
     if parser.has_option("output", "dir"):
         cfg.out_dir = Path(parser.get("output", "dir"))
     if parser.has_option("output", "write_fields"):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -19,7 +19,7 @@ from .errors import CFLViolation, CostGuard, NonphysicalState, PositivityLoss
 from .gas import (DEFAULT_TRANSPORT, R_GAS, FluidTriple, TransportLaw,
                   pressure, primitive_fields, sound_speed)
 from .riemann import RiemannDecomposition
-from .velocity import DistributionField, VelocityGrid, moments
+from .velocity import VelocityGrid, moments
 
 if TYPE_CHECKING:                     # config imports this module
     from .config import RunConfig
@@ -395,11 +395,27 @@ LINEARIZED_BLOCK = 8
 
 @dataclass
 class KineticField:
-    dist: DistributionField
+    """Distribution values on (y-grid) x (velocity grid) at time t, with
+    the counters that the steps leading to it accumulated."""
+
+    y: np.ndarray                     # (ny,), uniform
+    grid: VelocityGrid
+    values: np.ndarray                # (ny,) + grid.counts
     t: float = 0.0
     clip_defect: float = 0.0          # mass removed by positivity clipping
     lost_interp_weight: float = 0.0   # gain weight interpolated off-lattice
     operator_drift: float = 0.0       # state drift from the frozen operators
+
+    def __post_init__(self):
+        self.y = np.asarray(self.y, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
+        expected = (self.y.size,) + self.grid.counts
+        if self.values.shape != expected:
+            raise ValueError(f"values shape {self.values.shape} != {expected}")
+
+    @property
+    def dy(self) -> float:
+        return float(self.y[1] - self.y[0])
 
 
 def _cubic_interp_y(values: np.ndarray, foot_idx: np.ndarray) -> np.ndarray:
@@ -428,16 +444,26 @@ def _transport_semilagrangian(field: KineticField, dt: float, sigma: float
                               ) -> tuple[np.ndarray, float]:
     """Advect along dy/dtau = (xi1 - u1)/v - sigma with frozen (u1, v);
     returns the new values and the positivity-clip defect (mass units)."""
-    dist = field.dist
-    grid = dist.grid
-    v, u, _ = primitive_fields(moments(dist.values, grid))
+    grid = field.grid
+    v, u, _ = primitive_fields(moments(field.values, grid))
     # characteristic speed and foot index of every (cell, xi1 column)
     c = (grid.axes[0] - u[:, :1]) / v[:, None] - sigma
-    foot = np.arange(len(dist.ygrid))[:, None] - c * dt / dist.dy
-    new = _cubic_interp_y(dist.values, foot)
-    clip = float(np.sum(np.minimum(new, 0.0)) * grid.weight * dist.dy)
+    foot = np.arange(len(field.y))[:, None] - c * dt / field.dy
+    new = _cubic_interp_y(field.values, foot)
+    clip = float(np.sum(np.minimum(new, 0.0)) * grid.weight * field.dy)
     np.maximum(new, 0.0, out=new)
     return new, abs(clip)
+
+
+def _advance(field: KineticField, new: np.ndarray, dt: float, clip: float,
+             **counters) -> KineticField:
+    """The field after a step to ``new``: the two end cells stay pinned to
+    the inflow data, t and the clip defect advance, and ``counters``
+    replaces the step's other counters."""
+    new[0] = field.values[0]
+    new[-1] = field.values[-1]
+    return replace(field, values=new, t=field.t + dt,
+                   clip_defect=field.clip_defect + clip, **counters)
 
 
 def kinetic_step(field: KineticField, dt: float, sigma: float) -> KineticField:
@@ -453,12 +479,11 @@ def kinetic_step(field: KineticField, dt: float, sigma: float) -> KineticField:
     MAX_FULL_Q_SPHERE directions or MAX_FULL_Q_NX cells.  The gain weight
     that the off-axis interpolation loses is accumulated on the field.
     """
-    dist = field.dist
-    grid = dist.grid
+    grid = field.grid
     if not axis_rule(grid) and (
             grid.n_nodes > MAX_FULL_Q_NODES
             or len(grid.omega) > MAX_FULL_Q_SPHERE
-            or len(dist.ygrid) > MAX_FULL_Q_NX):
+            or len(field.y) > MAX_FULL_Q_NX):
         raise CostGuard(
             f"off-axis collision quadrature limited to {MAX_FULL_Q_NODES}"
             f" velocity nodes, {MAX_FULL_Q_SPHERE} sphere nodes,"
@@ -469,15 +494,9 @@ def kinetic_step(field: KineticField, dt: float, sigma: float) -> KineticField:
     x = nu * dt
     decay = np.exp(-x)
     duhamel = np.where(x > 1e-8, (1.0 - decay) / np.where(nu > 0, nu, 1.0), dt)
-    new_vals = decay * star + duhamel * res.gain
-    # boundary cells stay pinned to the inflow data
-    new_vals[0] = dist.values[0]
-    new_vals[-1] = dist.values[-1]
-    newdist = DistributionField(ygrid=dist.ygrid, grid=grid, values=new_vals,
-                                mref=dist.mref)
-    return KineticField(
-        dist=newdist, t=field.t + dt, clip_defect=field.clip_defect + clip,
-        lost_interp_weight=field.lost_interp_weight + res.lost_interp_weight)
+    return _advance(field, decay * star + duhamel * res.gain, dt, clip,
+                    lost_interp_weight=field.lost_interp_weight
+                    + res.lost_interp_weight)
 
 
 class LinearizedKineticSolver:
@@ -496,9 +515,9 @@ class LinearizedKineticSolver:
     def __init__(self, field: KineticField, sigma: float, dt: float):
         self.sigma = sigma
         self.dt = dt
-        grid = field.dist.grid
-        ny = len(field.dist.ygrid)
-        v, u, theta = primitive_fields(moments(field.dist.values, grid))
+        grid = field.grid
+        ny = len(field.y)
+        v, u, theta = primitive_fields(moments(field.values, grid))
         eye = np.eye(grid.n_nodes)
         # (cells, P) per block, and per cell the state (v, u, theta) at
         # which its block's operator is frozen
@@ -526,32 +545,22 @@ class LinearizedKineticSolver:
                          np.max(np.abs(theta / theta0 - 1.0)), np.max(du)))
 
     def step(self, field: KineticField) -> KineticField:
-        dist = field.dist
-        grid = dist.grid
         star, clip = _transport_semilagrangian(field, self.dt, self.sigma)
-        state = primitive_fields(moments(star, grid))
-        M = grid.maxwellian(state)
-        G = (star - M).reshape(len(dist.ygrid), -1)
+        state = primitive_fields(moments(star, field.grid))
+        M = field.grid.maxwellian(state)
+        G = (star - M).reshape(len(field.y), -1)
         new = M.reshape(G.shape)
         for cells, P in self.blocks:
             new[cells] += G[cells] @ P.T
-        new = new.reshape(star.shape)
-        new[0] = dist.values[0]
-        new[-1] = dist.values[-1]
-        newdist = DistributionField(ygrid=dist.ygrid, grid=grid, values=new,
-                                    mref=dist.mref)
-        return KineticField(
-            dist=newdist, t=field.t + self.dt,
-            clip_defect=field.clip_defect + clip,
-            lost_interp_weight=field.lost_interp_weight,
-            operator_drift=max(field.operator_drift, self._drift(*state)))
+        return _advance(field, new.reshape(star.shape), self.dt, clip,
+                        operator_drift=max(field.operator_drift,
+                                           self._drift(*state)))
 
 
 def maxwellian_field(ansatz: CompositeAnsatz, y: np.ndarray,
-                     grid: VelocityGrid, t: float = 0.0,
-                     X: float = 0.0) -> np.ndarray:
-    """Local Maxwellians of the composite profile on (y, grid)."""
-    fr = ansatz.frame(t, X, y)
+                     grid: VelocityGrid) -> np.ndarray:
+    """Local Maxwellians of the composite profile at t = 0 on (y, grid)."""
+    fr = ansatz.frame(0.0, 0.0, y)
     u = np.zeros((len(y), 3))
     u[:, 0] = fr.u1
     return grid.maxwellian((fr.v, u, fr.theta))

@@ -251,24 +251,3 @@ def reference_maxwellian(states_theta, states_v, states_u1) -> FluidTriple:
     return FluidTriple(v=float(vv.mean()), u=(float(uu.mean()), 0.0, 0.0),
                        theta=theta_ref)
 
-
-@dataclass
-class DistributionField:
-    """Distribution values on (x-grid) x (velocity grid) with an attached
-    reference Maxwellian for weighted norms."""
-
-    ygrid: np.ndarray                 # (Nx,), uniform
-    grid: VelocityGrid
-    values: np.ndarray                # (Nx, n1, n2, n3)
-    mref: FluidTriple
-
-    def __post_init__(self):
-        self.ygrid = np.asarray(self.ygrid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        expected = (self.ygrid.size,) + self.grid.counts
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape} != {expected}")
-
-    @property
-    def dy(self) -> float:
-        return float(self.ygrid[1] - self.ygrid[0])

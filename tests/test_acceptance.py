@@ -20,9 +20,8 @@ from kinwave.profiles import (RarefactionWave, ShockProfile,
                               loglog_slope, verify_shock_expansion)
 from kinwave.reports import contact_checks, shock_checks
 from kinwave.riemann import generate_states, shock_decomposition
-from kinwave.solvers import (DistributionField, GaussianBump, KineticField,
-                             PerturbationSpec, fluid_run,
-                             kinetic_step)
+from kinwave.solvers import (GaussianBump, KineticField, PerturbationSpec,
+                             fluid_run, kinetic_step)
 from kinwave.velocity import (VelocityGrid, gram_matrix, grid_for_state,
                               moments, reference_maxwellian)
 
@@ -282,31 +281,27 @@ def test_criterion_10_kinetic_sanity():
                         counts=(6,) * 3)
     y = np.linspace(-25.0, 25.0, nx)
     dt = 0.01          # keeps the perturbation interior over the 200 steps
-    mref = reference_maxwellian([1.0], [1.0], [0.05])
     M = grid.maxwellian(s0)
 
     # equilibrium steadiness
-    f_eq = KineticField(DistributionField(
-        ygrid=y, grid=grid, values=np.tile(M, (nx, 1, 1, 1)), mref=mref))
-    ref = f_eq.dist.values.copy()
+    f_eq = KineticField(y, grid, np.tile(M, (nx, 1, 1, 1)))
+    ref = f_eq.values.copy()
     for _ in range(200):
         f_eq = kinetic_step(f_eq, dt, 1.0)
-    steady = float(np.abs(f_eq.dist.values - ref).max() / ref.max())
+    steady = float(np.abs(f_eq.values - ref).max() / ref.max())
 
     # positive perturbed run: positivity and conservation
     bump = 1.0 + 0.3 * np.exp(-(y / 5.0) ** 2)[:, None, None, None] \
         * np.exp(-(grid.node_array(0) - 0.6) ** 2)[None, ...]
-    f = KineticField(DistributionField(
-        ygrid=y, grid=grid, values=np.tile(M, (nx, 1, 1, 1)) * bump,
-        mref=mref))
-    inv0 = [moments(v, grid) for v in f.dist.values]
+    f = KineticField(y, grid, np.tile(M, (nx, 1, 1, 1)) * bump)
+    inv0 = [moments(v, grid) for v in f.values]
     mass0 = float(np.trapezoid([m.rho for m in inv0], y))
     E0 = float(np.trapezoid([m.E for m in inv0], y))
     min_f = math.inf
     for _ in range(200):
         f = kinetic_step(f, dt, 1.0)
-        min_f = min(min_f, float(f.dist.values.min()))
-    invT = [moments(v, grid) for v in f.dist.values]
+        min_f = min(min_f, float(f.values.min()))
+    invT = [moments(v, grid) for v in f.values]
     drift = max(abs(float(np.trapezoid([m.rho for m in invT], y)) - mass0)
                 / mass0,
                 abs(float(np.trapezoid([m.E for m in invT], y)) - E0) / E0)

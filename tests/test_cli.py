@@ -9,7 +9,7 @@ import pytest
 
 import kinwave
 from kinwave import cli, solvers
-from kinwave.config import PRESETS, load_config
+from kinwave.config import PRESETS, RunConfig, load_config
 from kinwave.errors import ConfigError, NonphysicalState
 from kinwave.profiles import ContactWave
 
@@ -49,6 +49,12 @@ def test_config_roundtrip(tmp_path):
     assert cfg.seed == 11
     assert len(cfg.perturbation.bumps) == 2
     assert cfg.perturbation.bumps[1].target == "theta"
+
+
+def test_empty_config_is_runconfig_defaults():
+    """With no file and no preset every key falls back to the RunConfig
+    default, including the nested right state, micro mode and transport."""
+    assert load_config() == RunConfig()
 
 
 def test_config_unknown_key(tmp_path):

@@ -18,8 +18,7 @@ from kinwave.solvers import (LINEARIZED_BLOCK, FluidField, GaussianBump,
                              PerturbationSpec, cfl_limit, fluid_run,
                              fluid_step, initial_fluid_field, kinetic_step,
                              maxwellian_field)
-from kinwave.velocity import (DistributionField, VelocityGrid, moments,
-                              reference_maxwellian)
+from kinwave.velocity import VelocityGrid, moments
 
 RIGHT = FluidTriple(v=1.0, u=(0.0, 0.0, 0.0), theta=1.0)
 
@@ -370,39 +369,45 @@ def _kinetic_setup(counts=(6,) * 3, ny=24, span=8.0):
     y = np.linspace(-span, span, ny)
     M = grid.maxwellian(s0)
     vals = np.tile(M, (ny, 1, 1, 1))
-    mref = reference_maxwellian([1.0], [1.0], [0.1])
-    return s0, grid, y, vals, mref
+    return s0, grid, y, vals
+
+
+def test_kinetic_field_rejects_wrong_shape():
+    """The values must be one velocity lattice per cell."""
+    s0, grid, y, vals = _kinetic_setup(ny=8)
+    with pytest.raises(ValueError):
+        KineticField(y, grid, vals[:-1])
+    with pytest.raises(ValueError):
+        KineticField(y, grid, vals[..., :-1])
 
 
 def test_kinetic_maxwellian_steady():
-    s0, grid, y, vals, mref = _kinetic_setup()
-    f = KineticField(DistributionField(ygrid=y, grid=grid, values=vals.copy(),
-                                       mref=mref))
+    s0, grid, y, vals = _kinetic_setup()
+    f = KineticField(y, grid, vals.copy())
     for _ in range(10):
         f = kinetic_step(f, 0.02, 1.0)
-    assert np.abs(f.dist.values - vals).max() <= 1e-12 * vals.max()
+    assert np.abs(f.values - vals).max() <= 1e-12 * vals.max()
     assert f.clip_defect == 0.0
 
 
 def _perturbed_kinetic_field(ny=24):
-    s0, grid, y, vals, mref = _kinetic_setup(ny=ny)
+    s0, grid, y, vals = _kinetic_setup(ny=ny)
     mod = 1.0 + 0.3 * np.sin(np.linspace(0, 3, ny))[:, None, None, None] \
         * np.exp(-(grid.node_array(0) - 0.5) ** 2)[None, ...]
-    return KineticField(DistributionField(ygrid=y, grid=grid, values=vals * mod,
-                                          mref=mref))
+    return KineticField(y, grid, vals * mod)
 
 
 def test_kinetic_positivity_and_conservation():
     f = _perturbed_kinetic_field(ny=32)
-    grid, y = f.dist.grid, f.dist.ygrid
-    inv0 = [moments(v, grid) for v in f.dist.values]
+    grid, y = f.grid, f.y
+    inv0 = [moments(v, grid) for v in f.values]
     mass0 = np.trapezoid([m.rho for m in inv0], y)
     E0 = np.trapezoid([m.E for m in inv0], y)
     for _ in range(40):
         f = kinetic_step(f, 0.02, 1.0)
-    assert f.dist.values.min() >= 0.0
+    assert f.values.min() >= 0.0
     assert f.clip_defect <= 1e-8 * mass0
-    invT = [moments(v, grid) for v in f.dist.values]
+    invT = [moments(v, grid) for v in f.values]
     massT = np.trapezoid([m.rho for m in invT], y)
     ET = np.trapezoid([m.E for m in invT], y)
     assert abs(massT - mass0) / mass0 <= 1e-3
@@ -411,11 +416,10 @@ def test_kinetic_positivity_and_conservation():
 
 def _kinetic_H(field: KineticField) -> float:
     """H = int f ln f dxi dy."""
-    f = field.dist.values
-    grid = field.dist.grid
+    f = field.values
     safe = np.where(f > 0, f, 1.0)
-    per_y = grid.weight * np.sum(f * np.log(safe), axis=(1, 2, 3))
-    return float(np.trapezoid(per_y, field.dist.ygrid))
+    per_y = field.grid.weight * np.sum(f * np.log(safe), axis=(1, 2, 3))
+    return float(np.trapezoid(per_y, field.y))
 
 
 def test_kinetic_H_nonincreasing_homogeneous():
@@ -423,11 +427,10 @@ def test_kinetic_H_nonincreasing_homogeneous():
     xi1 with xi2: the default axis rule conserves each coordinate marginal,
     so Q(f, f) = 0 for a product f1(xi1) f2(xi2) f3(xi3), and a product
     datum would leave H constant."""
-    s0, grid, y, vals, mref = _kinetic_setup(ny=16)
+    s0, grid, y, vals = _kinetic_setup(ny=16)
     xi1, xi2 = grid.node_array(0), grid.node_array(1)
     bump = vals[0] * (1.0 + 0.3 * np.exp(-(xi1 - xi2) ** 2))
-    f = KineticField(DistributionField(
-        ygrid=y, grid=grid, values=np.tile(bump, (16, 1, 1, 1)), mref=mref))
+    f = KineticField(y, grid, np.tile(bump, (16, 1, 1, 1)))
     H = [_kinetic_H(f)]
     for _ in range(15):
         f = kinetic_step(f, 0.02, 0.0)
@@ -440,10 +443,7 @@ def _uniform_kinetic_field(counts, ny=8, **sphere):
     s0 = FluidTriple(v=1.0, u=(0.0, 0.0, 0.0), theta=1.0)
     grid = VelocityGrid(half_width=5.0, counts=counts, **sphere)
     y = np.linspace(-5, 5, ny)
-    vals = np.tile(grid.maxwellian(s0), (ny, 1, 1, 1))
-    mref = reference_maxwellian([1.0], [1.0], [0.0])
-    return KineticField(DistributionField(ygrid=y, grid=grid, values=vals,
-                                          mref=mref))
+    return KineticField(y, grid, np.tile(grid.maxwellian(s0), (ny, 1, 1, 1)))
 
 
 def test_kinetic_cost_guard():
@@ -452,8 +452,7 @@ def test_kinetic_cost_guard():
     raises."""
     f = _uniform_kinetic_field((10,) * 3)
     out = kinetic_step(f, 0.01, 1.0)
-    assert np.abs(out.dist.values - f.dist.values).max() \
-        <= 1e-12 * f.dist.values.max()
+    assert np.abs(out.values - f.values).max() <= 1e-12 * f.values.max()
     with pytest.raises(CostGuard):
         kinetic_step(_uniform_kinetic_field((10,) * 3, sphere_polar=2),
                      0.01, 1.0)
@@ -481,9 +480,7 @@ def test_kinetic_readout_rejects_bad_cell(bad):
     y = np.linspace(-5, 5, 8)
     vals = np.tile(grid.maxwellian(s0), (8, 1, 1, 1))
     vals[3] = np.nan if bad == "nan" else -vals[3]
-    f = KineticField(DistributionField(
-        ygrid=y, grid=grid, values=vals,
-        mref=reference_maxwellian([1.0], [1.0], [0.1])))
+    f = KineticField(y, grid, vals)
     with pytest.raises(NonphysicalState):
         primitive_fields(moments(vals, grid))
     with pytest.raises(NonphysicalState):
@@ -499,23 +496,18 @@ def test_kinetic_linearized_source_driven(decomp):
     grid = VelocityGrid(center=(0.05, 0, 0), half_width=5.2, counts=(6,) * 3)
     y = np.linspace(-12, 12, 24)
     vals = maxwellian_field(ans, y, grid)
-    states = [decomp.left, decomp.right]
-    mref = reference_maxwellian([s.theta for s in states],
-                                [s.v for s in states],
-                                [s.u1 for s in states])
-    f = KineticField(DistributionField(ygrid=y, grid=grid, values=vals,
-                                       mref=mref))
+    f = KineticField(y, grid, vals)
 
     def deviation(field):
         out = 0.0
         for i in range(len(y)):
-            m = moments(field.dist.values[i], grid)
+            m = moments(field.values[i], grid)
             u = np.asarray(m.m) / m.rho
             th = (m.E - 0.5 * float(np.asarray(m.m) @ np.asarray(m.m))
                   / m.rho) / m.rho
             M = grid.maxwellian(FluidTriple(v=1.0 / m.rho, u=tuple(u),
                                             theta=th))
-            out = max(out, np.abs(field.dist.values[i] - M).max() / M.max())
+            out = max(out, np.abs(field.values[i] - M).max() / M.max())
         return out
 
     solver = LinearizedKineticSolver(f, decomp.sigma, 0.02)
@@ -550,16 +542,16 @@ def test_transport_matches_per_column_loop():
     """The one-gather transport is bit-identical to interpolating each xi1
     column of the lattice in turn."""
     f = _perturbed_kinetic_field()
-    dist, grid = f.dist, f.dist.grid
+    grid = f.grid
     dt, sigma = 0.05, 0.7
-    v, u, _ = primitive_fields(moments(dist.values, grid))
-    want = np.empty_like(dist.values)
-    yidx = np.arange(len(dist.ygrid))
+    v, u, _ = primitive_fields(moments(f.values, grid))
+    want = np.empty_like(f.values)
+    yidx = np.arange(len(f.y))
     for i1, xi1 in enumerate(grid.axes[0]):
         c = (xi1 - u[:, 0]) / v - sigma
-        want[:, i1] = _cubic_interp_column(dist.values[:, i1],
-                                           yidx - c * dt / dist.dy)
-    clip = abs(float(np.sum(np.minimum(want, 0.0)) * grid.weight * dist.dy))
+        want[:, i1] = _cubic_interp_column(f.values[:, i1],
+                                           yidx - c * dt / f.dy)
+    clip = abs(float(np.sum(np.minimum(want, 0.0)) * grid.weight * f.dy))
     np.maximum(want, 0.0, out=want)
     got, got_clip = solvers._transport_semilagrangian(f, dt, sigma)
     assert np.array_equal(got, want)
@@ -570,15 +562,15 @@ def test_linearized_propagator_matches_lu_solve():
     """One step with the block propagators P = (I - dt L)^{-1} agrees with
     the step that makes one LU solve per block."""
     f = _perturbed_kinetic_field()
-    dist, grid = f.dist, f.dist.grid
-    ny, dt, sigma = len(dist.ygrid), 0.02, 1.0
+    grid = f.grid
+    ny, dt, sigma = len(f.y), 0.02, 1.0
     solver = LinearizedKineticSolver(f, sigma, dt)
-    got = solver.step(f).dist.values
+    got = solver.step(f).values
     star, _ = solvers._transport_semilagrangian(f, dt, sigma)
     M = grid.maxwellian(primitive_fields(moments(star, grid)))
     G = (star - M).reshape(ny, -1)
     want = M.reshape(G.shape).copy()
-    v, u, theta = primitive_fields(moments(dist.values, grid))
+    v, u, theta = primitive_fields(moments(f.values, grid))
     for start in range(0, ny, LINEARIZED_BLOCK):
         cells = slice(start, min(start + LINEARIZED_BLOCK, ny))
         m = (cells.start + cells.stop) // 2
@@ -588,7 +580,7 @@ def test_linearized_propagator_matches_lu_solve():
         lu = lu_factor(np.eye(grid.n_nodes) - dt * op.matrix)
         want[cells] += lu_solve(lu, G[cells].T).T
     want = want.reshape(star.shape)
-    want[[0, -1]] = dist.values[[0, -1]]
+    want[[0, -1]] = f.values[[0, -1]]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -603,10 +595,10 @@ def test_linearized_operator_drift():
     assert LinearizedKineticSolver(f, 0.3, 0.02).step(f).operator_drift \
         <= 1e-14
     f = _perturbed_kinetic_field()
-    dist, grid, ny = f.dist, f.dist.grid, len(f.dist.ygrid)
+    grid, ny = f.grid, len(f.y)
     solver = LinearizedKineticSolver(f, 1.0, 0.02)
     one = solver.step(f)
-    v0, u0, theta0 = primitive_fields(moments(dist.values, grid))
+    v0, u0, theta0 = primitive_fields(moments(f.values, grid))
     star, _ = solvers._transport_semilagrangian(f, 0.02, 1.0)
     v, u, theta = primitive_fields(moments(star, grid))
     want = 0.0
@@ -624,19 +616,17 @@ def test_linearized_operator_drift():
 
 @pytest.mark.slow
 def test_kinetic_full_vs_linearized_agreement():
-    s0, grid, y, vals, mref = _kinetic_setup(ny=32, span=10.0)
+    s0, grid, y, vals = _kinetic_setup(ny=32, span=10.0)
     pert = vals * (1.0 + 0.1 * np.sin(np.linspace(0, 3, 32))[:, None, None, None]
                    * np.exp(-(grid.node_array(0) - 0.5) ** 2)[None, ...])
-    ff = KineticField(DistributionField(ygrid=y, grid=grid,
-                                        values=pert.copy(), mref=mref))
-    fl = KineticField(DistributionField(ygrid=y, grid=grid,
-                                        values=pert.copy(), mref=mref))
+    ff = KineticField(y, grid, pert.copy())
+    fl = KineticField(y, grid, pert.copy())
     solver = LinearizedKineticSolver(fl, 1.0, 0.02)
     for _ in range(50):
         ff = kinetic_step(ff, 0.02, 1.0)
         fl = solver.step(fl)
-    num = np.sqrt(np.sum((ff.dist.values - fl.dist.values) ** 2))
-    den = np.sqrt(np.sum((ff.dist.values - vals) ** 2))
+    num = np.sqrt(np.sum((ff.values - fl.values) ** 2))
+    den = np.sqrt(np.sum((ff.values - vals) ** 2))
     assert num / den <= 0.10
 
 

@@ -5,13 +5,19 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
 
+import pytest
+
+from kinwave import cli
 from kinwave.config import RunConfig, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 LAUNCH = BENCH / "launch.py"
+RUN = BENCH / "run.py"
 PACKAGE = ROOT / "src" / "kinwave"
 
 #: public definitions kept without a caller in the package, with the reason
@@ -41,6 +47,26 @@ def _launch():
     launch = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(launch)
     return launch
+
+
+@pytest.mark.parametrize("workload", ["kinetic-full", "kinetic-linearized"])
+def test_kinetic_workloads_match_bench_reference(tmp_path, monkeypatch,
+                                                 workload):
+    """The kinetic benchmark workloads, run with the benchmark's own
+    arguments, reproduce ``bench/reference.json`` to its tolerances at the
+    reference seed, so a change that moves their results fails here and
+    not only in the benchmark's pass rate."""
+    spec = importlib.util.spec_from_file_location("bench_run", RUN)
+    run = importlib.util.module_from_spec(spec)
+    # the module's frozen dataclass looks itself up in sys.modules
+    monkeypatch.setitem(sys.modules, "bench_run", run)
+    spec.loader.exec_module(run)
+    reference = json.loads((BENCH / "reference.json").read_text())
+    out = tmp_path / workload
+    ini = BENCH / "workloads" / f"{workload}.ini"
+    assert cli.main([*run.WORKLOADS[workload].args, "--config", str(ini),
+                     "--out", str(out), "--seed", "0"]) == cli.EXIT_OK
+    assert run.check_outputs(out, reference[workload], 0) == []
 
 
 def test_bench_trace_layers_resolve():
