@@ -174,14 +174,11 @@ class ShiftState:
 
     def __init__(self):
         self.X = 0.0
-        self._xdot_max = 0.0
+        self.xdot_max = 0.0
 
     def advance(self, xdot: float, dt: float) -> None:
         self.X += dt * xdot
-        self._xdot_max = max(self._xdot_max, abs(xdot))
-
-    def max_abs_xdot(self) -> float:
-        return self._xdot_max
+        self.xdot_max = max(self.xdot_max, abs(xdot))
 
 
 @dataclass

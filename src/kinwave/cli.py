@@ -9,9 +9,7 @@ Exit codes: 0 pass, 1 check failure, 2 configuration/IO error,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -23,14 +21,11 @@ from .ansatz import CompositeAnsatz, DiagnosticsFrame
 from .collision import assemble_linearized, measure_dissipativity, q_bilinear
 from .config import PRESETS, RunConfig, check_range, load_config
 from .errors import ConfigError, CostGuard, KinwaveError, NonphysicalState
-from .gas import R_GAS, ConservedTriple, FluidTriple, primitive_fields
-from .profiles import loglog_slope
+from .gas import FluidTriple
 from .reports import profile_report
 from .riemann import generate_states
-from .solvers import (KineticField, LinearizedKineticSolver, fluid_run,
-                      kinetic_step, maxwellian_field)
-from .velocity import (VelocityGrid, grid_for_state, moments,
-                       reference_maxwellian)
+from .solvers import RunResult, fluid_run, kinetic_run, wave_states
+from .velocity import grid_for_state, moments
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -49,8 +44,9 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _write_json(path: Path, data, indent: int = 2) -> None:
-    """Strict JSON: a NaN or infinity is a numerical guard, not a result."""
+def _write_json(path: Path, data, indent: int = 2) -> str:
+    """Strict JSON: a NaN or infinity is a numerical guard, not a result.
+    Returns the text written, without the final newline."""
     try:
         text = json.dumps(data, sort_keys=True, indent=indent,
                           default=_json_default, allow_nan=False)
@@ -59,20 +55,12 @@ def _write_json(path: Path, data, indent: int = 2) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")
+    return text
 
 
 def _decomposition(cfg: RunConfig):
     return generate_states(cfg.right_state, cfg.delta_r, cfg.delta_c,
                            cfg.delta_s)
-
-
-def _wave_states(decomp) -> tuple[list[FluidTriple], FluidTriple]:
-    """The four states of the pattern, left to right, and their reference
-    Maxwellian state M_#."""
-    states = [decomp.left, decomp.mid_lo, decomp.mid_hi, decomp.right]
-    return states, reference_maxwellian([s.theta for s in states],
-                                        [s.v for s in states],
-                                        [s.u1 for s in states])
 
 
 def _prepare_out(cfg: RunConfig, override) -> Path:
@@ -122,24 +110,19 @@ def cmd_profiles(cfg: RunConfig, out: Path, seed: int) -> int:
 
 def cmd_riemann(cfg: RunConfig, out: Path, seed: int) -> int:
     decomp = _decomposition(cfg)
-    data = {
-        "left": _state_dict(decomp.left),
-        "mid_lo": _state_dict(decomp.mid_lo),
-        "mid_hi": _state_dict(decomp.mid_hi),
-        "right": _state_dict(decomp.right),
-        "delta_r": decomp.delta_r, "delta_c": decomp.delta_c,
-        "delta_s": decomp.delta_s, "sigma": decomp.sigma,
-        "sigma_star": decomp.sigma_star, "seed": seed,
-    }
-    print(json.dumps(data, sort_keys=True, indent=2, default=_json_default))
-    _write_json(out / "riemann.json", data)
+    data = {name: _state_dict(getattr(decomp, name))
+            for name in ("left", "mid_lo", "mid_hi", "right")}
+    data.update(delta_r=decomp.delta_r, delta_c=decomp.delta_c,
+                delta_s=decomp.delta_s, sigma=decomp.sigma,
+                sigma_star=decomp.sigma_star, seed=seed)
+    print(_write_json(out / "riemann.json", data))
     return EXIT_OK
 
 
 def cmd_collision_check(cfg: RunConfig, out: Path, seed: int) -> int:
     rng = np.random.default_rng(seed)
     decomp = _decomposition(cfg)
-    _, mref = _wave_states(decomp)
+    mref = wave_states(decomp)[1]
     base = decomp.mid_hi
     report = {"seed": seed, "checks": []}
     counts = (cfg.velocity_counts,) * 3
@@ -189,14 +172,18 @@ def cmd_collision_check(cfg: RunConfig, out: Path, seed: int) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILURE
 
 
-def _write_timings(out: Path, steps: int, setup_s: float, stepping_s: float,
-                   t_output: float) -> None:
-    """Wall-clock seconds of a simulation, kept out of the result files so
-    that those are byte-identical for one config and seed; the output phase
-    starts at ``t_output`` (a ``time.perf_counter`` reading)."""
+def _write_run(out: Path, seed: int, result: RunResult, t_start: float,
+               t_output: float) -> None:
+    """summary.json of a simulation, with the seed, echoed to stdout, and
+    its wall-clock seconds in timings.json, kept out of the result files
+    so that those are byte-identical for one config and seed.  The run
+    started at ``t_start`` and its output phase at ``t_output``
+    (``time.perf_counter`` readings)."""
+    print(_write_json(out / "summary.json", {**result.summary, "seed": seed}))
     _write_json(out / "timings.json", {
-        "setup_s": setup_s, "stepping_s": stepping_s,
-        "output_s": time.perf_counter() - t_output, "steps": steps})
+        "setup_s": t_output - t_start - result.stepping_s,
+        "stepping_s": result.stepping_s,
+        "output_s": time.perf_counter() - t_output, "steps": result.steps})
 
 
 def cmd_simulate_fluid(cfg: RunConfig, out: Path, seed: int) -> int:
@@ -216,111 +203,37 @@ def cmd_simulate_fluid(cfg: RunConfig, out: Path, seed: int) -> int:
 
         result = fluid_run(decomp, cfg, progress=progress)
     t_output = time.perf_counter()
-    summary = result.summary()
-    summary["seed"] = seed
-    ts = np.array([f.t for f in result.frames])
-    es = np.array([f.entropy for f in result.frames])
-    pos = (ts > 0) & (es > 0)
-    if pos.sum() > 3:
-        summary["entropy_slope"] = loglog_slope(ts[pos], es[pos])
     if cfg.write_fields:
-        rows = np.column_stack([result.final.y, result.final.v,
-                                result.final.u1, result.final.u2,
-                                result.final.u3, result.final.theta])
+        final = result.final
+        rows = np.column_stack([final.y, final.v, final.u1, final.u2,
+                                final.u3, final.theta])
         np.savetxt(out / "fields_final.csv", rows, delimiter=",",
                    header="y,v,u1,u2,u3,theta", comments="")
-    _write_json(out / "summary.json", summary)
-    print(json.dumps(summary, sort_keys=True, indent=2, default=_json_default))
-    _write_timings(out, result.steps,
-                   t_output - t_start - result.stepping_s, result.stepping_s,
-                   t_output)
-    return EXIT_OK if result.blowup_time is None else EXIT_NUMERICAL_GUARD
+    _write_run(out, seed, result, t_start, t_output)
+    return EXIT_OK if result.summary["blowup_time"] is None \
+        else EXIT_NUMERICAL_GUARD
 
 
 def cmd_simulate_kinetic(cfg: RunConfig, out: Path, seed: int,
                          linearized: bool) -> int:
     t_start = time.perf_counter()
-    decomp = _decomposition(cfg)
-    ans = CompositeAnsatz(decomp, cfg.transport)
-    y = np.linspace(cfg.y_min, cfg.y_max, cfg.nx)
-    states, mref = _wave_states(decomp)
-    th_max = max(s.theta for s in states)
-    u_span = max(abs(s.u1) for s in states)
-    grid = VelocityGrid(
-        center=(0.5 * (decomp.left.u1 + decomp.right.u1), 0.0, 0.0),
-        half_width=cfg.velocity_extent * math.sqrt(R_GAS * th_max) + u_span,
-        counts=(cfg.velocity_counts,) * 3,
-        sphere_polar=cfg.sphere_polar, sphere_azimuth=cfg.sphere_azimuth)
-    vals = maxwellian_field(ans, y, grid)
-    if cfg.perturbation.micro_amplitude != 0.0:
-        # cubic Hermite mode He3((xi1-u)/a) M: orthogonal to all five
-        # collision invariants, so the bump is purely microscopic
-        a = math.sqrt(R_GAS * decomp.right.theta)
-        xh = (grid.node_array(0) - decomp.right.u1) / a
-        mode = (xh ** 3 - 3.0 * xh) * grid.maxwellian(decomp.right)
-        env = np.exp(-((y - cfg.perturbation.micro_center)
-                       / cfg.perturbation.micro_width) ** 2)
-        vals = vals + cfg.perturbation.micro_amplitude * env[:, None, None, None] * mode
-    field = KineticField(y, grid, vals)
-    mass0 = _kinetic_invariants(moments(vals, grid), y)
-    frames = []
-    if linearized:
-        step = LinearizedKineticSolver(field, decomp.sigma,
-                                       cfg.kinetic_dt).step
-    else:
-        step = functools.partial(kinetic_step, dt=cfg.kinetic_dt,
-                                 sigma=decomp.sigma)
-    nsteps = max(1, int(round(cfg.t_end / cfg.kinetic_dt)))
-    t_loop = time.perf_counter()
-    for n in range(nsteps):
-        field = step(field)
-        if (n + 1) % max(1, nsteps // 20) == 0 or n == nsteps - 1:
-            c = moments(field.values, grid)
-            frames.append({
-                "t": field.t, "min_f": float(field.values.min()),
-                "clip_defect": field.clip_defect,
-                "micro_norm": _micro_content(field, c, mref),
-                "invariants": _kinetic_invariants(c, y)})
+
+    def progress(frame: dict) -> None:
+        print(f"t={frame['t']:.6g} min_f={frame['min_f']:.6g} "
+              f"micro_norm={frame['micro_norm']:.6g}", file=sys.stderr,
+              flush=True)
+
+    result = kinetic_run(_decomposition(cfg), cfg, linearized, progress)
     t_output = time.perf_counter()
-    massT = frames[-1]["invariants"]
-    drift = max(abs(massT[k] / mass0[k] - 1.0) for k in ("mass", "energy"))
-    summary = {
-        "seed": seed, "mode": "kinetic-linearized" if linearized else "kinetic",
-        "steps": nsteps, "t_end": field.t,
-        "min_f": frames[-1]["min_f"],
-        "clip_defect": field.clip_defect,
-        "clip_defect_relative": field.clip_defect / abs(mass0["mass"]),
-        "lost_interp_weight": field.lost_interp_weight,
-        "conservation_drift": drift,
-    }
-    if linearized:
-        summary["operator_drift"] = field.operator_drift
-    _write_json(out / "summary.json", summary)
-    _write_json(out / "kinetic_frames.json", frames, indent=1)
-    print(json.dumps(summary, sort_keys=True, indent=2, default=_json_default))
-    _write_timings(out, nsteps, t_loop - t_start, t_output - t_loop, t_output)
+    _write_json(out / "kinetic_frames.json", result.frames, indent=1)
+    _write_run(out, seed, result, t_start, t_output)
     return EXIT_OK
 
 
-def _micro_content(field: KineticField, c: ConservedTriple,
-                   mref: FluidTriple) -> float:
-    """Weighted squared distance of f from its local Maxwellian family,
-    in the metric of the reference Maxwellian ``mref``; ``c`` holds the
-    moments of f."""
-    grid = field.grid
-    G = field.values - grid.maxwellian(primitive_fields(c))
-    per_cell = grid.weight * np.sum(G ** 2 / grid.maxwellian(mref),
-                                    axis=(1, 2, 3))
-    return float(np.sum(per_cell)) * field.dy
-
-
-def _kinetic_invariants(c: ConservedTriple, y: np.ndarray) -> dict:
-    """Mass, momentum and energy over y of the cell moments ``c``."""
-    return {
-        "mass": float(np.trapezoid(c.rho, y)),
-        "momentum": float(np.trapezoid(c.m[:, 0], y)),
-        "energy": float(np.trapezoid(c.E, y)),
-    }
+COMMANDS = {"profiles": cmd_profiles, "riemann": cmd_riemann,
+            "collision-check": cmd_collision_check,
+            "simulate-fluid": cmd_simulate_fluid,
+            "simulate-kinetic": cmd_simulate_kinetic}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,8 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "kinetic/viscous gas")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("profiles", "riemann", "collision-check", "simulate-fluid",
-                 "simulate-kinetic"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None)
         p.add_argument("--out", type=Path, default=None)
@@ -352,18 +264,9 @@ def main(argv=None) -> int:
             check_range("solver", "seed", args.seed)
         seed = args.seed if args.seed is not None else cfg.seed
         out = _prepare_out(cfg, args.out)
-        if args.command == "profiles":
-            return cmd_profiles(cfg, out, seed)
-        if args.command == "riemann":
-            return cmd_riemann(cfg, out, seed)
-        if args.command == "collision-check":
-            return cmd_collision_check(cfg, out, seed)
-        if args.command == "simulate-fluid":
-            return cmd_simulate_fluid(cfg, out, seed)
         if args.command == "simulate-kinetic":
-            return cmd_simulate_kinetic(cfg, out, seed,
-                                        linearized=args.linearized)
-        raise ConfigError(f"unknown command {args.command}")
+            return cmd_simulate_kinetic(cfg, out, seed, args.linearized)
+        return COMMANDS[args.command](cfg, out, seed)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -15,18 +15,6 @@ from .errors import ConfigError
 from .gas import FluidTriple, TransportLaw
 from .solvers import GaussianBump, PerturbationSpec
 
-_SCHEMA = {
-    "states": {"v_right", "u1_right", "theta_right"},
-    "strengths": {"delta_r", "delta_c", "delta_s"},
-    "grid": {"y_min", "y_max", "dy", "velocity_counts", "velocity_extent",
-             "sphere_polar", "sphere_azimuth", "nx"},
-    "perturbation": {"bumps", "micro_amplitude", "micro_center",
-                     "micro_width"},
-    "solver": {"t_end", "output_interval", "dt_factor", "kinetic_dt",
-               "mu_coefficient", "kappa_coefficient", "seed"},
-    "output": {"dir", "write_fields"},
-}
-
 _RANGES = {
     ("states", "v_right"): (1e-3, 1e3),
     ("states", "u1_right"): (-1e3, 1e3),
@@ -53,6 +41,10 @@ _RANGES = {
     ("solver", "kappa_coefficient"): (1e-3, 1e3),
     ("solver", "seed"): (0, 2 ** 63 - 1),
 }
+#: every [section] key: the ranged ones plus the three without a range
+_KEYS = (*_RANGES, ("perturbation", "bumps"), ("output", "dir"),
+         ("output", "write_fields"))
+_SCHEMA = {sec: {k for s, k in _KEYS if s == sec} for sec, _ in _KEYS}
 
 
 @dataclass

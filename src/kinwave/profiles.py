@@ -26,7 +26,8 @@ from .errors import (BVPNoConvergence, InvalidStrength, InversionFailure,
 from .gas import (DEFAULT_TRANSPORT, R_GAS, FluidTriple, TransportLaw,
                   entropy, pressure)
 from .riemann import RiemannDecomposition, isentrope_state, lambda1
-from .velocity import VelocityGrid, one_plus_speed, reference_maxwellian
+from .velocity import (VelocityGrid, grid_spanning, one_plus_speed,
+                       reference_maxwellian)
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +572,7 @@ def shock_micro_leading(wave: ShockProfile, grid_counts=(10, 10, 10),
     ysamp = np.linspace(-span, span, n_samples)
     prof = wave.eval(ysamp)
     mref = reference_maxwellian(prof.theta, prof.v, prof.u1)
-    th_max = max(d.mid_hi.theta, d.right.theta)
-    umax = max(abs(d.mid_hi.u1), abs(d.right.u1))
-    grid = VelocityGrid(center=(0.5 * (d.mid_hi.u1 + d.right.u1), 0.0, 0.0),
-                        half_width=6.0 * math.sqrt(R_GAS * th_max) + umax,
-                        counts=grid_counts)
+    grid = grid_spanning((d.mid_hi, d.right), grid_counts)
     one_xi = one_plus_speed(grid)
     Mref = grid.maxwellian(mref)
     fields, norms = [], []

@@ -1,9 +1,10 @@
 """Time integration: the macroscopic viscous system in the shock frame and
-a coarse deterministic kinetic solver, both streaming states into the
-stability diagnostics."""
+a coarse deterministic kinetic solver, each with a run driver that streams
+frames to a caller and returns one RunResult."""
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -12,14 +13,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve, solve_banded
 
-from .ansatz import (AnsatzFrame, CompositeAnsatz, ShiftState,
-                     DiagnosticsFrame, diagnostics_frame, shift_H, shift_rhs)
+from .ansatz import (CompositeAnsatz, DiagnosticsFrame, ShiftState,
+                     diagnostics_frame, shift_H, shift_rhs)
 from .collision import assemble_linearized, axis_rule, q_bilinear_batch
 from .errors import CFLViolation, CostGuard, NonphysicalState, PositivityLoss
-from .gas import (DEFAULT_TRANSPORT, R_GAS, FluidTriple, TransportLaw,
-                  pressure, primitive_fields, sound_speed)
+from .gas import (DEFAULT_TRANSPORT, R_GAS, ConservedTriple, FluidTriple,
+                  TransportLaw, pressure, primitive_fields, sound_speed)
+from .profiles import loglog_slope
 from .riemann import RiemannDecomposition
-from .velocity import VelocityGrid, moments
+from .velocity import (Projector, VelocityGrid, grid_spanning, moments,
+                       reference_maxwellian)
 
 if TYPE_CHECKING:                     # config imports this module
     from .config import RunConfig
@@ -252,39 +255,20 @@ def fluid_step(state: FluidField, dt: float, sigma: float,
 
 
 # ---------------------------------------------------------------------------
-# fluid run driver
+# run record and the fluid run driver
 # ---------------------------------------------------------------------------
 
 @dataclass
 class RunResult:
-    frames: list[DiagnosticsFrame]
-    shift: ShiftState
-    final: FluidField
-    steps: int
-    stepping_s: float                 # wall-clock seconds of the time loop
-    dt_range: tuple[float, float] | None   # over the CFL-set steps
-    blowup_time: float | None = None
+    """What a run driver hands back: the recorded frames, the final state,
+    the step count, the wall-clock seconds of the time loop and the
+    driver's summary of the run."""
 
-    def summary(self) -> dict:
-        f0, fT = self.frames[0], self.frames[-1]
-        sup0, supT = f0.sup_pert, fT.sup_pert
-        max_xdot = self.shift.max_abs_xdot()
-        dt_min, dt_max = self.dt_range or (None, None)
-        return {
-            "t_end": fT.t,
-            "sup_initial": sup0,
-            "sup_final": supT,
-            "pert_ratio": supT / sup0 if sup0 > 0 else 0.0,
-            "entropy_initial": f0.entropy,
-            "entropy_final": fT.entropy,
-            "xdot_final": fT.Xdot,
-            "xdot_max": max_xdot,
-            "X_final": fT.X,
-            "X_over_T": fT.X / fT.t if fT.t > 0 else 0.0,
-            "dt_min": dt_min,
-            "dt_max": dt_max,
-            "blowup_time": self.blowup_time,
-        }
+    frames: list
+    final: FluidField | KineticField
+    steps: int
+    stepping_s: float
+    summary: dict
 
 
 def initial_fluid_field(ansatz: CompositeAnsatz, y: np.ndarray,
@@ -304,9 +288,9 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
     ``cfg.t_end`` and co-integrate the shift with the explicit weights of
     the ``fluid_step`` tableau (Xdot at the step start and at the second
     stage), emitting a diagnostics frame every ``cfg.output_interval``;
-    ``progress`` is called with each frame as it is recorded.  The step
-    statistics leave out the last step when it is shortened to land on
-    ``t_end``."""
+    ``progress`` is called with each frame as it is recorded.  The summary
+    includes the entropy's log-log decay slope when more than three frames
+    have t > 0 and a positive entropy."""
     t_end, transport = cfg.t_end, cfg.transport
     y = np.arange(cfg.y_min, cfg.y_max + 0.5 * cfg.dy, cfg.dy)
     ans = CompositeAnsatz(decomp, transport)
@@ -317,11 +301,16 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
     frames: list[DiagnosticsFrame] = []
     blowup = None
 
-    def record(fr_ansatz: AnsatzFrame, xdot: float):
+    def record() -> float:
+        """Record the diagnostics frame of ``state``; returns its Xdot."""
+        fr = ans.frame(state.t, shift.X, y)
+        xdot = shift_rhs((state.v, state.u1, state.theta), fr,
+                         decomp.delta_s, H) if decomp.delta_s > 0 else 0.0
         fields = (state.v, [state.u1, state.u2, state.u3], state.theta)
-        frames.append(diagnostics_frame(state.t, fields, fr_ansatz, shift, xdot))
+        frames.append(diagnostics_frame(state.t, fields, fr, shift, xdot))
         if progress is not None:
             progress(frames[-1])
+        return xdot
 
     # between output frames the shift integrand only needs the ansatz on a
     # window around the shock layer (the layer weight decays like
@@ -347,10 +336,7 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
         else:
             dt = t_end - state.t
         if state.t >= next_out - 1e-12:
-            fr = ans.frame(state.t, shift.X, y)
-            xdot = shift_rhs((state.v, state.u1, state.theta), fr,
-                             decomp.delta_s, H) if decomp.delta_s > 0 else 0.0
-            record(fr, xdot)
+            xdot = record()
             next_out += cfg.output_interval
         else:
             xdot = layer_xdot(state, shift.X)
@@ -369,14 +355,25 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
         shift.advance(xdot_mid[0], (1.0 - ARS_DELTA) * dt)
         steps += 1
     if blowup is None:
-        fr = ans.frame(state.t, shift.X, y)
-        xdot = shift_rhs((state.v, state.u1, state.theta), fr,
-                         decomp.delta_s, H) if decomp.delta_s > 0 else 0.0
-        record(fr, xdot)
-    return RunResult(frames=frames, shift=shift, final=state, steps=steps,
-                     stepping_s=time.perf_counter() - t_loop,
-                     dt_range=(dt_lo, dt_hi) if dt_hi > 0.0 else None,
-                     blowup_time=blowup)
+        record()
+    stepping_s = time.perf_counter() - t_loop
+    f0, fT = frames[0], frames[-1]
+    summary = {
+        "t_end": fT.t, "X_final": fT.X, "xdot_final": fT.Xdot,
+        "xdot_max": shift.xdot_max,
+        "X_over_T": fT.X / fT.t if fT.t > 0 else 0.0,
+        "sup_initial": f0.sup_pert, "sup_final": fT.sup_pert,
+        "pert_ratio": fT.sup_pert / f0.sup_pert if f0.sup_pert > 0 else 0.0,
+        "entropy_initial": f0.entropy, "entropy_final": fT.entropy,
+        # the step range leaves out a last step shortened to land on t_end
+        "dt_min": dt_lo if dt_hi > 0.0 else None,
+        "dt_max": dt_hi if dt_hi > 0.0 else None, "blowup_time": blowup,
+    }
+    ts, es = np.array([(f.t, f.entropy) for f in frames]).T
+    pos = (ts > 0) & (es > 0)
+    if pos.sum() > 3:
+        summary["entropy_slope"] = loglog_slope(ts[pos], es[pos])
+    return RunResult(frames, state, steps, stepping_s, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +554,109 @@ class LinearizedKineticSolver:
                                            self._drift(*state)))
 
 
-def maxwellian_field(ansatz: CompositeAnsatz, y: np.ndarray,
-                     grid: VelocityGrid) -> np.ndarray:
-    """Local Maxwellians of the composite profile at t = 0 on (y, grid)."""
-    fr = ansatz.frame(0.0, 0.0, y)
+# ---------------------------------------------------------------------------
+# kinetic run driver
+# ---------------------------------------------------------------------------
+
+def wave_states(decomp: RiemannDecomposition
+                ) -> tuple[list[FluidTriple], FluidTriple]:
+    """The four states of the pattern, left to right, and their reference
+    Maxwellian state M_#."""
+    states = [decomp.left, decomp.mid_lo, decomp.mid_hi, decomp.right]
+    return states, reference_maxwellian([s.theta for s in states],
+                                        [s.v for s in states],
+                                        [s.u1 for s in states])
+
+
+def initial_kinetic_field(decomp: RiemannDecomposition,
+                          cfg: RunConfig) -> KineticField:
+    """Local Maxwellians of the composite profile at t = 0 on ``cfg.nx``
+    cells and a lattice spanning the four states, plus
+    ``cfg.perturbation``'s micro mode: He3((xi1 - u)/a) M at the right
+    state, projected onto the microscopic subspace of the lattice so that
+    the bump leaves every cell's five moments unchanged."""
+    y = np.linspace(cfg.y_min, cfg.y_max, cfg.nx)
+    grid = grid_spanning(wave_states(decomp)[0], (cfg.velocity_counts,) * 3,
+                         cfg.velocity_extent, sphere_polar=cfg.sphere_polar,
+                         sphere_azimuth=cfg.sphere_azimuth)
+    fr = CompositeAnsatz(decomp, cfg.transport).frame(0.0, 0.0, y)
     u = np.zeros((len(y), 3))
     u[:, 0] = fr.u1
-    return grid.maxwellian((fr.v, u, fr.theta))
+    vals = grid.maxwellian((fr.v, u, fr.theta))
+    pert = cfg.perturbation
+    if pert.micro_amplitude != 0.0:
+        proj = Projector(decomp.right, grid, gram_tol=0.5)
+        xh = ((grid.node_array(0) - decomp.right.u1)
+              / math.sqrt(R_GAS * decomp.right.theta))
+        mode = proj.micro((xh ** 3 - 3.0 * xh) * proj.M)
+        env = np.exp(-((y - pert.micro_center) / pert.micro_width) ** 2)
+        vals = vals + pert.micro_amplitude * env[:, None, None, None] * mode
+    return KineticField(y, grid, vals)
 
+
+def _micro_content(field: KineticField, c: ConservedTriple,
+                   mref: FluidTriple) -> float:
+    """Weighted squared distance of f from its local Maxwellian family,
+    in the metric of the reference Maxwellian ``mref``; ``c`` holds the
+    moments of f."""
+    grid = field.grid
+    G = field.values - grid.maxwellian(primitive_fields(c))
+    per_cell = grid.weight * np.sum(G ** 2 / grid.maxwellian(mref),
+                                    axis=(1, 2, 3))
+    return float(np.sum(per_cell)) * field.dy
+
+
+def _kinetic_invariants(c: ConservedTriple, y: np.ndarray) -> dict:
+    """Mass, momentum and energy over y of the cell moments ``c``."""
+    return {k: float(np.trapezoid(w, y)) for k, w in
+            (("mass", c.rho), ("momentum", c.m[:, 0]), ("energy", c.E))}
+
+
+def kinetic_run(decomp: RiemannDecomposition, cfg: RunConfig,
+                linearized: bool, progress=None) -> RunResult:
+    """Evolve ``initial_kinetic_field`` up to ``cfg.t_end`` in steps of
+    ``cfg.kinetic_dt``, with ``kinetic_step`` or, if ``linearized``, a
+    ``LinearizedKineticSolver``, recording about 20 frames (t, min_f,
+    clip defect, micro content, invariants) plus the last; ``progress`` is
+    called with each frame as it is recorded."""
+    field = initial_kinetic_field(decomp, cfg)
+    grid, y = field.grid, field.y
+    mref = wave_states(decomp)[1]
+    mass0 = _kinetic_invariants(moments(field.values, grid), y)
+    # the step is looked up here, not bound at import, so that a tracer
+    # that rebinds kinetic_step or the solver's step times this run
+    if linearized:
+        step = LinearizedKineticSolver(field, decomp.sigma,
+                                       cfg.kinetic_dt).step
+    else:
+        step = functools.partial(kinetic_step, dt=cfg.kinetic_dt,
+                                 sigma=decomp.sigma)
+    nsteps = max(1, int(round(cfg.t_end / cfg.kinetic_dt)))
+    frames = []
+    t_loop = time.perf_counter()
+    for n in range(nsteps):
+        field = step(field)
+        if (n + 1) % max(1, nsteps // 20) == 0 or n == nsteps - 1:
+            c = moments(field.values, grid)
+            frames.append({
+                "t": field.t, "min_f": float(field.values.min()),
+                "clip_defect": field.clip_defect,
+                "micro_norm": _micro_content(field, c, mref),
+                "invariants": _kinetic_invariants(c, y)})
+            if progress is not None:
+                progress(frames[-1])
+    stepping_s = time.perf_counter() - t_loop
+    massT = frames[-1]["invariants"]
+    summary = {
+        "mode": "kinetic-linearized" if linearized else "kinetic",
+        "steps": nsteps, "t_end": field.t,
+        "min_f": frames[-1]["min_f"],
+        "clip_defect": field.clip_defect,
+        "clip_defect_relative": field.clip_defect / abs(mass0["mass"]),
+        "lost_interp_weight": field.lost_interp_weight,
+        "conservation_drift": max(abs(massT[k] / mass0[k] - 1.0)
+                                  for k in ("mass", "energy")),
+    }
+    if linearized:
+        summary["operator_drift"] = field.operator_drift
+    return RunResult(frames, field, nsteps, stepping_s, summary)

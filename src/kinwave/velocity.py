@@ -139,6 +139,19 @@ def grid_for_state(s: FluidTriple, counts=(16, 16, 16), extent_radii: float = EX
                         counts=counts, **sphere_kw)
 
 
+def grid_spanning(states, counts, extent_radii: float = EXTENT_RADII,
+                  **sphere_kw) -> VelocityGrid:
+    """Grid covering a family of states ordered left to right: centered
+    midway between the outer bulk velocities u1, with a half-width of
+    ``extent_radii`` thermal radii of the hottest state plus max |u1|."""
+    th_max = max(s.theta for s in states)
+    u_span = max(abs(s.u1) for s in states)
+    return VelocityGrid(
+        center=(0.5 * (states[0].u1 + states[-1].u1), 0.0, 0.0),
+        half_width=extent_radii * math.sqrt(R_GAS * th_max) + u_span,
+        counts=counts, **sphere_kw)
+
+
 def moments(values: np.ndarray, grid: VelocityGrid) -> gas.ConservedTriple:
     """Quadrature of the five collision-invariant moments of grid
     functions of shape B + ``grid.counts``: ``rho`` and ``E`` of shape B,

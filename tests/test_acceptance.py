@@ -250,13 +250,13 @@ def test_criterion_09_fluid_stability_run():
                     output_interval=2.0, perturbation=pert)
     res = fluid_run(d, cfg)
     rt = time.perf_counter() - t0
-    s = res.summary()
+    s = res.summary
     max_xdot = s["xdot_max"]
     a = s["sup_final"] <= 0.5 * s["sup_initial"]
     b = abs(s["xdot_final"]) <= 0.2 * max_xdot
     c = abs(s["X_over_T"]) <= 0.1 * max_xdot
     e = s["entropy_final"] <= s["entropy_initial"]
-    ok = a and b and c and e and res.blowup_time is None and rt < 900.0
+    ok = a and b and c and e and s["blowup_time"] is None and rt < 900.0
     assert _report(
         9, "fluid stability run", ok,
         f"(a) sup {s['sup_final']:.4f} vs 0.5*{s['sup_initial']:.4f} "

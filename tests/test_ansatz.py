@@ -228,7 +228,7 @@ def test_shift_state_records():
     st.advance(0.5, 0.1)
     st.advance(-0.25, 0.1)
     assert st.X == pytest.approx(0.025)
-    assert st.max_abs_xdot() == 0.5
+    assert st.xdot_max == 0.5
 
 
 def test_diagnostics_frame_and_csv(decomp, frame0):

@@ -163,6 +163,11 @@ def test_write_json_rejects_nonfinite(tmp_path):
     assert not (tmp_path / "s.json").exists()
 
 
+
+def test_write_json_returns_text_written(tmp_path):
+    text = cli._write_json(tmp_path / "s.json", {"b": 1, "a": [0.5]})
+    assert (tmp_path / "s.json").read_text() == text + "\n"
+
 def test_cli_riemann_deterministic(tmp_path, capsys):
     cfgfile = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "o1"))
     assert cli.main(["riemann", "--config", str(cfgfile)]) == 0
@@ -302,6 +307,21 @@ def test_cli_simulate_kinetic_short(tmp_path):
     timings = json.loads((tmp_path / "kin2" / "timings.json").read_text())
     assert timings["steps"] == 3
 
+
+
+def test_cli_simulate_kinetic_progress_lines(tmp_path, capsys):
+    """One stderr line per kinetic frame, written as the run goes; stdout
+    is the summary.json text."""
+    cfgfile = _write(tmp_path, TINY_KINETIC)
+    assert cli.main(["simulate-kinetic", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "kin")]) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    frames = json.loads((tmp_path / "kin" / "kinetic_frames.json").read_text())
+    assert len(lines) == len(frames) == 3
+    assert all(line.startswith("t=") and " min_f=" in line
+               and " micro_norm=" in line for line in lines)
+    assert captured.out == (tmp_path / "kin" / "summary.json").read_text()
 
 def test_cli_module_run_is_deterministic(tmp_path):
     """``python -m kinwave.cli`` in a fresh process exits 0 and writes

@@ -8,7 +8,7 @@ from scipy.linalg import lu_factor, lu_solve
 from kinwave import solvers
 from kinwave.ansatz import CompositeAnsatz
 from kinwave.collision import assemble_linearized
-from kinwave.config import RunConfig
+from kinwave.config import RunConfig, load_config
 from kinwave.errors import (CFLViolation, CostGuard, NonphysicalState,
                             PositivityLoss)
 from kinwave.gas import R_GAS, FluidTriple, primitive_fields
@@ -16,8 +16,7 @@ from kinwave.riemann import generate_states, shock_decomposition
 from kinwave.solvers import (LINEARIZED_BLOCK, FluidField, GaussianBump,
                              KineticField, LinearizedKineticSolver,
                              PerturbationSpec, cfl_limit, fluid_run,
-                             fluid_step, initial_fluid_field, kinetic_step,
-                             maxwellian_field)
+                             fluid_step, initial_fluid_field, kinetic_step)
 from kinwave.velocity import VelocityGrid, moments
 
 RIGHT = FluidTriple(v=1.0, u=(0.0, 0.0, 0.0), theta=1.0)
@@ -249,7 +248,7 @@ def test_fluid_run_time_order():
                         output_interval=2.0, perturbation=pert,
                         dt_factor=factor)
         res = fluid_run(d, cfg)
-        X.append(res.shift.X)
+        X.append(res.summary["X_final"])
         fields.append(np.concatenate([res.final.v, res.final.u1,
                                       res.final.theta]))
     assert 1.8 <= math.log2(abs(X[0] - X[1]) / abs(X[1] - X[2])) <= 2.3
@@ -344,9 +343,9 @@ def test_fluid_run_zero_pert_zero_shift():
     cfg = RunConfig(y_min=-60, y_max=40, dy=0.5, t_end=1.0,
                     output_interval=0.5, perturbation=PerturbationSpec())
     res = fluid_run(d, cfg)
-    assert res.shift.max_abs_xdot() <= 1e-8
+    assert res.summary["xdot_max"] <= 1e-8
     assert res.frames[-1].entropy <= 1e-10
-    assert res.blowup_time is None
+    assert res.summary["blowup_time"] is None
 
 
 def test_fluid_run_initial_xdot_sign():
@@ -495,8 +494,10 @@ def test_kinetic_linearized_source_driven(decomp):
     ans = CompositeAnsatz(decomp)
     grid = VelocityGrid(center=(0.05, 0, 0), half_width=5.2, counts=(6,) * 3)
     y = np.linspace(-12, 12, 24)
-    vals = maxwellian_field(ans, y, grid)
-    f = KineticField(y, grid, vals)
+    fr = ans.frame(0.0, 0.0, y)
+    u = np.zeros((len(y), 3))
+    u[:, 0] = fr.u1
+    f = KineticField(y, grid, grid.maxwellian((fr.v, u, fr.theta)))
 
     def deviation(field):
         out = 0.0
@@ -520,6 +521,51 @@ def test_kinetic_linearized_source_driven(decomp):
     # non-equilibrium content saturates at the streaming-source scale
     assert dev10 <= 0.2
     assert dev20 <= max(1.5 * dev10, 0.2)
+
+
+
+def _sanity_run(t_end=4.0, **micro):
+    """The kinetic-sanity preset, with ``micro`` as its perturbation, and
+    its decomposition."""
+    cfg = load_config(preset="kinetic-sanity")
+    cfg.t_end = t_end
+    cfg.perturbation = PerturbationSpec(**micro)
+    return generate_states(cfg.right_state, cfg.delta_r, cfg.delta_c,
+                           cfg.delta_s), cfg
+
+
+@pytest.mark.parametrize("counts", [6, 8])
+def test_initial_kinetic_micro_mode_leaves_moments(counts):
+    """The He3 micro mode is projected onto the lattice's microscopic
+    subspace: per cell, the five moments of the perturbed initial field
+    equal the unperturbed ones.  Unprojected, its x-momentum on 6^3 is
+    -0.41 times its absolute mass."""
+    d, cfg = _sanity_run()
+    cfg.velocity_counts = counts
+    base = solvers.initial_kinetic_field(d, cfg)
+    cfg.perturbation = PerturbationSpec(micro_amplitude=0.05,
+                                        micro_center=2.0, micro_width=4.0)
+    bumped = solvers.initial_kinetic_field(d, cfg)
+    assert np.abs(bumped.values - base.values).max() \
+        > 1e-3 * base.values.max()
+    m0, m1 = (moments(f.values, f.grid) for f in (base, bumped))
+    assert np.all(np.abs(m1.rho - m0.rho) <= 1e-12 * m0.rho)
+    assert np.all(np.abs(m1.m - m0.m).max(axis=-1) <= 1e-12 * m0.rho)
+    assert np.all(np.abs(m1.E - m0.E) <= 1e-12 * m0.E)
+
+
+@pytest.mark.parametrize("linearized", [False, True])
+def test_kinetic_run_hands_progress_its_frames(linearized):
+    """``progress`` receives each frame as it is recorded: the very dicts
+    that the result's frames hold, in order."""
+    d, cfg = _sanity_run(t_end=0.1)
+    seen = []
+    res = solvers.kinetic_run(d, cfg, linearized, progress=seen.append)
+    assert len(seen) == res.steps == 5
+    assert all(a is b for a, b in zip(seen, res.frames, strict=True))
+    assert res.final.t == pytest.approx(0.1)
+    assert res.summary["steps"] == 5
+    assert ("operator_drift" in res.summary) == linearized
 
 
 def _cubic_interp_column(values, foot_idx):

@@ -6,6 +6,8 @@ import dataclasses
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,9 +27,9 @@ UNCALLED_KEPT = {
     "shift_H_alpha_form": "acceptance contract: the alpha form of H",
     "poincare_check": "acceptance contract: the weighted Poincare inequality",
     "g_tilde_split": "microscopic field split, to be driven by the kinetic "
-                     "diagnostics (ROADMAP item 6)",
+                     "diagnostics (ROADMAP item 7)",
     "shock_micro_leading": "microscopic leading term of the shock profile "
-                           "(ROADMAP item 6)",
+                           "(ROADMAP item 5)",
     "kernels": "pointwise compact kernels (k1, k2) from the same _k1 and "
                "_k2_exp the operator assembly uses; the kernel tests read it",
 }
@@ -68,6 +70,45 @@ def test_kinetic_workloads_match_bench_reference(tmp_path, monkeypatch,
                      "--out", str(out), "--seed", "0"]) == cli.EXIT_OK
     assert run.check_outputs(out, reference[workload], 0) == []
 
+
+
+TINY_KINETIC = """
+[strengths]
+delta_r = 0.02
+delta_c = 0.02
+delta_s = 0.05
+[grid]
+y_min = -8
+y_max = 8
+nx = 16
+velocity_counts = 6
+[solver]
+t_end = 0.04
+kinetic_dt = 0.02
+"""
+
+
+@pytest.mark.parametrize("flags, marker", [
+    ((), "solvers.kinetic_step"),
+    (("--linearized",), "solvers.LinearizedKineticSolver.step")])
+def test_bench_probe_sees_kinetic_step(tmp_path, flags, marker):
+    """``bench/launch.py probe`` rebinds the workload's marker before the
+    CLI runs, so the kinetic run driver must look its step up when it
+    runs; a step bound at import would leave ``first_call`` null and
+    every benchmark run would fail."""
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_KINETIC)
+    probe = tmp_path / "probe.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(LAUNCH), "probe", str(probe), marker, "--",
+         "simulate-kinetic", *flags, "--config", str(ini),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(probe.read_text())["first_call"] is not None
 
 def test_bench_trace_layers_resolve():
     """Every entry point the traced benchmark wraps still exists, so a

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kinwave.errors import GridTooNarrow, NonphysicalState, OverflowSignal
-from kinwave.gas import FluidTriple, primitive_fields
+from kinwave.gas import R_GAS, FluidTriple, primitive_fields
 from kinwave.velocity import (Projector, VelocityGrid, chi_basis, gram_matrix,
-                              grid_for_state, inner, moments,
+                              grid_for_state, grid_spanning, inner, moments,
                               reference_maxwellian, sphere_rule)
 
 
@@ -155,3 +155,15 @@ def test_reference_maxwellian_between_half_and_full():
     thetas = [0.9, 1.0, 1.2]
     ref = reference_maxwellian(thetas, [1.0, 1.1, 0.9], [0.0, 0.1, 0.2])
     assert max(thetas) / 2 < ref.theta < max(thetas)
+
+
+def test_grid_spanning_covers_the_states():
+    """Centered midway between the outer u1, half-width extent thermal
+    radii of the hottest state plus max |u1|."""
+    a = FluidTriple(v=1.0, u=(0.3, 0.0, 0.0), theta=0.9)
+    b = FluidTriple(v=2.0, u=(-0.5, 0.0, 0.0), theta=1.3)
+    c = FluidTriple(v=1.5, u=(-0.1, 0.0, 0.0), theta=1.1)
+    g = grid_spanning([a, b, c], (6,) * 3, 5.0, sphere_polar=2)
+    assert g.center == pytest.approx((0.1, 0.0, 0.0))
+    assert g.half_width == pytest.approx(5.0 * math.sqrt(R_GAS * 1.3) + 0.5)
+    assert g.counts == (6,) * 3 and g.sphere_polar == 2
