@@ -229,16 +229,16 @@ def kernels(s: FluidTriple, xi: np.ndarray, xi_star: np.ndarray
 
 
 def _k2_shell_average(s: FluidTriple, grid: VelocityGrid, K: np.ndarray,
-                      q: np.ndarray) -> None:
+                      q: np.ndarray, rows: np.ndarray) -> None:
     """Replace the midpoint k2 values on the 3x3x3 cell shell around the
-    coincidence singularity by subcell averages (in place).
+    coincidence singularity by subcell averages (in place), in the kernel
+    rows ``rows`` (flat node indices).
 
     The self-cell splits k2 = pref * [ (E - Ebar)/r + Ebar/r ]: the smooth
     first part is subcell-averaged, the 1/r part integrated exactly with the
     angular-averaged limit Ebar of the sharp exponential factor.
     """
     nodes = grid.nodes
-    N = grid.n_nodes
     a2 = R_GAS * s.theta
     u = np.asarray(s.u)
     c = nodes - u
@@ -246,7 +246,7 @@ def _k2_shell_average(s: FluidTriple, grid: VelocityGrid, K: np.ndarray,
     h = grid.spacing[0]
     counts = np.array(grid.counts)
     stride = np.array([counts[1] * counts[2], counts[2], 1])
-    multi = np.stack(np.unravel_index(np.arange(N), grid.counts), axis=1)
+    multi = np.stack(np.unravel_index(rows, grid.counts), axis=1)
     t = (np.arange(K2_SHELL_SUB) + 0.5) / K2_SHELL_SUB - 0.5
     Z = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3) * h
     ts = (np.arange(K2_SELF_SUB) + 0.5) / K2_SELF_SUB - 0.5
@@ -258,8 +258,8 @@ def _k2_shell_average(s: FluidTriple, grid: VelocityGrid, K: np.ndarray,
                 off = np.array([dx, dy, dz])
                 nb = multi + off
                 ok = np.all((nb >= 0) & (nb < counts), axis=1)
-                ii = np.nonzero(ok)[0]
-                jj = nb[ii] @ stride
+                ii = rows[ok]
+                jj = nb[ok] @ stride
                 if (dx, dy, dz) == (0, 0, 0):
                     dots = c[ii] @ Zs.T
                     qs = q[ii, None] + 2.0 * dots + rzs[None, :] ** 2
@@ -282,6 +282,62 @@ def _k2_shell_average(s: FluidTriple, grid: VelocityGrid, K: np.ndarray,
                     r = float(np.linalg.norm(off * h))
                     k1v = _k1(s.rho, a2, r, q[ii], q[jj])
                     K[ii, jj] = -k1v + np.mean(k2sub, axis=1)
+
+
+def _fundamental_rows(counts: tuple[int, int, int],
+                     axes: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of the nodes with index < ceil(n_k / 2) on every
+    mirrored axis k: one node of each orbit of the reflections."""
+    multi = np.unravel_index(np.arange(math.prod(counts)), counts)
+    keep = np.ones(math.prod(counts), dtype=bool)
+    for k in axes:
+        keep &= multi[k] < counts[k] - counts[k] // 2
+    return np.nonzero(keep)[0]
+
+
+def _reflect_rows(K: np.ndarray, counts: tuple[int, int, int],
+                  axes: tuple[int, ...]) -> None:
+    """Fill the kernel rows outside the fundamental domain by reflection,
+    K[R i, R j] = K[i, j] (in place), one mirrored axis at a time: the
+    upper half of the rows along axis k is the lower half flipped in both
+    its row and its column index k."""
+    K6 = K.reshape(counts + counts)
+    for k in axes:
+        n, m = counts[k], counts[k] // 2
+        at = (slice(None),) * k
+        K6[at + (slice(n - m, n),)] = np.flip(K6[at + (slice(0, m),)],
+                                              axis=(k, 3 + k))
+
+
+def _parity_half(x: np.ndarray, axis: int, sign: int) -> np.ndarray:
+    """Coefficients of ``x`` along ``axis`` in the even (sign = 1) or odd
+    (sign = -1) parity basis (e_i + sign e_{n-1-i}) / sqrt(2), i < n // 2;
+    for an odd n the middle node e_{n//2} closes the even basis."""
+    n, m = x.shape[axis], x.shape[axis] // 2
+    at = (slice(None),) * axis
+    lo = x[at + (slice(0, m),)]
+    hi = np.flip(x[at + (slice(n - m, n),)], axis=axis)
+    size = n - m if sign > 0 else m
+    out = np.empty(x.shape[:axis] + (size,) + x.shape[axis + 1:])
+    pair = out[at + (slice(0, m),)]
+    (np.add if sign > 0 else np.subtract)(lo, hi, out=pair)
+    pair *= math.sqrt(0.5)
+    if size > m:
+        out[at + (slice(m, n - m),)] = x[at + (slice(m, n - m),)]
+    return out
+
+
+def _parity_blocks(S: np.ndarray, counts: tuple[int, int, int],
+                   axes: tuple[int, ...]) -> list[np.ndarray]:
+    """The diagonal blocks of Q^T S Q for the parity basis Q of the
+    mirrored ``axes``, one square block per parity sector (2^len(axes) of
+    them), folded by index arithmetic without forming Q.  The blocks
+    between sectors vanish when S commutes with the reflections."""
+    blocks = [S.reshape(counts + counts)]
+    for k in axes:
+        blocks = [_parity_half(_parity_half(b, k, sign), 3 + k, sign)
+                  for b in blocks for sign in (1, -1)]
+    return [b.reshape(math.prod(b.shape[:3]), -1) for b in blocks]
 
 
 @dataclass
@@ -307,13 +363,20 @@ class LinearizedOperator:
         return (self.matrix @ np.asarray(h).reshape(-1)).reshape(self.grid.counts)
 
     def spectrum_meta(self) -> tuple[np.ndarray, int]:
-        """Eigenvalues in the M-metric (real) and the numerical kernel
-        dimension (|lam| < 1e-6 max |lam|)."""
-        M = self.grid.maxwellian(self.state).reshape(-1)
-        d = np.sqrt(self.grid.weight / M)
+        """Eigenvalues in the M-metric (real, ascending) and the numerical
+        kernel dimension (|lam| < 1e-6 max |lam|).
+
+        The symmetrised S = D L D^{-1}, D = sqrt(weight / M), commutes with
+        the reflection of each mirrored lattice axis, so it is diagonalized
+        one parity sector at a time (``_parity_blocks``): 8 blocks of N/8
+        on a lattice centred on the state, one block of N when no axis is
+        mirrored."""
+        d = np.sqrt(self.grid.weight / self.projector.M.reshape(-1))
         S = (d[:, None] * self.matrix) / d[None, :]
-        S = 0.5 * (S + S.T)
-        lam = eigh(S, eigvals_only=True)
+        blocks = _parity_blocks(S, self.grid.counts,
+                                self.grid.mirror_axes(self.state))
+        lam = np.sort(np.concatenate(
+            [eigh(0.5 * (b + b.T), eigvals_only=True) for b in blocks]))
         null_dim = int(np.sum(np.abs(lam) < 1e-6 * np.max(np.abs(lam))))
         return lam, null_dim
 
@@ -385,6 +448,12 @@ def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
     on) microscopic functions.  It enforces L chi_j = 0 to roundoff and an
     exactly five-dimensional kernel while leaving <g, L h> unchanged for
     microscopic g, h.  The pre-sandwich chi residuals are recorded.
+
+    The kernels depend on xi only through |xi - u|, |xi* - u| and
+    |xi - xi*|, so on the lattice axes mirrored about u
+    (``VelocityGrid.mirror_axes``) only the rows of the fundamental domain
+    are computed and the others are filled by reflection; with no mirrored
+    axis every row is computed.
     """
     proj = Projector(s, grid, gram_tol=gram_tol)   # GridTooNarrow if unresolvable
     nodes = grid.nodes
@@ -398,23 +467,29 @@ def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
     K = np.zeros((N, N))
     c = nodes - u
     q = np.einsum("ni,ni->n", c, c)
+    axes = grid.mirror_axes(s)
+    rows = _fundamental_rows(grid.counts, axes)
     block = 256
-    for i0 in range(0, N, block):
-        i1 = min(i0 + block, N)
-        d = nodes[i0:i1, None, :] - nodes[None, :, :]
+    for i0 in range(0, len(rows), block):
+        ri = rows[i0:i0 + block]
+        d = nodes[ri, None, :] - nodes[None, :, :]
         r = np.sqrt(np.einsum("bni,bni->bn", d, d))
         rs = np.where(r < EPS_SING, 1.0, r)
-        k1 = _k1(s.rho, a2, r, q[i0:i1, None], q[None, :])
-        K[i0:i1, :] = -k1 + pref2 / rs * _k2_exp(a2, rs, q[i0:i1, None],
-                                                 q[None, :])
-    _k2_shell_average(s, grid, K, q)
+        k1 = _k1(s.rho, a2, r, q[ri, None], q[None, :])
+        K[ri, :] = -k1 + pref2 / rs * _k2_exp(a2, rs, q[ri, None], q[None, :])
+    _k2_shell_average(s, grid, K, q, rows)
+    _reflect_rows(K, grid.counts, axes)
     # the one-sided subcell averages of the shell pass break the pointwise
     # kernel symmetry at the per-mil level; restore it exactly
     K += K.T
     K *= 0.5
 
-    # h -> sqrt(M) K(h/sqrt(M)): row scaling sqM_i, column scaling 1/sqM_j
-    A = grid.weight * (sqM[:, None] * K / sqM[None, :])
+    # h -> sqrt(M) K(h/sqrt(M)): row scaling sqM_i, column scaling 1/sqM_j,
+    # in place, so that K and A are not both held at the projection below
+    A = K
+    A *= sqM[:, None]
+    A /= sqM[None, :]
+    A *= grid.weight
     A[np.arange(N), np.arange(N)] -= math.pi * collision_frequency(s, nodes)
 
     def chi_residuals(A):
@@ -446,17 +521,13 @@ def measure_dissipativity(op: LinearizedOperator, mref: FluidTriple,
     """sigma_tilde = min over random microscopic g of
     -<g, L g>_{M#} / <(1+|xi|) g, g>_{M#}."""
     grid = op.grid
-    Mref = grid.maxwellian(mref)
-    one_xi = one_plus_speed(grid)
-    M = grid.maxwellian(op.state)
-    best = math.inf
-    for _ in range(trials):
-        raw = rng.standard_normal(grid.counts) * M
-        g = op.projector.micro(raw)
-        Lg = op.apply(g)
-        num = -grid.integrate(g * Lg / Mref)
-        den = grid.integrate(one_xi * g * g / Mref)
-        if den > 0:
-            best = min(best, num / den)
-    return best
+    Mref = grid.maxwellian(mref).reshape(-1)
+    one_xi = one_plus_speed(grid).reshape(-1)
+    raw = rng.standard_normal((trials,) + grid.counts) * op.projector.M
+    g = op.projector.micro(raw).reshape(trials, -1)
+    Lg = g @ op.matrix.T
+    num = -grid.weight * np.sum(g * Lg / Mref, axis=1)
+    den = grid.weight * np.sum(one_xi * g * g / Mref, axis=1)
+    ok = den > 0
+    return float(np.min(num[ok] / den[ok])) if ok.any() else math.inf
 

@@ -20,6 +20,10 @@ from .gas import R_GAS, FluidTriple
 #: Default grid extent in thermal radii, sqrt(R*theta) units.
 EXTENT_RADII = 6.0
 
+#: largest |xi_k + xi_k[::-1] - 2 u_k|, in units of the spacing h_k, for
+#: which ``VelocityGrid.mirror_axes`` counts axis k as mirrored about u_k
+MIRROR_TOL = 1e-12
+
 
 def sphere_rule(n_polar: int = 2,
                 n_azimuth: int = 4) -> tuple[np.ndarray, np.ndarray]:
@@ -129,6 +133,16 @@ class VelocityGrid:
     def integrate(self, f: np.ndarray) -> float:
         return self.weight * float(np.sum(f))
 
+    def mirror_axes(self, s: FluidTriple) -> tuple[int, ...]:
+        """The axes k along which the lattice is symmetric about the bulk
+        velocity u_k of ``s``: the reflection xi_k -> 2 u_k - xi_k maps
+        its nodes onto nodes (within MIRROR_TOL h_k).  A lattice from
+        ``grid_for_state`` is mirrored on all three axes, one from
+        ``grid_spanning`` on xi2 and xi3 for a state with u2 = u3 = 0."""
+        return tuple(
+            k for k, (x, h) in enumerate(zip(self.axes, self.spacing))
+            if np.max(np.abs(x + x[::-1] - 2.0 * s.u[k])) <= MIRROR_TOL * h)
+
 
 def grid_for_state(s: FluidTriple, counts=(16, 16, 16), extent_radii: float = EXTENT_RADII,
                    **sphere_kw) -> VelocityGrid:
@@ -220,7 +234,8 @@ class Projector:
 
     Coefficients are computed against the discrete Gram matrix (a 5x5
     solve), which makes P0 and P1 exactly idempotent on the grid
-    regardless of quadrature error.
+    regardless of quadrature error.  The projections take grid functions
+    of shape B + ``grid.counts``, as ``moments`` does.
     """
 
     def __init__(self, s: FluidTriple, grid: VelocityGrid,
@@ -235,12 +250,14 @@ class Projector:
         self._gram_inv = np.linalg.inv(self._gram)
 
     def coefficients(self, f: np.ndarray) -> np.ndarray:
-        b = self._chi_w @ np.asarray(f).reshape(-1)
-        return self._gram_inv @ b
+        """The five chi coefficients of each grid function, shape B + (5,)."""
+        f = np.asarray(f)
+        b = f.reshape(f.shape[:-3] + (-1,)) @ self._chi_w.T
+        return b @ self._gram_inv.T
 
     def macro(self, f: np.ndarray) -> np.ndarray:
         c = self.coefficients(f)
-        return (c @ self._chi_flat).reshape(self.grid.counts)
+        return (c @ self._chi_flat).reshape(np.shape(f))
 
     def micro(self, f: np.ndarray) -> np.ndarray:
         return np.asarray(f) - self.macro(f)

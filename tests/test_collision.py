@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import eigh
+
 from kinwave.collision import (assemble_linearized, collision_frequency,
-                               kernels, q_bilinear, q_bilinear_batch)
+                               kernels, measure_dissipativity, q_bilinear,
+                               q_bilinear_batch)
 from kinwave.errors import NotMicroscopic, SingularPair
 from kinwave.gas import R_GAS, FluidTriple
-from kinwave.velocity import (VelocityGrid, grid_for_state, inner, moments,
+from kinwave.velocity import (VelocityGrid, grid_for_state, grid_spanning,
+                              inner, moments, one_plus_speed,
                               reference_maxwellian)
 
 
@@ -303,7 +307,6 @@ def test_invert_micro_rejects_macroscopic(operator):
 def test_invert_micro_weighted_bound(operator, base_state, small_grid, rng):
     """Bounded-inverse estimate with the dissipativity constant measured
     on the same reference Maxwellian."""
-    from kinwave.collision import measure_dissipativity
     mref = reference_maxwellian([base_state.theta], [base_state.v],
                                 [base_state.u1])
     sig = measure_dissipativity(operator, mref, 50, rng)
@@ -328,6 +331,89 @@ def test_invert_micro_weighted_bound(operator, base_state, small_grid, rng):
         lhs = small_grid.integrate(one_xi * h ** 2 / Mref)
         rhs = small_grid.integrate(g ** 2 / (one_xi * Mref)) / sig ** 2
         assert lhs <= rhs * (1.0 + 1e-9)
+
+
+def _full_spectrum(op):
+    """Oracle: one eigh of the whole symmetrised S = D L D^{-1},
+    D = sqrt(weight / M), with no parity split."""
+    d = np.sqrt(op.grid.weight / op.grid.maxwellian(op.state).reshape(-1))
+    S = (d[:, None] * op.matrix) / d[None, :]
+    return eigh(0.5 * (S + S.T), eigvals_only=True)
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_parity_blocked_spectrum_matches_full_eigh(base_state, n):
+    """On a lattice centred on the state (8 parity sectors; an odd n has a
+    middle node and sectors of unequal size) the blocked spectrum is the
+    full one."""
+    grid = grid_for_state(base_state, counts=(n,) * 3)
+    op = assemble_linearized(base_state, grid, gram_tol=0.1)
+    lam, null_dim = op.spectrum_meta()
+    full = _full_spectrum(op)
+    assert lam.shape == full.shape
+    assert np.abs(lam - full).max() <= 1e-12 * np.abs(full).max()
+    assert null_dim == 5
+
+
+def _mirror_lattices(base_state):
+    """(state, lattice, mirrored axes): centred on the state; spanning two
+    states with the state off-centre in xi1 (u2, u3 at roundoff, as the
+    kinetic solver's frozen states have them); off-centre in every axis."""
+    ends = [FluidTriple(v=1.0, u=(-0.3, 0.0, 0.0), theta=1.0),
+            FluidTriple(v=0.9, u=(0.2, 0.0, 0.0), theta=1.05)]
+    return {
+        "centred": (base_state, grid_for_state(base_state, counts=(7,) * 3),
+                    (0, 1, 2)),
+        "spanning": (FluidTriple(v=0.95, u=(0.1, 1e-16, -2e-16), theta=1.02),
+                     grid_spanning(ends, (8,) * 3), (1, 2)),
+        "off-centre": (base_state,
+                       VelocityGrid(center=(0.1, -0.2, 0.15), half_width=6.3,
+                                    counts=(8,) * 3), ()),
+    }
+
+
+@pytest.mark.parametrize("case", ["centred", "spanning", "off-centre"])
+def test_mirror_axes(base_state, case):
+    s, grid, axes = _mirror_lattices(base_state)[case]
+    assert grid.mirror_axes(s) == axes
+
+
+@pytest.mark.parametrize("case", ["centred", "spanning", "off-centre"])
+def test_reflection_fill_matches_dense_fill(base_state, case, monkeypatch):
+    """The operator filled by reflection from the fundamental domain equals
+    the one filled row by row over the whole lattice (what assembly does
+    when no axis is mirrored), and its blocked spectrum (8, 4 or 1
+    sectors) equals the full eigh of the dense fill."""
+    s, grid, _ = _mirror_lattices(base_state)[case]
+    op = assemble_linearized(s, grid, gram_tol=0.5)
+    monkeypatch.setattr(VelocityGrid, "mirror_axes", lambda self, s: ())
+    dense = assemble_linearized(s, grid, gram_tol=0.5)
+    monkeypatch.undo()
+    scale = np.abs(dense.matrix).max()
+    assert np.abs(op.matrix - dense.matrix).max() <= 1e-13 * scale
+    full = _full_spectrum(dense)
+    assert np.abs(op.spectrum_meta()[0] - full).max() \
+        <= 1e-12 * np.abs(full).max()
+
+
+def test_dissipativity_batch_matches_per_trial_loop(operator, base_state):
+    """One batched draw, projection and product give the minimum of the
+    per-trial loop: the draws are the same stream, the products differ by
+    summation order alone."""
+    mref = reference_maxwellian([base_state.theta], [base_state.v],
+                                [base_state.u1])
+    grid = operator.grid
+    Mref, one_xi = grid.maxwellian(mref), one_plus_speed(grid)
+    loop_rng = np.random.default_rng(5)
+    best = math.inf
+    for _ in range(20):
+        g = operator.projector.micro(
+            loop_rng.standard_normal(grid.counts) * operator.projector.M)
+        Lg = operator.apply(g)
+        best = min(best, -grid.integrate(g * Lg / Mref)
+                   / grid.integrate(one_xi * g * g / Mref))
+    got = measure_dissipativity(operator, mref, 20, np.random.default_rng(5))
+    assert got == pytest.approx(best, rel=1e-12)
 
 
 @pytest.mark.slow
@@ -356,7 +442,6 @@ def test_operator_matches_bilinear_form(base_state):
 
 @pytest.mark.slow
 def test_sigma_tilde_two_resolutions(base_state, rng):
-    from kinwave.collision import measure_dissipativity
     mref = reference_maxwellian([base_state.theta], [base_state.v],
                                 [base_state.u1])
     vals = []

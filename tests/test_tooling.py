@@ -51,13 +51,14 @@ def _launch():
     return launch
 
 
-@pytest.mark.parametrize("workload", ["kinetic-full", "kinetic-linearized"])
-def test_kinetic_workloads_match_bench_reference(tmp_path, monkeypatch,
-                                                 workload):
-    """The kinetic benchmark workloads, run with the benchmark's own
-    arguments, reproduce ``bench/reference.json`` to its tolerances at the
-    reference seed, so a change that moves their results fails here and
-    not only in the benchmark's pass rate."""
+@pytest.mark.parametrize("workload", ["fluid-crit9", "kinetic-full",
+                                      "kinetic-linearized", "collision-check"])
+def test_workloads_match_bench_reference(tmp_path, monkeypatch, workload):
+    """Every benchmark workload, run with the benchmark's own arguments,
+    reproduces ``bench/reference.json`` to its tolerances at the reference
+    seed (the seeded sigma_tilde fields of ``collision_report.json``
+    included), so a change that moves their results fails here and not
+    only in the benchmark's pass rate."""
     spec = importlib.util.spec_from_file_location("bench_run", RUN)
     run = importlib.util.module_from_spec(spec)
     # the module's frozen dataclass looks itself up in sys.modules
@@ -69,7 +70,6 @@ def test_kinetic_workloads_match_bench_reference(tmp_path, monkeypatch,
     assert cli.main([*run.WORKLOADS[workload].args, "--config", str(ini),
                      "--out", str(out), "--seed", "0"]) == cli.EXIT_OK
     assert run.check_outputs(out, reference[workload], 0) == []
-
 
 
 TINY_KINETIC = """
@@ -89,26 +89,36 @@ kinetic_dt = 0.02
 
 
 @pytest.mark.parametrize("flags, marker", [
-    ((), "solvers.kinetic_step"),
-    (("--linearized",), "solvers.LinearizedKineticSolver.step")])
+    (("simulate-kinetic",), "solvers.kinetic_step"),
+    (("simulate-kinetic", "--linearized"),
+     "solvers.LinearizedKineticSolver.step"),
+    (("collision-check",), "collision.assemble_linearized")])
 def test_bench_probe_sees_kinetic_step(tmp_path, flags, marker):
     """``bench/launch.py probe`` rebinds the workload's marker before the
-    CLI runs, so the kinetic run driver must look its step up when it
-    runs; a step bound at import would leave ``first_call`` null and
-    every benchmark run would fail."""
-    ini = tmp_path / "tiny.ini"
-    ini.write_text(TINY_KINETIC)
+    CLI runs, so the code that reaches the marker must look it up when it
+    runs: the kinetic run driver its step, ``collision-check`` its first
+    ``assemble_linearized`` (the end of its set-up).  A name bound at
+    import would leave ``first_call`` null and every benchmark run would
+    fail."""
+    if flags[0] == "collision-check":
+        # its workload INI: the 6^3 lattice of TINY_KINETIC fails the
+        # basis gate of collision-check (exit 3)
+        ini = BENCH / "workloads" / "collision-check.ini"
+    else:
+        ini = tmp_path / "tiny.ini"
+        ini.write_text(TINY_KINETIC)
     probe = tmp_path / "probe.json"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, str(LAUNCH), "probe", str(probe), marker, "--",
-         "simulate-kinetic", *flags, "--config", str(ini),
+         *flags, "--config", str(ini),
          "--out", str(tmp_path / "out")],
         env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert json.loads(probe.read_text())["first_call"] is not None
+
 
 def test_bench_trace_layers_resolve():
     """Every entry point the traced benchmark wraps still exists, so a

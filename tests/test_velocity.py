@@ -113,6 +113,18 @@ def test_projection_identity_and_idempotence(base_state, small_grid, rng):
     assert np.allclose(proj.micro(m1), m1, atol=1e-10 * np.abs(m1).max())
 
 
+def test_projector_batched_match_single(base_state, small_grid, rng):
+    proj = Projector(base_state, small_grid)
+    fs = rng.standard_normal((2, 3) + small_grid.counts) \
+        * small_grid.maxwellian(base_state)
+    batch = proj.micro(fs)
+    assert batch.shape == fs.shape
+    for i in range(2):
+        for j in range(3):
+            one = proj.micro(fs[i, j])
+            assert np.abs(batch[i, j] - one).max() <= 1e-14 * np.abs(one).max()
+
+
 def test_projector_macro_of_maxwellian(base_state, small_grid):
     M = small_grid.maxwellian(base_state)
     PM = Projector(base_state, small_grid).macro(M)
