@@ -129,34 +129,37 @@ def _phi_entropy(z: np.ndarray) -> np.ndarray:
     return z - 1.0 - np.log(z)
 
 
-def _psi2(u, frame: AnsatzFrame) -> np.ndarray:
-    """|psi|^2 = (u1 - u1bar)^2 + u2^2 + u3^2 of the velocity fields u."""
-    return (u[0] - frame.u1) ** 2 + u[1] ** 2 + u[2] ** 2
+def _perturbation(fields, frame: AnsatzFrame):
+    """phi = v - vbar, psi1 = u1 - u1bar, zeta = theta - thetabar and
+    |psi|^2 = psi1^2 + u2^2 + u3^2 of ``fields``."""
+    v, u, th = fields[0], fields[1], fields[2]
+    psi1 = u[0] - frame.u1
+    return (v - frame.v, psi1, th - frame.theta,
+            psi1 ** 2 + u[1] ** 2 + u[2] ** 2)
 
 
-def relative_entropy(fields, frame: AnsatzFrame) -> float:
+def relative_entropy(fields, frame: AnsatzFrame, pert=None) -> float:
     """Weighted relative entropy
     int a [ (2/3) thetabar Phi(v/vbar) + thetabar Phi(theta/thetabar)
-    + sum psi_i^2 / 2 ] dy with Phi(z) = z - 1 - ln z."""
-    v, u, th = fields[0], fields[1], fields[2]
+    + sum psi_i^2 / 2 ] dy with Phi(z) = z - 1 - ln z.  ``pert`` is
+    ``_perturbation(fields, frame)`` when the caller holds it."""
+    v, th = fields[0], fields[2]
     if not all(np.all(x > 0) for x in (v, th, frame.v, frame.theta)):
         raise NonphysicalState("relative entropy needs positive v, theta")
+    psi2 = (_perturbation(fields, frame) if pert is None else pert)[3]
     zv = v / frame.v
     zt = th / frame.theta
-    psi2 = _psi2(u, frame)
     integrand = frame.a * ((2.0 / 3.0) * frame.theta * _phi_entropy(zv)
                            + frame.theta * _phi_entropy(zt) + 0.5 * psi2)
     return float(np.trapezoid(integrand, frame.y))
 
 
-def lambda_functionals(fields, frame: AnsatzFrame) -> tuple[float, float]:
+def lambda_functionals(fields, frame: AnsatzFrame,
+                       pert=None) -> tuple[float, float]:
     """Layer-weighted quadratic functionals: the rarefaction one weights
     (phi, zeta) by |v^R_y|, the shock one weights (phi, psi, zeta) by
-    |v^S_y( . - X)|."""
-    v, u, th = fields[0], fields[1], fields[2]
-    phi = v - frame.v
-    zeta = th - frame.theta
-    psi2 = _psi2(u, frame)
+    |v^S_y( . - X)|.  ``pert`` as in ``relative_entropy``."""
+    phi, _, zeta, psi2 = _perturbation(fields, frame) if pert is None else pert
     lam_r = float(np.trapezoid(np.abs(frame.vR_y) * (phi ** 2 + zeta ** 2),
                                frame.y))
     lam_s = float(np.trapezoid(np.abs(frame.vS_y)
@@ -215,16 +218,14 @@ class DiagnosticsFrame:
 def diagnostics_frame(t: float, fields, frame: AnsatzFrame, shift: ShiftState,
                       xdot: float, micro_norm: float | None = None
                       ) -> DiagnosticsFrame:
-    v, u, th = fields[0], fields[1], fields[2]
-    phi = v - frame.v
-    psi1 = u[0] - frame.u1
+    phi, psi1, zeta, psi2 = pert = _perturbation(fields, frame)
+    u = fields[1]
     psi23 = np.sqrt(u[1] ** 2 + u[2] ** 2)
-    zeta = th - frame.theta
-    lam_r, lam_s = lambda_functionals(fields, frame)
-    pert2 = phi ** 2 + _psi2(u, frame) + zeta ** 2
+    lam_r, lam_s = lambda_functionals(fields, frame, pert)
+    pert2 = phi ** 2 + psi2 + zeta ** 2
     return DiagnosticsFrame(
         t=t, X=shift.X, Xdot=xdot,
-        entropy=relative_entropy(fields, frame),
+        entropy=relative_entropy(fields, frame, pert),
         lambda_r=lam_r, lambda_s=lam_s,
         sup_phi=float(np.max(np.abs(phi))),
         sup_psi=float(np.max(np.abs(psi1) + psi23)),
@@ -255,9 +256,8 @@ def g_tilde_split(G: np.ndarray, shock_micro_shifted: np.ndarray,
     for i, (s, op) in enumerate(zip(states, operators)):
         if du[i] == 0.0 and dth[i] == 0.0:
             continue
-        M = grid.maxwellian(s)
         q = sum((grid.node_array(k) - s.u[k]) ** 2 for k in range(3))
-        src = xi1 * M * (xi1 * du[i] + q / (2.0 * s.theta) * dth[i])
+        src = xi1 * op.projector.M * (xi1 * du[i] + q / (2.0 * s.theta) * dth[i])
         rhs = op.projector.micro(src)
         G0[i] = 1.5 / (s.v * s.theta) * op.invert_micro(rhs)
     return G_t, G0, G_t - G0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh, lu_factor, lu_solve
@@ -284,6 +285,26 @@ def _k2_shell_average(s: FluidTriple, grid: VelocityGrid, K: np.ndarray,
                     K[ii, jj] = -k1v + np.mean(k2sub, axis=1)
 
 
+def _kernel_rows(s: FluidTriple, grid: VelocityGrid, q: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
+    """N x N midpoint values -k1 + k2 in the kernel rows ``rows`` (flat
+    node indices), zero elsewhere, q = |xi - u|^2; the coincident pair,
+    for the shell pass to overwrite, takes r = 1.  Blocks of N/16 rows
+    keep the temporaries (11 floats per block entry) near 0.7 N^2."""
+    a2 = R_GAS * s.theta
+    pref2 = 2.0 * s.rho / math.sqrt(2.0 * math.pi * a2)
+    K = np.zeros((grid.n_nodes, grid.n_nodes))
+    block = max(1, grid.n_nodes // 16)
+    for i0 in range(0, len(rows), block):
+        ri = rows[i0:i0 + block]
+        d = grid.nodes[ri, None, :] - grid.nodes[None, :, :]
+        r = np.sqrt(np.einsum("bni,bni->bn", d, d))
+        rs = np.where(r < EPS_SING, 1.0, r)
+        k1 = _k1(s.rho, a2, r, q[ri, None], q[None, :])
+        K[ri, :] = -k1 + pref2 / rs * _k2_exp(a2, rs, q[ri, None], q[None, :])
+    return K
+
+
 def _fundamental_rows(counts: tuple[int, int, int],
                      axes: tuple[int, ...]) -> np.ndarray:
     """Flat indices of the nodes with index < ceil(n_k / 2) on every
@@ -357,7 +378,6 @@ class LinearizedOperator:
     chi_residuals: np.ndarray           # after null-space projection
     raw_chi_residuals: np.ndarray       # kernel quadrature alone
     projector: Projector = field(repr=False)
-    _kkt: tuple = field(default=None, repr=False)     # (LU, rows)
 
     def apply(self, h: np.ndarray) -> np.ndarray:
         return (self.matrix @ np.asarray(h).reshape(-1)).reshape(self.grid.counts)
@@ -380,20 +400,13 @@ class LinearizedOperator:
         null_dim = int(np.sum(np.abs(lam) < 1e-6 * np.max(np.abs(lam))))
         return lam, null_dim
 
-    def _factorized_kkt(self):
-        """LU of the bordered system [[L, chi^T], [rows, 0]] and the
-        constraint functionals rows = weight * chi / M (the projector's),
-        built once."""
-        if self._kkt is None:
-            N = self.grid.n_nodes
-            chi = self.projector._chi_flat              # (5, N)
-            rows = self.projector._chi_w
-            K = np.zeros((N + 5, N + 5))
-            K[:N, :N] = self.matrix
-            K[:N, N:] = chi.T
-            K[N:, :N] = rows
-            object.__setattr__(self, "_kkt", (lu_factor(K), rows))
-        return self._kkt
+    @cached_property
+    def _shifted_lu(self):
+        """LU of L - C W, P0 = C W the projector's rank-5 pair.  As W L = 0
+        and L C = 0, (L - C W) h = g for microscopic g gives W h = 0 and
+        L h = g."""
+        p = self.projector
+        return lu_factor(self.matrix - p._chi_flat.T @ p._W, overwrite_a=True)
 
     def invert_micro(self, g: np.ndarray) -> np.ndarray:
         """Solve L h = g with h microscopic; g must be microscopic.
@@ -412,11 +425,10 @@ class LinearizedOperator:
         if norm_pg > 1e-6 * norm_g_m:
             raise NotMicroscopic(
                 f"macroscopic content {norm_pg:.3e} > 1e-6 * {norm_g_m:.3e}")
-        lu, rows = self._factorized_kkt()
-        rhs = np.concatenate([gf, np.zeros(5)])
-        sol = lu_solve(lu, rhs)
-        sol += lu_solve(lu, rhs - self._kkt_apply(sol, rows))
-        h = sol[:self.grid.n_nodes].reshape(self.grid.counts)
+        C, W = self.projector._chi_flat.T, self.projector._W
+        hf = lu_solve(self._shifted_lu, gf)
+        hf += lu_solve(self._shifted_lu, gf - (self.matrix @ hf - C @ (W @ hf)))
+        h = hf.reshape(self.grid.counts)
         res = self.apply(h) - self.projector.micro(g)
         norm_res = math.sqrt(self.grid.integrate(res ** 2))
         norm_g = math.sqrt(self.grid.integrate(np.asarray(g) ** 2))
@@ -424,14 +436,6 @@ class LinearizedOperator:
             raise IllConditioned(
                 f"constrained solve residual {norm_res:.3e} > 1e-8 * {norm_g:.3e}")
         return h
-
-    def _kkt_apply(self, sol: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        chi = self.projector._chi_flat
-        n = self.grid.n_nodes
-        out = np.empty(n + 5)
-        out[:n] = self.matrix @ sol[:n] + chi.T @ sol[n:]
-        out[n:] = rows @ sol[:n]
-        return out
 
 
 def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
@@ -458,31 +462,21 @@ def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
     proj = Projector(s, grid, gram_tol=gram_tol)   # GridTooNarrow if unresolvable
     nodes = grid.nodes
     N = grid.n_nodes
-    a2 = R_GAS * s.theta
-    u = np.asarray(s.u)
-    Mf = grid.maxwellian(s).reshape(-1)
-    sqM = np.sqrt(Mf)
-    pref2 = 2.0 * s.rho / math.sqrt(2.0 * math.pi * a2)
-
-    K = np.zeros((N, N))
-    c = nodes - u
+    sqM = np.sqrt(proj.M.reshape(-1))
+    c = nodes - np.asarray(s.u)
     q = np.einsum("ni,ni->n", c, c)
     axes = grid.mirror_axes(s)
     rows = _fundamental_rows(grid.counts, axes)
-    block = 256
-    for i0 in range(0, len(rows), block):
-        ri = rows[i0:i0 + block]
-        d = nodes[ri, None, :] - nodes[None, :, :]
-        r = np.sqrt(np.einsum("bni,bni->bn", d, d))
-        rs = np.where(r < EPS_SING, 1.0, r)
-        k1 = _k1(s.rho, a2, r, q[ri, None], q[None, :])
-        K[ri, :] = -k1 + pref2 / rs * _k2_exp(a2, rs, q[ri, None], q[None, :])
+    K = _kernel_rows(s, grid, q, rows)
     _k2_shell_average(s, grid, K, q, rows)
     _reflect_rows(K, grid.counts, axes)
-    # the one-sided subcell averages of the shell pass break the pointwise
-    # kernel symmetry at the per-mil level; restore it exactly
-    K += K.T
-    K *= 0.5
+    # the shell pass's one-sided subcell averages break the kernel symmetry
+    # at the per-mil level; restore it exactly, a block of rows at a time
+    for i0 in range(0, N, 256):
+        up = K[i0:i0 + 256, i0:] + K[i0:, i0:i0 + 256].T
+        up *= 0.5
+        K[i0:i0 + 256, i0:] = up
+        K[i0:, i0:i0 + 256] = up.T
 
     # h -> sqrt(M) K(h/sqrt(M)): row scaling sqM_i, column scaling 1/sqM_j,
     # in place, so that K and A are not both held at the projection below
@@ -502,9 +496,11 @@ def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
 
     # P A P with P = I - C W as rank-5 corrections, O(N^2) instead of two
     # N^3 GEMMs: A - C (W A) - (A C) W + C ((W A C) W)
-    C, W = proj._chi_flat.T, proj._gram_inv @ proj._chi_w    # (N, 5), (5, N)
+    C, W = proj._chi_flat.T, proj._W                        # (N, 5), (5, N)
     WA, AC = W @ A, A @ C
-    A -= C @ (WA - (WA @ C) @ W) + AC @ W
+    X = C @ (WA - (WA @ C) @ W)
+    X += AC @ W
+    A -= X
 
     return LinearizedOperator(state=s, grid=grid, matrix=A,
                               chi_residuals=chi_residuals(A),

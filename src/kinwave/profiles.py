@@ -534,20 +534,6 @@ def verify_shock_expansion(waves: list[ShockProfile],
 # microscopic leading term of the shock profile
 # ---------------------------------------------------------------------------
 
-def maxwellian_y_derivative(s: FluidTriple, grads: tuple[float, float, float],
-                            grid: VelocityGrid) -> np.ndarray:
-    """d/dy of the local Maxwellian given (v_y, u1_y, theta_y) at a point."""
-    v_y, u1_y, th_y = grads
-    M = grid.maxwellian(s)
-    a2 = R_GAS * s.theta
-    du1 = grid.node_array(0) - s.u[0]
-    du2 = grid.node_array(1) - s.u[1]
-    du3 = grid.node_array(2) - s.u[2]
-    q = du1 ** 2 + du2 ** 2 + du3 ** 2
-    return M * (-v_y / s.v + du1 * u1_y / a2
-                + (q / (2.0 * a2) - 1.5) * th_y / s.theta)
-
-
 @dataclass
 class ShockMicroProfile:
     y: np.ndarray
@@ -581,8 +567,12 @@ def shock_micro_leading(wave: ShockProfile, grid_counts=(10, 10, 10),
         s = FluidTriple(v=prof.v[i], u=(prof.u1[i], 0.0, 0.0),
                         theta=prof.theta[i])
         op = assemble_linearized(s, grid, gram_tol=gram_tol)
-        My = maxwellian_y_derivative(
-            s, (prof.v_y[i], prof.u1_y[i], prof.theta_y[i]), grid)
+        # d/dy of the local Maxwellian, in the projector's basis chi
+        chi = op.projector.chi
+        My = math.sqrt(s.rho) * (
+            -prof.v_y[i] / s.v * chi[0]
+            + prof.u1_y[i] / math.sqrt(R_GAS * s.theta) * chi[1]
+            + math.sqrt(1.5) * prof.theta_y[i] / s.theta * chi[4])
         rhs = op.projector.micro(xi1 * My) / s.v
         h = op.invert_micro(rhs)
         fields.append(h)

@@ -1,6 +1,6 @@
 """Discrete velocity space: tensor lattice, sphere rule, moments,
-weighted inner products, the five-function orthogonal basis and the
-macroscopic/microscopic projections.
+weighted inner products, and the macroscopic/microscopic projections
+with their five-function orthogonal basis.
 
 A "grid function" is simply an ndarray of shape ``grid.counts``; all
 operations accept/return plain arrays.
@@ -195,59 +195,42 @@ def inner(g1: np.ndarray, g2: np.ndarray, mref: FluidTriple,
     return grid.integrate(integrand)
 
 
-def chi_basis(s: FluidTriple, grid: VelocityGrid,
-              gram_tol: float = 1e-3) -> list[np.ndarray]:
-    """The five pairwise orthogonal basis functions of the macroscopic
-    subspace at state ``s`` (orthonormal in the M-weighted product).
-
-    Raises GridTooNarrow when the discrete Gram matrix deviates from the
-    identity by more than ``gram_tol`` (default 1e-3: grid narrower than
-    ~6 thermal radii or too coarse for the state).  Projections remain
-    exact for any invertible Gram matrix, so consumers that only need the
-    discrete split (the coarse kinetic solver) may relax the gate.
-    """
-    M = grid.maxwellian(s)
-    rho = s.rho
-    a2 = R_GAS * s.theta
-    du = [grid.node_array(i) - s.u[i] for i in range(3)]
-    q = du[0] ** 2 + du[1] ** 2 + du[2] ** 2
-    chi = [M / math.sqrt(rho)]
-    chi += [du[i] / math.sqrt(a2 * rho) * M for i in range(3)]
-    chi.append((q / a2 - 3.0) / math.sqrt(6.0 * rho) * M)
-    G = gram_matrix(chi, s, grid)
-    if np.max(np.abs(G - np.eye(5))) > gram_tol:
-        raise GridTooNarrow(
-            f"Gram deviation {np.max(np.abs(G - np.eye(5))):.3e} > {gram_tol}; "
-            "increase extent or counts")
-    return chi
-
-
-def gram_matrix(chi: list[np.ndarray], s: FluidTriple,
-                grid: VelocityGrid) -> np.ndarray:
-    M = grid.maxwellian(s)
-    flat = np.stack([c.reshape(-1) for c in chi])      # (5, N)
-    return grid.weight * (flat / M.reshape(-1)) @ flat.T
-
-
 class Projector:
-    """Macroscopic/microscopic projections at a fixed state.
-
+    """The macroscopic basis at a fixed state and the projections onto it:
+    the local Maxwellian M at ``s`` and five pairwise orthogonal functions
+    chi (orthonormal in the M-weighted product) spanning the subspace.
     Coefficients are computed against the discrete Gram matrix (a 5x5
     solve), which makes P0 and P1 exactly idempotent on the grid
     regardless of quadrature error.  The projections take grid functions
     of shape B + ``grid.counts``, as ``moments`` does.
+
+    Raises GridTooNarrow when the Gram matrix deviates from the identity
+    by more than ``gram_tol`` (default 1e-3: grid narrower than ~6 thermal
+    radii or too coarse for the state).  Projections stay exact for any
+    invertible Gram matrix, so consumers that only need the discrete split
+    (the coarse kinetic solver) may relax the gate.
     """
 
     def __init__(self, s: FluidTriple, grid: VelocityGrid,
                  gram_tol: float = 1e-3):
         self.state = s
         self.grid = grid
-        self.chi = chi_basis(s, grid, gram_tol=gram_tol)
-        self.M = grid.maxwellian(s)
+        self.M = M = grid.maxwellian(s)
+        rho, a2 = s.rho, R_GAS * s.theta
+        du = [grid.node_array(i) - s.u[i] for i in range(3)]
+        q = du[0] ** 2 + du[1] ** 2 + du[2] ** 2
+        self.chi = [M / math.sqrt(rho)]
+        self.chi += [du[i] / math.sqrt(a2 * rho) * M for i in range(3)]
+        self.chi.append((q / a2 - 3.0) / math.sqrt(6.0 * rho) * M)
         self._chi_flat = np.stack([c.reshape(-1) for c in self.chi])
-        self._chi_w = self._chi_flat / self.M.reshape(-1) * grid.weight
+        self._chi_w = self._chi_flat / M.reshape(-1) * grid.weight
         self._gram = self._chi_w @ self._chi_flat.T
+        dev = np.max(np.abs(self._gram - np.eye(5)))
+        if dev > gram_tol:
+            raise GridTooNarrow(f"Gram deviation {dev:.3e} > {gram_tol}; "
+                                "increase extent or counts")
         self._gram_inv = np.linalg.inv(self._gram)
+        self._W = self._gram_inv @ self._chi_w   # P0 = C W, C = _chi_flat.T
 
     def coefficients(self, f: np.ndarray) -> np.ndarray:
         """The five chi coefficients of each grid function, shape B + (5,)."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,68 @@ def test_invert_micro_round_trip(operator, base_state, small_grid, rng):
 def test_invert_micro_rejects_macroscopic(operator):
     with pytest.raises(NotMicroscopic):
         operator.invert_micro(operator.projector.chi[0])
+
+
+def _bordered_inverse(op, g):
+    """Oracle: the bordered system [[L, chi^T], [chi_w, 0]] [h; c] =
+    [g; 0], chi_w = weight chi / M, solved densely plus one refinement
+    step."""
+    chi = np.stack([c.reshape(-1) for c in op.projector.chi])
+    chi_w = op.grid.weight * chi / op.projector.M.reshape(-1)
+    K = np.block([[op.matrix, chi.T], [chi_w, np.zeros((5, 5))]])
+    rhs = np.concatenate([g.reshape(-1), np.zeros(5)])
+    sol = np.linalg.solve(K, rhs)
+    sol += np.linalg.solve(K, rhs - K @ sol)
+    return sol[:op.grid.n_nodes].reshape(op.grid.counts)
+
+
+def _shock_lattice(decomp):
+    """A state inside the shock and the 10^3 lattice spanning its end
+    states, as ``shock_micro_leading`` builds them."""
+    a, b = decomp.mid_hi, decomp.right
+    s = FluidTriple(v=0.5 * (a.v + b.v), u=(0.5 * (a.u1 + b.u1), 0.0, 0.0),
+                    theta=0.5 * (a.theta + b.theta))
+    return s, grid_spanning((a, b), (10,) * 3)
+
+
+@pytest.fixture(scope="module")
+def spanning_operator(decomp):
+    return assemble_linearized(*_shock_lattice(decomp), gram_tol=0.5)
+
+
+@pytest.mark.parametrize("which", ["operator", "spanning_operator"])
+def test_invert_micro_matches_bordered_system(which, request):
+    """The solve of L - C W agrees with the bordered system in the
+    M-weighted norm, and its result is microscopic to roundoff."""
+    op = request.getfixturevalue(which)
+    s, grid = op.state, op.grid
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        g = op.projector.micro(rng.standard_normal(grid.counts)
+                               * op.projector.M)
+        h = op.invert_micro(g)
+        err = h - _bordered_inverse(op, g)
+        norm_h = math.sqrt(inner(h, h, s, grid))
+        assert math.sqrt(inner(err, err, s, grid)) <= 1e-10 * norm_h
+        ph = op.projector.macro(h)
+        assert math.sqrt(inner(ph, ph, s, grid)) <= 1e-12 * norm_h
+
+
+@pytest.mark.parametrize("centred", [True, False])
+def test_assembly_memory_peak(base_state, decomp, centred):
+    """Assembly at 10^3, on a lattice centred on the state and on the
+    shock lattice, holds at most 3.2 N^2 float64 at once (traced): the
+    matrix, the rank-5 correction and one product, with no copy of K^T
+    and no kernel-row temporaries left alive."""
+    s, grid = ((base_state, grid_for_state(base_state, counts=(10,) * 3))
+               if centred else _shock_lattice(decomp))
+    tracemalloc.start()
+    try:
+        assemble_linearized(s, grid, gram_tol=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * 8 * grid.n_nodes ** 2
 
 
 def test_invert_micro_weighted_bound(operator, base_state, small_grid, rng):

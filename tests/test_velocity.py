@@ -5,8 +5,8 @@ import pytest
 
 from kinwave.errors import GridTooNarrow, NonphysicalState, OverflowSignal
 from kinwave.gas import R_GAS, FluidTriple, primitive_fields
-from kinwave.velocity import (Projector, VelocityGrid, chi_basis, gram_matrix,
-                              grid_for_state, grid_spanning, inner, moments,
+from kinwave.velocity import (Projector, VelocityGrid, grid_for_state,
+                              grid_spanning, inner, moments,
                               reference_maxwellian, sphere_rule)
 
 
@@ -83,13 +83,13 @@ def test_inner_overflow_signal():
 
 def test_chi_orthonormality(base_state):
     g = grid_for_state(base_state, counts=(16,) * 3)
-    G = gram_matrix(chi_basis(base_state, g), base_state, g)
+    G = Projector(base_state, g)._gram
     assert np.max(np.abs(G - np.eye(5))) <= 1e-6
 
 
 def test_chi_parity_and_moment(base_state):
     g = grid_for_state(base_state, counts=(12,) * 3)
-    chi = chi_basis(base_state, g)
+    chi = Projector(base_state, g).chi
     flipped = chi[1][::-1, :, :]
     assert np.allclose(flipped, -chi[1], atol=1e-13 * np.abs(chi[1]).max())
     assert g.integrate(chi[4]) == pytest.approx(0.0, abs=1e-6)
@@ -99,7 +99,7 @@ def test_grid_too_narrow():
     s = FluidTriple(v=1.0, theta=1.0)
     g = grid_for_state(s, counts=(4,) * 3)
     with pytest.raises(GridTooNarrow):
-        chi_basis(s, g)
+        Projector(s, g)
 
 
 def test_projection_identity_and_idempotence(base_state, small_grid, rng):
@@ -144,7 +144,9 @@ def test_orthonormality_grid_convergence(base_state):
         chi = [M / math.sqrt(rho)]
         chi += [du[i] / math.sqrt(a2 * rho) * M for i in range(3)]
         chi.append((q / a2 - 3.0) / math.sqrt(6.0 * rho) * M)
-        errs.append(np.max(np.abs(gram_matrix(chi, base_state, g) - np.eye(5))))
+        flat = np.stack([c.reshape(-1) for c in chi])
+        G = g.weight * (flat / M.reshape(-1)) @ flat.T
+        errs.append(np.max(np.abs(G - np.eye(5))))
     assert errs[0] > errs[1] > errs[2]
 
 
