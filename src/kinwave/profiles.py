@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, PchipInterpolator
+# scipy.integrate and scipy.interpolate (each of which loads scipy.optimize
+# and scipy.sparse) are imported where a profile is built, not here:
+# commands that build no profile should not pay for loading them
 from scipy.linalg import solve_banded
 
 from .errors import (BVPNoConvergence, InvalidStrength, InversionFailure,
@@ -223,6 +224,7 @@ class ContactWave:
                  transport: TransportLaw = DEFAULT_TRANSPORT):
         if decomp.delta_c <= 0.0:
             raise InvalidStrength("contact strength must be positive")
+        from scipy.interpolate import CubicSpline
         self.decomp = decomp
         self.transport = transport
         self.p_star = pressure(decomp.mid_lo)
@@ -284,9 +286,10 @@ class ContactWave:
 
 def shock_slope_quadratic(mid_hi: FluidTriple, sigma: float,
                           transport: TransportLaw = DEFAULT_TRANSPORT) -> float:
-    """Slope d theta / d v at the upstream end of the shock profile: the
-    root of the saddle quadratic closest to -p^* (exactly -p^* when sigma
-    equals the upstream sound speed)."""
+    """Slope d theta / d v of the shock orbit at the saddle ``mid_hi``
+    (the upstream end; ShockProfile also takes it at the downstream state):
+    the root of the saddle quadratic closest to -p there (exactly -p when
+    sigma equals that state's sound speed)."""
     p_star = pressure(mid_hi)
     ratio = transport.A1 / transport.A2          # mu/kappa, temperature-free
     b = -1.5 * (p_star - sigma ** 2 * mid_hi.v) - 2.0 * ratio * sigma ** 2 * mid_hi.v
@@ -320,6 +323,8 @@ class ShockProfile:
             raise InvalidStrength("shock strength must be positive")
         if decomp.delta_s > 0.3 * decomp.mid_hi.v:
             raise InvalidStrength("shock strength above the supported range")
+        from scipy.integrate import solve_ivp
+        from scipy.interpolate import PchipInterpolator
         self.decomp = decomp
         self.transport = transport
         hi, right = decomp.mid_hi, decomp.right
@@ -328,9 +333,12 @@ class ShockProfile:
         self.v_star, self.theta_star, self.u_star = hi.v, hi.theta, hi.u1
         self.v_plus = right.v
         self.lstar = shock_slope_quadratic(hi, self.sigma, transport)
+        # the same saddle root at the downstream end v_+
+        self._lplus = shock_slope_quadratic(right, self.sigma, transport)
         self._slope_coef = (4.0 * self.sigma ** 2 * self.transport.A1
                             / (3.0 * self.transport.A2))
         self._saddle_den = 1e-10 * self.p_star
+        self._s_mid = 0.5 * decomp.delta_s
 
         eps = SHOCK_EPS_REL * decomp.delta_s
         v0 = self.v_star + eps
@@ -364,6 +372,8 @@ class ShockProfile:
         # recenter so v(0) is the mid-volume
         v_mid = 0.5 * (self.v_star + self.v_plus)
         self._y = ygrid - float(np.interp(v_mid, self._vgrid, ygrid))
+        if not np.all(np.diff(self._y) > 0.0):
+            raise ProfileBlowup("y(v) is not strictly increasing on the orbit")
         self._v_of_y = PchipInterpolator(self._y, self._vgrid)
         self._th_of_y = PchipInterpolator(self._y, self._thgrid)
         self.y_range = (self._y[0], self._y[-1])
@@ -390,19 +400,20 @@ class ShockProfile:
 
     def _dtheta_dv(self, s, phi):
         """Orbit slope d theta/d v = 4 sigma^2 A1/(3 A2) num/den of the plane
-        system; at the saddles, where |den| < 1e-10 p^*, the ratio is 0/0
-        and the slope is the saddle root lstar.  s, phi are scalars (the
+        system; near the saddles, where |den| < 1e-10 p^*, the ratio is 0/0
+        and the slope is the root of the nearer saddle: lstar up to
+        s = delta_S/2, the downstream root beyond.  s, phi are scalars (the
         orbit ODE, whose per-call cost this keeps free of np.where) or
         arrays (eval)."""
         den = self._den(s, phi)
         saddle = abs(den) < self._saddle_den
-        vector = type(saddle) is np.ndarray
-        if vector:
-            den = np.where(saddle, 1.0, den)
-        elif saddle:
-            return self.lstar
-        slope = self._slope_coef * self._num(s, phi) / den
-        return np.where(saddle, self.lstar, slope) if vector else slope
+        if type(saddle) is np.ndarray:
+            root = np.where(s > self._s_mid, self._lplus, self.lstar)
+            return np.where(saddle, root, self._slope_coef * self._num(s, phi)
+                            / np.where(saddle, 1.0, den))
+        if saddle:
+            return self._lplus if s > self._s_mid else self.lstar
+        return self._slope_coef * self._num(s, phi) / den
 
     def _dy_dv(self, s, phi):
         return (-(4.0 / 3.0) * self.transport.mu(self.theta_star + phi)
@@ -447,6 +458,7 @@ class ShockProfile:
 def expansion_lhs(wave: ShockProfile) -> float:
     """Chord-slope difference (p-p_+)/(v-v_+) - (p-p^*)/(v-v^*) at the
     profile midpoint volume."""
+    from scipy.interpolate import PchipInterpolator
     d = wave.decomp
     v_mid = 0.5 * (d.mid_hi.v + d.right.v)
     th_mid = float(wave._th_of_y(float(PchipInterpolator(

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.optimize import brentq
-
 from .errors import InvalidStrength, NoPhysicalShock, OutOfPatternRange
 from .gas import FluidTriple, entropy, pressure, sound_speed
 
@@ -219,7 +217,16 @@ def solve_riemann(left: FluidTriple, right: FluidTriple) -> RiemannDecomposition
     if mismatch(0.0) * mismatch(ds_hi) > 0.0:
         raise OutOfPatternRange(
             f"no shock strength in [0, {ds_hi:.3g}] closes the contact")
-    delta_s = brentq(mismatch, 0.0, ds_hi, xtol=1e-15 * right.v)
+    # bisection on the checked bracket: the mismatch falls strictly, so the
+    # root stays in [lo, hi]; taking lo keeps a root at 0.0 exact
+    lo, hi = 0.0, ds_hi
+    while hi - lo > 1e-15 * right.v:
+        mid = 0.5 * (lo + hi)
+        if mismatch(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    delta_s = lo
     mid_lo, mid_hi, sigma = states(delta_s)
     delta_r = mid_lo.v - left.v
     if delta_r < -1e-11 * max(left.v, right.v):

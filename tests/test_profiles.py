@@ -1,9 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from kinwave.errors import InvalidStrength
+from kinwave.errors import InvalidStrength, ProfileBlowup
 from kinwave.gas import DEFAULT_TRANSPORT, FluidTriple, pressure, sound_speed
 from kinwave.profiles import (ContactWave, RarefactionWave, ShockProfile,
                               burgers_w, loglog_slope, shock_micro_leading,
@@ -218,20 +219,48 @@ def test_slope_quadratic_root_selected():
     assert abs(l3 - l2) <= 1e-6
 
 
+def _assert_shock_relations(wave):
+    """The profile is monotone, and u1_y, theta_y follow -sigma^* v_y and
+    -p^* v_y to within 2 delta_S."""
+    d = wave.decomp
+    ds = d.delta_s
+    p = wave.eval(np.linspace(-30 / ds, 30 / ds, 3001))
+    assert np.all(p.v_y >= 0)
+    assert np.all(p.u1_y <= 1e-14)
+    assert np.all(p.theta_y <= 1e-12)
+    mask = p.v_y > 1e-9 * ds ** 2
+    c_vu = np.abs(p.u1_y + d.sigma_star * p.v_y)[mask] / p.v_y[mask]
+    c_th = np.abs(p.theta_y + pressure(d.mid_hi) * p.v_y)[mask] / p.v_y[mask]
+    assert c_vu.max() <= 2.0 * ds
+    assert c_th.max() <= 2.0 * ds
+
+
 def test_shock_monotonicity_and_relations():
     mid = FluidTriple(v=0.92, u=(0.09, 0, 0), theta=1.05)
     for ds in (0.01, 0.02, 0.04, 0.08, 0.16):
-        d = shock_decomposition(mid, ds)
-        y = np.linspace(-30 / ds, 30 / ds, 3001)
-        p = ShockProfile(d).eval(y)
-        assert np.all(p.v_y >= 0)
-        assert np.all(p.u1_y <= 1e-14)
-        assert np.all(p.theta_y <= 1e-12)
-        mask = p.v_y > 1e-9 * ds ** 2
-        c_vu = np.abs(p.u1_y + d.sigma_star * p.v_y)[mask] / p.v_y[mask]
-        c_th = np.abs(p.theta_y + pressure(mid) * p.v_y)[mask] / p.v_y[mask]
-        assert c_vu.max() <= 2.0 * ds
-        assert c_th.max() <= 2.0 * ds
+        _assert_shock_relations(ShockProfile(shock_decomposition(mid, ds)))
+
+
+@pytest.mark.parametrize("mid", [FluidTriple(v=1.0, theta=1.0),
+                                 FluidTriple(v=0.92, u=(0.09, 0, 0),
+                                             theta=1.05)])
+@pytest.mark.parametrize("ds", [0.005, 0.003])
+def test_weak_shock_builds(mid, ds):
+    """Weak shocks build in well under a second: near the downstream
+    saddle the 0/0 slope takes the downstream root, not the upstream one
+    (which made DOP853's steps collapse there)."""
+    start = time.process_time()
+    wave = ShockProfile(shock_decomposition(mid, ds))
+    assert time.process_time() - start < 1.0
+    _assert_shock_relations(wave)
+
+
+def test_nonmonotone_orbit_raises_blowup():
+    """An orbit whose sampled y(v) is not strictly increasing raises
+    ProfileBlowup before the interpolants are built."""
+    with pytest.raises(ProfileBlowup, match="strictly increasing"):
+        ShockProfile(shock_decomposition(FluidTriple(v=1.0, theta=1.0),
+                                         0.002))
 
 
 @pytest.mark.parametrize("ds", [0.02, 0.1])

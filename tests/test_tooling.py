@@ -147,6 +147,42 @@ def test_bench_trace_counters_match_signatures():
     assert seen == set(COUNTER_ARGS)
 
 
+#: the scipy subpackages that only a wave-profile build needs
+PROFILE_STACK = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
+
+IMPORT_PROBE = """
+import importlib, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(sorted(m for m in {stack} if m in sys.modules))
+from kinwave.ansatz import CompositeAnsatz
+from kinwave.gas import FluidTriple
+from kinwave.riemann import generate_states
+CompositeAnsatz(generate_states(FluidTriple(v=1.0, theta=1.0), 0.02, 0.02,
+                                0.05))
+print(sorted(m for m in {stack} if m in sys.modules))
+"""
+
+
+def test_profile_stack_loads_only_with_a_profile():
+    """Importing the CLI and every module the benchmark trace wraps loads
+    none of scipy's ODE, spline and root-finder subpackages, so commands
+    that build no wave profile (``collision-check``) do not pay for them;
+    building a ``CompositeAnsatz`` loads them."""
+    modules = ["kinwave.cli",
+               *sorted({module for _, module, _, _ in _launch().LAYERS})]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE.format(stack=PROFILE_STACK),
+         *modules], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.splitlines()
+    assert before == "[]"
+    assert after == str(sorted(PROFILE_STACK))
+
+
 def test_bench_workloads_load():
     """Every pinned workload INI passes the strict config schema, so a key
     removed from the schema fails here instead of at benchmark time."""
