@@ -1,6 +1,6 @@
 """Composite ansatz, weight function, shift dynamics and the stability
 functionals (weighted relative entropy, layer-weighted quadratic forms,
-perturbation norms, microscopic field split)."""
+perturbation norms)."""
 
 from __future__ import annotations
 
@@ -232,35 +232,6 @@ def diagnostics_frame(t: float, fields, frame: AnsatzFrame, shift: ShiftState,
         sup_zeta=float(np.max(np.abs(zeta))),
         l2_pert=math.sqrt(float(np.trapezoid(pert2, frame.y))),
         micro_norm=micro_norm)
-
-
-# ---------------------------------------------------------------------------
-# microscopic split
-# ---------------------------------------------------------------------------
-
-def g_tilde_split(G: np.ndarray, shock_micro_shifted: np.ndarray,
-                  du: np.ndarray, dth: np.ndarray, states: list[FluidTriple],
-                  operators: list, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split the microscopic field: G_tilde = G - G^S( . - X), then remove
-    the non-time-integrable rarefaction/contact streaming part
-
-        G0 = (3/(2 v theta)) L^{-1} P1[ xi1 M ( xi1 du + |xi-u|^2/(2theta) dth ) ]
-
-    where du, dth are the rarefaction+contact u1_y and theta_y sources, one
-    per state.  Returns (G_tilde, G0, G1 = G_tilde - G0) as (ny, *counts)
-    arrays.
-    """
-    G_t = G - shock_micro_shifted
-    G0 = np.zeros_like(G)
-    xi1 = grid.node_array(0)
-    for i, (s, op) in enumerate(zip(states, operators)):
-        if du[i] == 0.0 and dth[i] == 0.0:
-            continue
-        q = sum((grid.node_array(k) - s.u[k]) ** 2 for k in range(3))
-        src = xi1 * op.projector.M * (xi1 * du[i] + q / (2.0 * s.theta) * dth[i])
-        rhs = op.projector.micro(src)
-        G0[i] = 1.5 / (s.v * s.theta) * op.invert_micro(rhs)
-    return G_t, G0, G_t - G0
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .gas import FluidTriple
 from .reports import profile_report
 from .riemann import generate_states
 from .solvers import RunResult, fluid_run, kinetic_run, wave_states
-from .velocity import grid_for_state, moments
+from .velocity import grid_for_state, inner, moments
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -158,7 +158,7 @@ def cmd_collision_check(cfg: RunConfig, out: Path, seed: int) -> int:
     res = q_bilinear(f, f, gridq)
     mom = moments(res.total, gridq)
     defect = max(abs(mom.rho), max(abs(x) for x in mom.m), abs(mom.E))
-    norm2 = gridq.integrate(f ** 2 / M)
+    norm2 = inner(f, f, base, gridq)
     report["checks"].append({"name": "collision_invariants_8^3",
                              "defect": defect, "norm2": norm2,
                              "passed": bool(defect <= 1e-3 * norm2)})

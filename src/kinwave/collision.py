@@ -2,7 +2,10 @@
 
 Provides the bilinear gain/loss quadrature, the closed-form collision
 frequency and compact kernels, assembly of the linearized operator around a
-Maxwellian, and the constrained inverse on the microscopic subspace.
+Maxwellian, the constrained inverse on the microscopic subspace, and what
+acts through that inverse: the Chapman-Enskog term of a moving local
+Maxwellian (``micro_leading``), the shock profile's microscopic leading
+term and the microscopic field split.
 
 Normalization note: the closed-form collision frequency below follows the
 compact-kernel convention and equals 1/pi times the double quadrature of
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import eigh, lu_factor, lu_solve
@@ -25,7 +29,11 @@ from scipy.special import erf
 
 from .errors import IllConditioned, NotMicroscopic, SingularPair
 from .gas import R_GAS, FluidTriple
-from .velocity import Projector, VelocityGrid, inner, one_plus_speed
+from .velocity import (Projector, VelocityGrid, grid_spanning, inner,
+                       one_plus_speed, reference_maxwellian)
+
+if TYPE_CHECKING:
+    from .profiles import ShockProfile
 
 # int over the unit cube [-1/2,1/2]^3 of |z|^-1 dz (for the k2 self-cell).
 _CELL_INV_R = 2.3800774322849208
@@ -49,7 +57,7 @@ class BilinearResult:
     gain: np.ndarray
     loss: np.ndarray
     loss_frequency: np.ndarray      # loss = g * loss_frequency(h)
-    lost_interp_weight: float       # gain quadrature weight fallen off-grid
+    lost_interp_weight: float       # see q_bilinear_batch
 
     @property
     def total(self) -> np.ndarray:
@@ -115,7 +123,9 @@ def q_bilinear_batch(G: np.ndarray, H: np.ndarray,
     loss_frequency(i) = (B hbar)(i_a), hbar = h summed over the other two
     axes; one n_a x n_a matmul per direction, O(nbatch N n_a).  Off-axis
     directions interpolate trilinearly over all N^2 pairs, O(nbatch N^2),
-    and record the gain weight that falls off the lattice.
+    and record sum B (2 - w1 - w2), the stencil weight w1, w2 of the two
+    interpolations that falls off the lattice: a constant of the lattice
+    and the rule, whatever g and h.
     """
     nb, N = G.shape[0], grid.n_nodes
     shape = (nb,) + grid.counts
@@ -176,6 +186,12 @@ def q_bilinear(g: np.ndarray, h: np.ndarray, grid: VelocityGrid) -> BilinearResu
 # closed forms: collision frequency and compact kernels
 # ---------------------------------------------------------------------------
 
+def _k2_prefactor(rho: float, a2: float) -> float:
+    """2 rho / sqrt(2 pi a2): the factor of k2 and of the collision
+    frequency."""
+    return 2.0 * rho / math.sqrt(2.0 * math.pi * a2)
+
+
 def collision_frequency(s: FluidTriple, xi: np.ndarray) -> np.ndarray:
     """Closed-form collision frequency of the local Maxwellian at ``s``.
 
@@ -191,7 +207,7 @@ def collision_frequency(s: FluidTriple, xi: np.ndarray) -> np.ndarray:
     full = (a2 / r_safe + r_safe) * igral + a2 * np.exp(-r ** 2 / (2.0 * a2))
     limit = 2.0 * a2
     val = np.where(r > 1e-14, full, limit)
-    return 2.0 * s.rho / math.sqrt(2.0 * math.pi * a2) * val
+    return _k2_prefactor(s.rho, a2) * val
 
 
 def _k1(rho: float, a2: float, r, q, qs):
@@ -201,9 +217,13 @@ def _k1(rho: float, a2: float, r, q, qs):
 
 
 def _k2_exp(a2: float, r, q, qs):
-    """Exponential factor of k2 = 2 rho / sqrt(2 pi a2) / r * _k2_exp
-    (arguments as in _k1)."""
+    """Exponential factor of k2 (arguments as in _k1)."""
     return np.exp(-r ** 2 / (8.0 * a2) - (q - qs) ** 2 / (8.0 * a2 * r ** 2))
+
+
+def _k2(rho: float, a2: float, r, q, qs):
+    """k2 = _k2_prefactor / r * _k2_exp (arguments as in _k1)."""
+    return _k2_prefactor(rho, a2) / r * _k2_exp(a2, r, q, qs)
 
 
 def kernels(s: FluidTriple, xi: np.ndarray, xi_star: np.ndarray
@@ -223,10 +243,7 @@ def kernels(s: FluidTriple, xi: np.ndarray, xi_star: np.ndarray
     if np.any(r < EPS_SING):
         raise SingularPair("k2 singular at coincident velocities")
     q, qs = np.einsum("...i,...i->...", c, c), np.einsum("...i,...i->...", cs, cs)
-    k1 = _k1(s.rho, a2, r, q, qs)
-    k2 = (2.0 * s.rho / math.sqrt(2.0 * math.pi * a2) / r
-          * _k2_exp(a2, r, q, qs))
-    return k1, k2
+    return _k1(s.rho, a2, r, q, qs), _k2(s.rho, a2, r, q, qs)
 
 
 def _k2_shell_average(s: FluidTriple, grid: VelocityGrid, K: np.ndarray,
@@ -235,15 +252,15 @@ def _k2_shell_average(s: FluidTriple, grid: VelocityGrid, K: np.ndarray,
     coincidence singularity by subcell averages (in place), in the kernel
     rows ``rows`` (flat node indices).
 
-    The self-cell splits k2 = pref * [ (E - Ebar)/r + Ebar/r ]: the smooth
-    first part is subcell-averaged, the 1/r part integrated exactly with the
-    angular-averaged limit Ebar of the sharp exponential factor.
+    The self-cell splits k2 = _k2_prefactor * [ (E - Ebar)/r + Ebar/r ]:
+    the smooth first part is subcell-averaged, the 1/r part integrated
+    exactly with the angular-averaged limit Ebar of the sharp exponential
+    factor.
     """
     nodes = grid.nodes
     a2 = R_GAS * s.theta
     u = np.asarray(s.u)
     c = nodes - u
-    pref2 = 2.0 * s.rho / math.sqrt(2.0 * math.pi * a2)
     h = grid.spacing[0]
     counts = np.array(grid.counts)
     stride = np.array([counts[1] * counts[2], counts[2], 1])
@@ -272,14 +289,14 @@ def _k2_shell_average(s: FluidTriple, grid: VelocityGrid, K: np.ndarray,
                         np.sqrt(math.pi * a2 / 2.0) / sls
                         * erf(sls / math.sqrt(2.0 * a2)), 1.0)
                     smooth = np.mean((E - ebar[:, None]) / rzs[None, :], axis=1)
-                    K[ii, ii] = pref2 * (smooth + ebar * _CELL_INV_R / h)
+                    K[ii, ii] = _k2_prefactor(s.rho, a2) * (
+                        smooth + ebar * _CELL_INV_R / h)
                 else:
                     pts = off * h + Z
                     rr = np.linalg.norm(pts, axis=1)
                     dots = c[ii] @ pts.T
                     qs = q[ii, None] + 2.0 * dots + (rr ** 2)[None, :]
-                    k2sub = pref2 / rr[None, :] * _k2_exp(
-                        a2, rr[None, :], q[ii, None], qs)
+                    k2sub = _k2(s.rho, a2, rr[None, :], q[ii, None], qs)
                     r = float(np.linalg.norm(off * h))
                     k1v = _k1(s.rho, a2, r, q[ii], q[jj])
                     K[ii, jj] = -k1v + np.mean(k2sub, axis=1)
@@ -292,7 +309,6 @@ def _kernel_rows(s: FluidTriple, grid: VelocityGrid, q: np.ndarray,
     for the shell pass to overwrite, takes r = 1.  Blocks of N/16 rows
     keep the temporaries (11 floats per block entry) near 0.7 N^2."""
     a2 = R_GAS * s.theta
-    pref2 = 2.0 * s.rho / math.sqrt(2.0 * math.pi * a2)
     K = np.zeros((grid.n_nodes, grid.n_nodes))
     block = max(1, grid.n_nodes // 16)
     for i0 in range(0, len(rows), block):
@@ -301,7 +317,7 @@ def _kernel_rows(s: FluidTriple, grid: VelocityGrid, q: np.ndarray,
         r = np.sqrt(np.einsum("bni,bni->bn", d, d))
         rs = np.where(r < EPS_SING, 1.0, r)
         k1 = _k1(s.rho, a2, r, q[ri, None], q[None, :])
-        K[ri, :] = -k1 + pref2 / rs * _k2_exp(a2, rs, q[ri, None], q[None, :])
+        K[ri, :] = -k1 + _k2(s.rho, a2, rs, q[ri, None], q[None, :])
     return K
 
 
@@ -486,24 +502,25 @@ def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
     A *= grid.weight
     A[np.arange(N), np.arange(N)] -= math.pi * collision_frequency(s, nodes)
 
-    def chi_residuals(A):
-        res = [(A @ chi.reshape(-1)).reshape(grid.counts) for chi in proj.chi]
-        return np.array([math.sqrt(inner(r, r, s, grid))
-                         / math.sqrt(inner(chi, chi, s, grid))
-                         for r, chi in zip(res, proj.chi)])
+    C, W = proj._chi_flat.T, proj._W                        # (N, 5), (5, N)
 
-    raw_res = chi_residuals(A)
+    def chi_residuals(AC):
+        """|A chi_j| / |chi_j| in the M-weighted norm, from AC = A C."""
+        both = np.concatenate([AC.T, proj._chi_flat]).reshape(
+            (10,) + grid.counts)
+        n2 = inner(both, both, s, grid)
+        return np.sqrt(n2[:5] / n2[5:])
 
     # P A P with P = I - C W as rank-5 corrections, O(N^2) instead of two
     # N^3 GEMMs: A - C (W A) - (A C) W + C ((W A C) W)
-    C, W = proj._chi_flat.T, proj._W                        # (N, 5), (5, N)
     WA, AC = W @ A, A @ C
+    raw_res = chi_residuals(AC)
     X = C @ (WA - (WA @ C) @ W)
     X += AC @ W
     A -= X
 
     return LinearizedOperator(state=s, grid=grid, matrix=A,
-                              chi_residuals=chi_residuals(A),
+                              chi_residuals=chi_residuals(A @ C),
                               raw_chi_residuals=raw_res,
                               projector=proj)
 
@@ -517,13 +534,87 @@ def measure_dissipativity(op: LinearizedOperator, mref: FluidTriple,
     """sigma_tilde = min over random microscopic g of
     -<g, L g>_{M#} / <(1+|xi|) g, g>_{M#}."""
     grid = op.grid
-    Mref = grid.maxwellian(mref).reshape(-1)
-    one_xi = one_plus_speed(grid).reshape(-1)
     raw = rng.standard_normal((trials,) + grid.counts) * op.projector.M
-    g = op.projector.micro(raw).reshape(trials, -1)
-    Lg = g @ op.matrix.T
-    num = -grid.weight * np.sum(g * Lg / Mref, axis=1)
-    den = grid.weight * np.sum(one_xi * g * g / Mref, axis=1)
+    g = op.projector.micro(raw)
+    Lg = (g.reshape(trials, -1) @ op.matrix.T).reshape(g.shape)
+    num = -inner(g, Lg, mref, grid)
+    den = inner(one_plus_speed(grid) * g, g, mref, grid)
     ok = den > 0
     return float(np.min(num[ok] / den[ok])) if ok.any() else math.inf
 
+
+# ---------------------------------------------------------------------------
+# the Chapman-Enskog term and its uses
+# ---------------------------------------------------------------------------
+
+def micro_leading(op: LinearizedOperator, v_y: float, u1_y: float,
+                  theta_y: float) -> np.ndarray:
+    """The Chapman-Enskog term (1/v) L^{-1} P1(xi1 d_y M) of the local
+    Maxwellian M at ``op.state`` with the gradients (v_y, u1_y, theta_y),
+    d_y M in the projector's chi basis.  P1 removes the multiples of
+    xi1 M, so the v_y part vanishes and the term equals
+    3/(2 v theta) L^{-1} P1[xi1 M (xi1 u1_y + |xi - u|^2 theta_y/(2 theta))].
+    P1 is applied twice: one pass leaves roundoff with macroscopic content
+    of its own size, which ``invert_micro`` would reject."""
+    s, p = op.state, op.projector
+    M_y = math.sqrt(s.rho) * (
+        -v_y / s.v * p.chi[0]
+        + u1_y / math.sqrt(R_GAS * s.theta) * p.chi[1]
+        + math.sqrt(1.5) * theta_y / s.theta * p.chi[4])
+    return op.invert_micro(p.micro(p.micro(op.grid.node_array(0) * M_y))
+                           / s.v)
+
+
+@dataclass
+class ShockMicroProfile:
+    y: np.ndarray
+    fields: list[np.ndarray]            # leading microscopic term per sample
+    norms: np.ndarray                   # (1+|xi|)-weighted reference norms
+    v_y: np.ndarray
+    mref: FluidTriple
+    grid: VelocityGrid
+
+
+def shock_micro_leading(wave: ShockProfile, grid_counts=(10, 10, 10),
+                        n_samples: int = 15, span: float | None = None,
+                        gram_tol: float = 0.5) -> ShockMicroProfile:
+    """Leading microscopic content of the shock profile: per sampled y,
+    ``micro_leading`` of the local linearized operator at the profile's
+    values and gradients."""
+    d = wave.decomp
+    if span is None:
+        span = 0.8 * min(-wave.y_range[0], wave.y_range[1])
+    ysamp = np.linspace(-span, span, n_samples)
+    prof = wave.eval(ysamp)
+    mref = reference_maxwellian(prof.theta, prof.v, prof.u1)
+    grid = grid_spanning((d.mid_hi, d.right), grid_counts)
+    fields = []
+    for i in range(n_samples):
+        s = FluidTriple(v=prof.v[i], u=(prof.u1[i], 0.0, 0.0),
+                        theta=prof.theta[i])
+        op = assemble_linearized(s, grid, gram_tol=gram_tol)
+        fields.append(micro_leading(op, prof.v_y[i], prof.u1_y[i],
+                                    prof.theta_y[i]))
+    h = np.stack(fields)
+    norms = np.sqrt(inner(one_plus_speed(grid) * h, h, mref, grid))
+    return ShockMicroProfile(y=ysamp, fields=fields, norms=norms,
+                             v_y=prof.v_y, mref=mref, grid=grid)
+
+
+def g_tilde_split(G: np.ndarray, shock_micro_shifted: np.ndarray,
+                  du: np.ndarray, dth: np.ndarray,
+                  operators: list[LinearizedOperator]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split the microscopic field: G_tilde = G - G^S( . - X), then remove
+    the non-time-integrable rarefaction/contact streaming part
+    G0 = micro_leading(L, 0, du, dth), where du, dth are the
+    rarefaction+contact u1_y and theta_y sources and L the linearized
+    operator (with its state and lattice), one per row.  Returns
+    (G_tilde, G0, G1 = G_tilde - G0) as (ny, *counts) arrays.
+    """
+    G_t = G - shock_micro_shifted
+    G0 = np.zeros_like(G)
+    for i, op in enumerate(operators):
+        if du[i] != 0.0 or dth[i] != 0.0:
+            G0[i] = micro_leading(op, 0.0, du[i], dth[i])
+    return G_t, G0, G_t - G0

@@ -24,11 +24,9 @@ from scipy.linalg import solve_banded
 
 from .errors import (BVPNoConvergence, InvalidStrength, InversionFailure,
                      NoRealRoot, ProfileBlowup)
-from .gas import (DEFAULT_TRANSPORT, R_GAS, FluidTriple, TransportLaw,
-                  entropy, pressure)
+from .gas import (DEFAULT_TRANSPORT, FluidTriple, TransportLaw, entropy,
+                  pressure)
 from .riemann import RiemannDecomposition, isentrope_state, lambda1
-from .velocity import (VelocityGrid, grid_spanning, one_plus_speed,
-                       reference_maxwellian)
 
 
 # ---------------------------------------------------------------------------
@@ -502,95 +500,6 @@ def measured_curvature(wave: ShockProfile) -> float:
     x = dv[mask]
     r = wave._thgrid[mask] - wave.theta_star - wave.lstar * x
     return 2.0 * float((x ** 2 @ r) / (x ** 2 @ x ** 2))
-
-
-@dataclass
-class ExpansionReport:
-    delta_s: np.ndarray
-    measured_lhs: np.ndarray
-    predicted_coefficients: np.ndarray      # per strength, at its own mid_hi
-    measured_coefficients: np.ndarray       # lhs / delta_s
-    curvature_measured: np.ndarray
-    curvature_predicted: np.ndarray
-
-    @property
-    def residuals(self) -> np.ndarray:
-        """lhs minus the predicted linear term (expected O(delta_s^2))."""
-        return self.measured_lhs - self.predicted_coefficients * self.delta_s
-
-
-def verify_shock_expansion(waves: list[ShockProfile],
-                           transport: TransportLaw = DEFAULT_TRANSPORT
-                           ) -> ExpansionReport:
-    """Measure the chord-slope difference across a strength sweep of built
-    profiles against the predicted linear coefficient at each strength's
-    upstream state (the viscous-level profile omits microscopic
-    corrections, so only the linear coefficient is expected to match)."""
-    strengths = np.asarray([w.decomp.delta_s for w in waves], dtype=float)
-    lhs, pred, cm, cp = [], [], [], []
-    for w in waves:
-        lhs.append(expansion_lhs(w))
-        pred.append(predicted_expansion_coefficient(w.decomp.mid_hi, transport))
-        cm.append(measured_curvature(w))
-        cp.append(predicted_curvature(w.decomp.mid_hi, transport))
-    lhs = np.asarray(lhs)
-    return ExpansionReport(
-        delta_s=strengths, measured_lhs=lhs,
-        predicted_coefficients=np.asarray(pred),
-        measured_coefficients=lhs / strengths,
-        curvature_measured=np.asarray(cm),
-        curvature_predicted=np.asarray(cp))
-
-
-# ---------------------------------------------------------------------------
-# microscopic leading term of the shock profile
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ShockMicroProfile:
-    y: np.ndarray
-    fields: list[np.ndarray]            # leading microscopic term per sample
-    norms: np.ndarray                   # (1+|xi|)-weighted reference norms
-    v_y: np.ndarray
-    mref: FluidTriple
-    grid: VelocityGrid
-
-
-def shock_micro_leading(wave: ShockProfile, grid_counts=(10, 10, 10),
-                        n_samples: int = 15, span: float | None = None,
-                        gram_tol: float = 0.5) -> ShockMicroProfile:
-    """Leading microscopic content of the shock profile: per sampled y,
-    invert the local linearized operator on the projected streaming term
-    of the local Maxwellian."""
-    from .collision import assemble_linearized
-
-    d = wave.decomp
-    if span is None:
-        span = 0.8 * min(-wave.y_range[0], wave.y_range[1])
-    ysamp = np.linspace(-span, span, n_samples)
-    prof = wave.eval(ysamp)
-    mref = reference_maxwellian(prof.theta, prof.v, prof.u1)
-    grid = grid_spanning((d.mid_hi, d.right), grid_counts)
-    one_xi = one_plus_speed(grid)
-    Mref = grid.maxwellian(mref)
-    fields, norms = [], []
-    xi1 = grid.node_array(0)
-    for i, y in enumerate(ysamp):
-        s = FluidTriple(v=prof.v[i], u=(prof.u1[i], 0.0, 0.0),
-                        theta=prof.theta[i])
-        op = assemble_linearized(s, grid, gram_tol=gram_tol)
-        # d/dy of the local Maxwellian, in the projector's basis chi
-        chi = op.projector.chi
-        My = math.sqrt(s.rho) * (
-            -prof.v_y[i] / s.v * chi[0]
-            + prof.u1_y[i] / math.sqrt(R_GAS * s.theta) * chi[1]
-            + math.sqrt(1.5) * prof.theta_y[i] / s.theta * chi[4])
-        rhs = op.projector.micro(xi1 * My) / s.v
-        h = op.invert_micro(rhs)
-        fields.append(h)
-        norms.append(math.sqrt(grid.integrate(one_xi * h * h / Mref)))
-    return ShockMicroProfile(y=ysamp, fields=fields, norms=np.asarray(norms),
-                             v_y=prof.v_y, mref=mref, grid=grid)
 
 
 # ---------------------------------------------------------------------------

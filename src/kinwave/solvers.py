@@ -21,8 +21,8 @@ from .gas import (DEFAULT_TRANSPORT, R_GAS, ConservedTriple, FluidTriple,
                   TransportLaw, pressure, primitive_fields, sound_speed)
 from .profiles import loglog_slope
 from .riemann import RiemannDecomposition
-from .velocity import (Projector, VelocityGrid, grid_spanning, moments,
-                       reference_maxwellian)
+from .velocity import (Projector, VelocityGrid, grid_spanning, inner,
+                       moments, reference_maxwellian)
 
 if TYPE_CHECKING:                     # config imports this module
     from .config import RunConfig
@@ -400,7 +400,7 @@ class KineticField:
     values: np.ndarray                # (ny,) + grid.counts
     t: float = 0.0
     clip_defect: float = 0.0          # mass removed by positivity clipping
-    lost_interp_weight: float = 0.0   # gain weight interpolated off-lattice
+    lost_interp_weight: float = 0.0   # off-lattice stencil weight, summed
     operator_drift: float = 0.0       # state drift from the frozen operators
 
     def __post_init__(self):
@@ -473,8 +473,9 @@ def kinetic_step(field: KineticField, dt: float, sigma: float) -> KineticField:
     O(N n_a) contraction per cell and direction and runs on any lattice.
     A rule with an off-axis direction costs O(N^2) per cell and direction
     and raises CostGuard beyond MAX_FULL_Q_NODES velocity nodes,
-    MAX_FULL_Q_SPHERE directions or MAX_FULL_Q_NX cells.  The gain weight
-    that the off-axis interpolation loses is accumulated on the field.
+    MAX_FULL_Q_SPHERE directions or MAX_FULL_Q_NX cells.  The quadrature's
+    ``lost_interp_weight`` (a constant of the lattice and the rule) is
+    accumulated on the field.
     """
     grid = field.grid
     if not axis_rule(grid) and (
@@ -599,11 +600,8 @@ def _micro_content(field: KineticField, c: ConservedTriple,
     """Weighted squared distance of f from its local Maxwellian family,
     in the metric of the reference Maxwellian ``mref``; ``c`` holds the
     moments of f."""
-    grid = field.grid
-    G = field.values - grid.maxwellian(primitive_fields(c))
-    per_cell = grid.weight * np.sum(G ** 2 / grid.maxwellian(mref),
-                                    axis=(1, 2, 3))
-    return float(np.sum(per_cell)) * field.dy
+    G = field.values - field.grid.maxwellian(primitive_fields(c))
+    return float(np.sum(inner(G, G, mref, field.grid))) * field.dy
 
 
 def _kinetic_invariants(c: ConservedTriple, y: np.ndarray) -> dict:
@@ -618,9 +616,16 @@ def kinetic_run(decomp: RiemannDecomposition, cfg: RunConfig,
     ``cfg.kinetic_dt``, with ``kinetic_step`` or, if ``linearized``, a
     ``LinearizedKineticSolver``, recording about 20 frames (t, min_f,
     clip defect, micro content, invariants) plus the last; ``progress`` is
-    called with each frame as it is recorded."""
+    called with each frame as it is recorded.  Raises NonphysicalState
+    before the first step when the initial distribution has a negative
+    value (a micro mode too large for the lattice tails)."""
     field = initial_kinetic_field(decomp, cfg)
     grid, y = field.grid, field.y
+    min_f0 = float(field.values.min())
+    if min_f0 < 0.0:
+        raise NonphysicalState(
+            f"initial distribution has min f = {min_f0:.3e} < 0; lower "
+            "[perturbation] micro_amplitude")
     mref = wave_states(decomp)[1]
     mass0 = _kinetic_invariants(moments(field.values, grid), y)
     # the step is looked up here, not bound at import, so that a tracer

@@ -185,14 +185,18 @@ def one_plus_speed(grid: VelocityGrid) -> np.ndarray:
 
 
 def inner(g1: np.ndarray, g2: np.ndarray, mref: FluidTriple,
-          grid: VelocityGrid) -> float:
-    """Weighted inner product <g1, g2> = int g1 g2 / M_ref dxi."""
-    M = grid.maxwellian(mref)
+          grid: VelocityGrid) -> np.ndarray:
+    """Weighted inner product <g1, g2> = int g1 g2 / M_ref dxi of grid
+    functions of shape B + ``grid.counts``: shape B, a scalar for a single
+    pair."""
+    M = grid.maxwellian(mref).reshape(-1)
+    g1, g2 = (np.asarray(g).reshape(np.shape(g)[:-3] + (-1,))
+              for g in (g1, g2))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        integrand = np.asarray(g1) * np.asarray(g2) / M
+        integrand = g1 * g2 / M
     if not np.all(np.isfinite(integrand)):
         raise OverflowSignal("integrand not finite; grid too wide for Mref")
-    return grid.integrate(integrand)
+    return grid.weight * np.sum(integrand, axis=-1)
 
 
 class Projector:

@@ -247,8 +247,7 @@ def test_diagnostics_frame_and_csv(decomp, frame0):
 def test_g_tilde_split(decomp):
     """Zero rarefaction/contact sources give a vanishing streaming part;
     with sources the split parts stay microscopic."""
-    from kinwave.ansatz import g_tilde_split
-    from kinwave.collision import assemble_linearized
+    from kinwave.collision import assemble_linearized, g_tilde_split
     from kinwave.velocity import grid_for_state, moments
 
     d = shock_decomposition(decomp.mid_hi, decomp.delta_s)
@@ -261,11 +260,11 @@ def test_g_tilde_split(decomp):
         for s, op in zip(s_list, ops)])
     GS = np.zeros_like(G)
     zero = np.zeros(2)
-    G_t, G0, G1 = g_tilde_split(G, GS, zero, zero, s_list, ops, grid)
+    G_t, G0, G1 = g_tilde_split(G, GS, zero, zero, ops)
     assert np.array_equal(G0, np.zeros_like(G0))
     assert np.array_equal(G1, G_t)
     du, dth = np.array([1e-3, 2e-3]), np.array([-1e-3, 1e-3])
-    G_t, G0, G1 = g_tilde_split(G, GS, du, dth, s_list, ops, grid)
+    G_t, G0, G1 = g_tilde_split(G, GS, du, dth, ops)
     assert np.abs(G0).max() > 0
     for i, (s, op) in enumerate(zip(s_list, ops)):
         m = moments(G1[i], grid)
@@ -275,8 +274,7 @@ def test_g_tilde_split(decomp):
 
 
 def test_g0_scales_with_sources(decomp):
-    from kinwave.ansatz import g_tilde_split
-    from kinwave.collision import assemble_linearized
+    from kinwave.collision import assemble_linearized, g_tilde_split
     from kinwave.velocity import grid_for_state
 
     grid = grid_for_state(decomp.mid_hi, counts=(8,) * 3, extent_radii=5.0)
@@ -286,7 +284,7 @@ def test_g0_scales_with_sources(decomp):
     norms = []
     for scale in (1.0, 2.0):
         du, dth = np.array([1e-3 * scale]), np.array([5e-4 * scale])
-        _, G0, _ = g_tilde_split(G, GS, du, dth, [decomp.mid_hi], [op], grid)
+        _, G0, _ = g_tilde_split(G, GS, du, dth, [op])
         norms.append(math.sqrt(grid.integrate(G0[0] ** 2 / grid.maxwellian(
             decomp.mid_hi))))
     assert norms[1] == pytest.approx(2.0 * norms[0], rel=1e-10)

@@ -294,6 +294,19 @@ kinetic_dt = 0.02
 """
 
 
+def test_cli_simulate_kinetic_rejects_negative_initial_f(tmp_path, capsys):
+    """A micro mode too large for the lattice tails makes the initial
+    distribution negative (min f = -3.8e-3 at amplitude 0.5 on the
+    kinetic-sanity lattice): exit 3 before the first step, no summary."""
+    cfgfile = _write(tmp_path, TINY_KINETIC
+                     + "\n[perturbation]\nmicro_amplitude = 0.5\n")
+    out = tmp_path / "neg"
+    assert cli.main(["simulate-kinetic", "--config", str(cfgfile),
+                     "--out", str(out)]) == cli.EXIT_NUMERICAL_GUARD
+    assert "min f" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_cli_simulate_kinetic_short(tmp_path):
     cfgfile = _write(tmp_path, TINY_KINETIC)
     assert cli.main(["simulate-kinetic", "--config", str(cfgfile),

@@ -4,12 +4,14 @@ import time
 import numpy as np
 import pytest
 
+from kinwave.collision import shock_micro_leading
 from kinwave.errors import InvalidStrength, ProfileBlowup
 from kinwave.gas import DEFAULT_TRANSPORT, FluidTriple, pressure, sound_speed
 from kinwave.profiles import (ContactWave, RarefactionWave, ShockProfile,
-                              burgers_w, loglog_slope, shock_micro_leading,
-                              shock_slope_quadratic, tail_decay_rate,
-                              verify_shock_expansion)
+                              burgers_w, expansion_lhs, loglog_slope,
+                              measured_curvature, predicted_curvature,
+                              predicted_expansion_coefficient,
+                              shock_slope_quadratic, tail_decay_rate)
 from kinwave.riemann import generate_states, shock_decomposition
 
 RIGHT = FluidTriple(v=1.0, u=(0.0, 0.0, 0.0), theta=1.0)
@@ -317,14 +319,20 @@ def test_shock_tail_rates_scale_with_strength():
 
 def test_shock_expansion_report():
     mid = FluidTriple(v=0.92, u=(0.09, 0, 0), theta=1.05)
-    rep = verify_shock_expansion([ShockProfile(shock_decomposition(mid, ds))
-                                  for ds in (0.04, 0.08, 0.16)])
-    rel = abs(rep.measured_coefficients[0] / rep.predicted_coefficients[0] - 1)
-    assert rel <= 0.10
-    ratios = rep.residuals[1:] / rep.residuals[:-1]
+    ds = np.array([0.04, 0.08, 0.16])
+    waves = [ShockProfile(shock_decomposition(mid, s)) for s in ds]
+    lhs = np.array([expansion_lhs(w) for w in waves])
+    pred = np.array([predicted_expansion_coefficient(w.decomp.mid_hi,
+                                                     DEFAULT_TRANSPORT)
+                     for w in waves])
+    assert abs(lhs[0] / ds[0] / pred[0] - 1) <= 0.10
+    # the residual beyond the linear term is O(delta_S^2)
+    residuals = lhs - pred * ds
+    ratios = residuals[1:] / residuals[:-1]
     assert np.all((ratios > 2.8) & (ratios < 5.2))
-    assert abs(rep.curvature_measured[0] / rep.curvature_predicted[0] - 1) \
-        <= 3.0 * rep.delta_s[0]
+    assert abs(measured_curvature(waves[0])
+               / predicted_curvature(mid, DEFAULT_TRANSPORT) - 1) \
+        <= 3.0 * ds[0]
 
 
 def test_shock_strength_guards():

@@ -220,6 +220,32 @@ def test_package_defines_only_what_it_uses():
     assert not set(UNCALLED_KEPT) & used, "UNCALLED_KEPT entry now has a caller"
 
 
+#: the macroscopic modules, and the microscopic ones they must not import
+MACRO_MODULES = ("profiles", "ansatz", "riemann", "gas")
+MICRO_MODULES = {"velocity", "collision"}
+
+
+@pytest.mark.parametrize("module", MACRO_MODULES)
+def test_macroscopic_modules_do_not_import_the_lattice(module):
+    """The wave profiles, the ansatz, the Riemann solver and the gas laws
+    import nothing from ``velocity`` or ``collision``, at module level or
+    inside a function: what acts on the velocity lattice lives there."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("kinwave")):
+            names = [*(node.module or "").split("."),
+                     *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names
+                     if alias.name.startswith("kinwave")
+                     for part in alias.name.split(".")]
+        else:
+            continue
+        hits = MICRO_MODULES.intersection(names)
+        assert not hits, f"{module}.py:{node.lineno} imports {sorted(hits)}"
+
+
 def test_every_config_field_is_read():
     """Every RunConfig field is read as an attribute somewhere in the
     package outside config.py, so a key that nothing reads fails here."""

@@ -71,6 +71,10 @@ def test_inner_cancellation_and_symmetry(base_state, small_grid, rng):
     assert inner(g, h, base_state, small_grid) \
         == pytest.approx(inner(h, g, base_state, small_grid), rel=1e-14)
     assert inner(g, g, base_state, small_grid) > 0
+    # a batch gives each pair's value, in the same summation order
+    batch = inner(np.stack([g, h]), np.stack([h, h]), base_state, small_grid)
+    assert np.array_equal(batch, [inner(g, h, base_state, small_grid),
+                                  inner(h, h, base_state, small_grid)])
 
 
 def test_inner_overflow_signal():
