@@ -20,8 +20,6 @@ class AnsatzFrame:
     """Composite profile and the shock-layer quantities on a fixed y-grid
     at one (t, X)."""
 
-    t: float
-    X: float
     y: np.ndarray
     v: np.ndarray
     u1: np.ndarray
@@ -67,7 +65,7 @@ class CompositeAnsatz:
         v = r.v + c.v + sh.v - d.mid_lo.v - d.mid_hi.v
         u1 = r.u1 + c.u1 + sh.u1 - d.mid_lo.u1 - d.mid_hi.u1
         th = r.theta + c.theta + sh.theta - d.mid_lo.theta - d.mid_hi.theta
-        return AnsatzFrame(t=t, X=X, y=y, v=v, u1=u1, theta=th,
+        return AnsatzFrame(y=y, v=v, u1=u1, theta=th,
                            vS_y=sh.v_y, u1S_y=sh.u1_y, thetaS_y=sh.theta_y,
                            vR_y=r.v_y, a=a)
 
@@ -168,21 +166,8 @@ def lambda_functionals(fields, frame: AnsatzFrame,
 
 
 # ---------------------------------------------------------------------------
-# shift history and diagnostics records
+# diagnostics records
 # ---------------------------------------------------------------------------
-
-class ShiftState:
-    """The shift X, advanced by weighted Xdot samples (the stages of an
-    explicit step), and the running max of |Xdot| over those samples."""
-
-    def __init__(self):
-        self.X = 0.0
-        self.xdot_max = 0.0
-
-    def advance(self, xdot: float, dt: float) -> None:
-        self.X += dt * xdot
-        self.xdot_max = max(self.xdot_max, abs(xdot))
-
 
 @dataclass
 class DiagnosticsFrame:
@@ -215,7 +200,7 @@ class DiagnosticsFrame:
                 f"{self.l2_pert:.12g},{mn}")
 
 
-def diagnostics_frame(t: float, fields, frame: AnsatzFrame, shift: ShiftState,
+def diagnostics_frame(t: float, fields, frame: AnsatzFrame, X: float,
                       xdot: float, micro_norm: float | None = None
                       ) -> DiagnosticsFrame:
     phi, psi1, zeta, psi2 = pert = _perturbation(fields, frame)
@@ -224,7 +209,7 @@ def diagnostics_frame(t: float, fields, frame: AnsatzFrame, shift: ShiftState,
     lam_r, lam_s = lambda_functionals(fields, frame, pert)
     pert2 = phi ** 2 + psi2 + zeta ** 2
     return DiagnosticsFrame(
-        t=t, X=shift.X, Xdot=xdot,
+        t=t, X=X, Xdot=xdot,
         entropy=relative_entropy(fields, frame, pert),
         lambda_r=lam_r, lambda_s=lam_s,
         sup_phi=float(np.max(np.abs(phi))),

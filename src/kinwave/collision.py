@@ -474,7 +474,14 @@ def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
     (``VelocityGrid.mirror_axes``) only the rows of the fundamental domain
     are computed and the others are filled by reflection; with no mirrored
     axis every row is computed.
+
+    The k2 shell average integrates over cubic cells, so a lattice whose
+    axis spacings differ by more than 1e-12 relative raises ValueError.
     """
+    h = np.asarray(grid.spacing)
+    if np.ptp(h) > 1e-12 * h.max():
+        raise ValueError(f"linearized assembly needs cubic cells, got "
+                         f"spacings {grid.spacing}")
     proj = Projector(s, grid, gram_tol=gram_tol)   # GridTooNarrow if unresolvable
     nodes = grid.nodes
     N = grid.n_nodes

@@ -506,16 +506,19 @@ def measured_curvature(wave: ShockProfile) -> float:
 # decay-rate fits used by the profile property checks
 # ---------------------------------------------------------------------------
 
+def _ls_slope(x: np.ndarray, z: np.ndarray) -> float:
+    """Least-squares slope of z against x."""
+    x = x - x.mean()
+    return float((x @ (z - z.mean())) / (x @ x))
+
+
 def loglog_slope(t: np.ndarray, f: np.ndarray) -> float:
     """Least-squares slope of log f against log t."""
-    lt, lf = np.log(t), np.log(f)
-    lt = lt - lt.mean()
-    return float((lt @ (lf - lf.mean())) / (lt @ lt))
+    return _ls_slope(np.log(t), np.log(f))
 
 
 def tail_decay_rate(y: np.ndarray, f: np.ndarray) -> float:
-    """Exponential decay rate of |f| from a log-linear fit (f > 0)."""
+    """Exponential decay rate of |f|: minus the least-squares slope of
+    log f against y, taken where f > 0."""
     mask = f > 0
-    yy, lf = y[mask], np.log(f[mask])
-    yy = yy - yy.mean()
-    return float(-(yy @ (lf - lf.mean())) / (yy @ yy))
+    return -_ls_slope(y[mask], np.log(f[mask]))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kinwave.ansatz import (CompositeAnsatz, ShiftState, diagnostics_frame,
+from kinwave.ansatz import (CompositeAnsatz, diagnostics_frame,
                             lambda_functionals, layer_weight, poincare_check,
                             relative_entropy, shift_H, shift_H_alpha_form,
                             shift_rhs)
@@ -223,20 +223,11 @@ def test_poincare_constant_and_random(rng):
         assert lhs <= rhs * (1.0 + 1e-6)
 
 
-def test_shift_state_records():
-    st = ShiftState()
-    st.advance(0.5, 0.1)
-    st.advance(-0.25, 0.1)
-    assert st.X == pytest.approx(0.025)
-    assert st.xdot_max == 0.5
-
-
 def test_diagnostics_frame_and_csv(decomp, frame0):
-    st = ShiftState()
     bump = 0.01 * np.exp(-(YGRID / 8.0) ** 2)
     fields = (frame0.v + bump, [frame0.u1, bump, np.zeros_like(YGRID)],
               frame0.theta)
-    fr = diagnostics_frame(1.5, fields, frame0, st, xdot=0.01,
+    fr = diagnostics_frame(1.5, fields, frame0, 0.0, xdot=0.01,
                            micro_norm=2e-4)
     assert fr.sup_phi == pytest.approx(0.01, rel=1e-10)
     assert fr.entropy > 0 and fr.lambda_s > 0

@@ -12,6 +12,7 @@ from kinwave import cli, solvers
 from kinwave.config import PRESETS, RunConfig, load_config
 from kinwave.errors import ConfigError, NonphysicalState
 from kinwave.profiles import ContactWave
+from kinwave.riemann import generate_states
 
 
 def _write(tmp_path, text):
@@ -204,6 +205,25 @@ def test_cli_simulate_fluid_short(tmp_path):
     csv = (tmp_path / "sim" / "diagnostics.csv").read_text().splitlines()
     assert csv[0].startswith("t,X,Xdot,entropy")
     assert len(csv) >= 3
+
+
+def test_cli_simulate_fluid_write_fields(tmp_path):
+    """``[output] write_fields = true`` writes the final state of the run
+    to fields_final.csv, one row per node, exactly as ``fluid_run``
+    returns it."""
+    text = BASE_CONFIG.replace("dir = {out}",
+                               "dir = {out}\nwrite_fields = true")
+    cfgfile = _write(tmp_path, text.format(out=tmp_path / "sim"))
+    assert cli.main(["simulate-fluid", "--config", str(cfgfile)]) == 0
+    path = tmp_path / "sim" / "fields_final.csv"
+    assert path.read_text().splitlines()[0] == "y,v,u1,u2,u3,theta"
+    cfg = load_config(cfgfile)
+    final = solvers.fluid_run(generate_states(
+        cfg.right_state, cfg.delta_r, cfg.delta_c, cfg.delta_s), cfg).final
+    expected = np.column_stack([final.y, final.v, final.u1, final.u2,
+                                final.u3, final.theta])
+    assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1),
+                          expected)
 
 
 def test_cli_simulate_fluid_progress_lines(tmp_path, capsys):

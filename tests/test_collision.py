@@ -378,6 +378,22 @@ def test_micro_leading_matches_raw_spelling(decomp, which):
     assert math.sqrt(inner(pure, pure, s, grid) / norm2) <= 1e-12
 
 
+def test_assembly_rejects_non_cubic_cells(monkeypatch):
+    """The k2 shell average assumes cubic cells: (10, 10, 12) at half-width
+    5 is refused before any kernel row is computed (its raw chi residual
+    would depend on the axis order)."""
+    from kinwave import collision
+
+    def no_kernel_work(*args):
+        raise AssertionError("kernel rows computed")
+
+    monkeypatch.setattr(collision, "_kernel_rows", no_kernel_work)
+    s = FluidTriple(v=1.0, u=(0.0, 0.0, 0.0), theta=1.0)
+    with pytest.raises(ValueError, match="cubic cells"):
+        assemble_linearized(s, VelocityGrid(half_width=5.0,
+                                            counts=(10, 10, 12)))
+
+
 @pytest.mark.parametrize("centred", [True, False])
 def test_assembly_memory_peak(base_state, decomp, centred):
     """Assembly at 10^3, on a lattice centred on the state and on the

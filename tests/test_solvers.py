@@ -13,10 +13,11 @@ from kinwave.errors import (CFLViolation, CostGuard, NonphysicalState,
                             PositivityLoss)
 from kinwave.gas import R_GAS, FluidTriple, primitive_fields
 from kinwave.riemann import generate_states, shock_decomposition
-from kinwave.solvers import (LINEARIZED_BLOCK, FluidField, GaussianBump,
-                             KineticField, LinearizedKineticSolver,
-                             PerturbationSpec, cfl_limit, fluid_run,
-                             fluid_step, initial_fluid_field, kinetic_step)
+from kinwave.solvers import (LINEARIZED_BLOCK, SHIFT_WINDOW, FluidField,
+                             GaussianBump, KineticField,
+                             LinearizedKineticSolver, PerturbationSpec,
+                             cfl_limit, fluid_run, fluid_step,
+                             initial_fluid_field, kinetic_step)
 from kinwave.velocity import VelocityGrid, moments
 
 RIGHT = FluidTriple(v=1.0, u=(0.0, 0.0, 0.0), theta=1.0)
@@ -348,6 +349,26 @@ def test_fluid_run_zero_pert_zero_shift():
     assert res.summary["blowup_time"] is None
 
 
+def test_fluid_run_shift_independent_of_output_interval():
+    """X solves one ODE whatever the output cadence: a frame evaluates the
+    shift integral on the same window as the steps between frames.  The
+    window (half-width 15/0.16 about 94) is narrower than the grid."""
+    d = generate_states(RIGHT, 0.06, 0.04, 0.16)
+    pert = PerturbationSpec(bumps=(GaussianBump("v", 0.01, 5.0, 8.0),
+                                   GaussianBump("theta", -0.005, 0.0, 6.0)))
+    runs = [fluid_run(d, RunConfig(y_min=-200, y_max=120, dy=0.5, t_end=1.0,
+                                   output_interval=interval,
+                                   perturbation=pert))
+            for interval in (1.0, 0.25)]
+    coarse, fine = runs
+    assert len(fine.frames) > len(coarse.frames)
+    for key in ("X_final", "xdot_max"):
+        assert fine.summary[key] == coarse.summary[key]
+    for attr in ("Xdot", "entropy"):
+        assert getattr(fine.frames[-1], attr) == getattr(coarse.frames[-1],
+                                                         attr)
+
+
 def test_fluid_run_initial_xdot_sign():
     d = generate_states(RIGHT, 0.0, 0.0, 0.1)
     pert = PerturbationSpec(bumps=(GaussianBump("u1", 0.01, 0.0, 5.0),))
@@ -677,8 +698,8 @@ def test_kinetic_full_vs_linearized_agreement():
 
 
 def test_windowed_shift_matches_full_frame():
-    """The layer-windowed shift evaluation used between output frames
-    agrees with the full-domain integral."""
+    """The shift integral on the window that ``fluid_run`` uses agrees
+    with the full-domain integral."""
     from kinwave.ansatz import CompositeAnsatz, shift_H, shift_rhs
     d = generate_states(RIGHT, 0.08, 0.05, 0.08)
     ans = CompositeAnsatz(d)
@@ -687,7 +708,7 @@ def test_windowed_shift_matches_full_frame():
                                    GaussianBump("u1", -0.01, 0.0, 25.0)))
     st = initial_fluid_field(ans, y, pert)
     H = shift_H(d.mid_hi, d.sigma_star)
-    window = 15.0 / d.delta_s
+    window = SHIFT_WINDOW / d.delta_s
     for X in (0.0, -1.5, 2.0):
         full = shift_rhs((st.v, st.u1, st.theta), ans.frame(3.0, X, y),
                          d.delta_s, H)
