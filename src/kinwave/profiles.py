@@ -8,7 +8,11 @@
   integrated with the volume as the independent variable.
 
 Each family's ``eval`` returns a WaveProfile: the values and the analytic
-(or spline-level) first derivatives in its spatial argument.
+(or interpolant-level) first derivatives in its spatial argument.  The
+interpolants are piecewise cubic Hermite (``_Hermite``), fed by clamped
+cubic-spline slopes (contact) or PCHIP slopes (shock), and the shock orbit
+is integrated by an embedded Dormand-Prince 5(4) pair; numpy and
+``scipy.linalg`` are all they need.
 """
 
 from __future__ import annotations
@@ -17,9 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.integrate and scipy.interpolate (each of which loads scipy.optimize
-# and scipy.sparse) are imported where a profile is built, not here:
-# commands that build no profile should not pay for loading them
 from scipy.linalg import solve_banded
 
 from .errors import (BVPNoConvergence, InvalidStrength, InversionFailure,
@@ -106,6 +107,95 @@ class WaveProfile:
     v_y: np.ndarray
     u1_y: np.ndarray
     theta_y: np.ndarray
+
+
+# ---------------------------------------------------------------------------
+# piecewise cubic Hermite interpolation
+# ---------------------------------------------------------------------------
+
+class _Hermite:
+    """Piecewise cubic Hermite interpolant of k fields on one node grid x
+    (strictly increasing), from their node values and slopes, each (k, n)
+    or (n,).
+
+    Each cell keeps the power-basis coefficients of its cubic in the local
+    coordinate s = x - x_i, built once; beyond the end nodes the end cells'
+    cubics extend.  One cell lookup serves every field: a ``searchsorted``,
+    or plain arithmetic on a ``uniform`` grid."""
+
+    def __init__(self, x, values, slopes, uniform: bool = False):
+        self.x = np.asarray(x, dtype=float)
+        y = np.atleast_2d(values)
+        d = np.atleast_2d(slopes)
+        h = np.diff(self.x)
+        m = np.diff(y, axis=1) / h
+        t = (d[:, :-1] + d[:, 1:] - 2.0 * m) / h
+        # (4 k, n - 1): the s^3, s^2, s and constant coefficients of every
+        # field, one row each, so that one take along the cells gathers all
+        self._c = np.concatenate([t / h, (m - d[:, :-1]) / h - t, d[:, :-1],
+                                  y[:, :-1]])
+        self._rstep = (self.x.size - 1) / (self.x[-1] - self.x[0]) \
+            if uniform else None
+
+    def __call__(self, x, slopes: bool = False):
+        """The k fields at x, shape (k,) + x.shape; with ``slopes``, the
+        pair (values, first derivatives)."""
+        x = np.asarray(x, dtype=float)
+        if self._rstep is None:
+            i = np.searchsorted(self.x, x, side="right") - 1
+        else:
+            i = ((x - self.x[0]) * self._rstep).astype(np.intp)
+        i = np.clip(i, 0, self.x.size - 2)
+        s = x - self.x[i]
+        c3, c2, c1, c0 = self._c.take(i, axis=1).reshape((4, -1) + s.shape)
+        values = ((c3 * s + c2) * s + c1) * s + c0
+        if not slopes:
+            return values
+        return values, (3.0 * c3 * s + 2.0 * c2) * s + c1
+
+
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the shape-preserving PCHIP interpolant of y(x)
+    (Fritsch and Carlson 1980): inside, the weighted harmonic mean of the
+    two neighbouring secants, or zero where they differ in sign or one
+    vanishes; at the ends, the one-sided three-point rule, set to zero if
+    its sign is not the end secant's and to three end secants if it
+    exceeds that where the secants change sign (Moler, *Numerical
+    Computing with MATLAB*, 3.6)."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) \
+        & (m[:-1] != 0.0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore"):
+        d[1:-1][inner] = 1.0 / ((w1 / m[:-1] + w2 / m[1:])
+                                / (w1 + w2))[inner]
+    for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]),
+                                (-1, h[-1], h[-2], m[-1], m[-2])):
+        e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(e) != np.sign(m0):
+            e = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
+            e = 3.0 * m0
+        d[end] = e
+    return d
+
+
+def _clamped_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the C^2 cubic spline through y(x) with zero slope at
+    both ends (the clamped spline), from one tridiagonal solve."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    ab = np.zeros((3, x.size))
+    ab[1, 0] = ab[1, -1] = 1.0
+    ab[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
+    ab[0, 2:] = h[:-1]
+    ab[2, :-2] = h[1:]
+    rhs = np.zeros_like(y)
+    rhs[1:-1] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+    return solve_banded((1, 1), ab, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -222,38 +312,44 @@ class ContactWave:
                  transport: TransportLaw = DEFAULT_TRANSPORT):
         if decomp.delta_c <= 0.0:
             raise InvalidStrength("contact strength must be positive")
-        from scipy.interpolate import CubicSpline
         self.decomp = decomp
         self.transport = transport
         self.p_star = pressure(decomp.mid_lo)
         self.u_star = decomp.mid_lo.u1
         self.z, self.T = _solve_contact_bvp(
             decomp.mid_lo.theta, decomp.mid_hi.theta, self.p_star, transport)
-        self.spline = CubicSpline(self.z, self.T, bc_type="clamped")
+        # T and W on the uniform zeta-grid, each a clamped cubic spline
+        T_z = _clamped_slopes(self.z, self.T)
         kap = transport.kappa(self.T)
-        W = 0.6 * kap * self.spline(self.z, 1) / self.T
-        self.w_spline = CubicSpline(self.z, W, bc_type="clamped")
+        W = 0.6 * kap * T_z / self.T
+        self._fields = _Hermite(self.z, (self.T, W),
+                                (T_z, _clamped_slopes(self.z, W)),
+                                uniform=True)
         self.theta_ends = (decomp.mid_lo.theta, decomp.mid_hi.theta)
+
+    def spline(self, zeta, nu: int = 0) -> np.ndarray:
+        """The clamped spline of T at zeta (nu = 0) or its derivative
+        (nu = 1)."""
+        return self._fields(zeta, slopes=True)[nu][0]
 
     def _similarity(self, zeta):
         """The similarity profile at zeta: (theta, v = 2 theta/(3 p_*), W,
-        W', inside, clipped zeta), where inside masks the collocation
-        interval; outside it theta is the end value and W, W' vanish."""
+        W', theta'); outside the collocation interval theta is the end value
+        and W, W', theta' vanish."""
         zc = np.clip(zeta, self.z[0], self.z[-1])
         inside = (zeta >= self.z[0]) & (zeta <= self.z[-1])
-        th = self.spline(zc)
+        (th, W), (th_z, Wp) = self._fields(zc, slopes=True)
         th = np.where(zeta < self.z[0], self.theta_ends[0], th)
         th = np.where(zeta > self.z[-1], self.theta_ends[1], th)
-        W = np.where(inside, self.w_spline(zc), 0.0)
-        Wp = np.where(inside, self.w_spline(zc, 1), 0.0)
-        return th, 2.0 * th / (3.0 * self.p_star), W, Wp, inside, zc
+        return (th, 2.0 * th / (3.0 * self.p_star), np.where(inside, W, 0.0),
+                np.where(inside, Wp, 0.0), np.where(inside, th_z, 0.0))
 
     def eval(self, t: float, x) -> WaveProfile:
         """Profile values and x-derivatives at time t."""
         root = math.sqrt(1.0 + t)
-        th, v, W, Wp, inside, zc = self._similarity(
+        th, v, W, Wp, th_z = self._similarity(
             np.asarray(x, dtype=float) / root)
-        theta_x = np.where(inside, self.spline(zc, 1), 0.0) / root
+        theta_x = th_z / root
         return WaveProfile(v=v, u1=self.u_star + W / root, theta=th,
                            v_y=2.0 * theta_x / (3.0 * self.p_star),
                            u1_y=Wp / (1.0 + t), theta_y=theta_x)
@@ -262,14 +358,14 @@ class ContactWave:
         """The two residual source terms of the momentum/energy balance:
         Q1 = u1_t - (4/3)(mu u1_x / v)_x  and  Q2 = -(4/3) mu u1_x^2 / v."""
         zeta = np.asarray(x, dtype=float) / math.sqrt(1.0 + t)
-        th, v, W, Wp, _, _ = self._similarity(zeta)
+        th, v, W, Wp, _ = self._similarity(zeta)
 
         def flux(z):
             """mu(theta) W' / v at z."""
-            th_z, v_z, _, Wp_z, _, _ = self._similarity(z)
+            th_z, v_z, _, Wp_z, _ = self._similarity(z)
             return self.transport.mu(th_z) * Wp_z / v_z
 
-        # (mu W'/v)'(zeta) by a short centered difference of the splines
+        # (mu W'/v)'(zeta) by a short centered difference of the interpolant
         dz = 1e-6
         gp = (flux(zeta + dz) - flux(zeta - dz)) / (2.0 * dz)
         q1 = (-0.5 * (W + zeta * Wp) - (4.0 / 3.0) * gp) / (1.0 + t) ** 1.5
@@ -304,6 +400,79 @@ def shock_slope_quadratic(mid_hi: FluidTriple, sigma: float,
 #: SHOCK_RTOL is its ODE tolerance
 SHOCK_EPS_REL = 1e-6
 SHOCK_RTOL = 1e-10
+#: the orbit integration raises ProfileBlowup when its step falls below
+#: SHOCK_MIN_STEP_REL * delta_s or its step attempts pass SHOCK_MAX_STEPS
+SHOCK_MIN_STEP_REL = 1e-12
+SHOCK_MAX_STEPS = 20_000
+
+#: the Dormand-Prince 5(4) pair (Dormand and Prince 1980): stage nodes,
+#: stage coefficients, fifth-order weights, and the weights of the
+#: fifth-minus-fourth-order error estimate, whose seventh stage is the
+#: slope at the step's end
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40)
+
+
+def _combine(y: tuple, h: float, weights: tuple, k: list) -> tuple:
+    """y + h sum_i weights[i] k[i], componentwise on tuples of floats."""
+    return tuple(yj + h * sum(w * ki[j] for w, ki in zip(weights, k))
+                 for j, yj in enumerate(y))
+
+
+def _integrate_orbit(rhs, s0: float, s1: float, y0: tuple,
+                     scale: float) -> _Hermite:
+    """Integrate y' = rhs(s, y), y a tuple of floats, from s0 to s1 with
+    the Dormand-Prince 5(4) pair (fifth-order steps, rtol SHOCK_RTOL, atol
+    SHOCK_RTOL * scale, steps of at most scale/20; the first trial step is
+    s0, the orbit's distance from its saddle) and return the cubic Hermite
+    interpolant of the accepted steps' values and slopes.  Raises
+    ProfileBlowup when the step falls below SHOCK_MIN_STEP_REL * scale or
+    the attempts pass SHOCK_MAX_STEPS, so a failing orbit cannot hang."""
+    atol, h_max = SHOCK_RTOL * scale, scale / 20.0
+    h_min, h = SHOCK_MIN_STEP_REL * scale, s0
+    s, y = s0, y0
+    f = rhs(s, y)
+    nodes, values, slopes = [s], [y], [f]
+    rejected = False
+    for _ in range(SHOCK_MAX_STEPS):
+        if h < h_min:
+            raise ProfileBlowup(f"orbit step {h:.3e} fell below the floor"
+                                f" {h_min:.3e} at s = {s:.9e}")
+        step = min(h, s1 - s, h_max)
+        k = [f]
+        for c, a in zip(_DP_C, _DP_A):
+            k.append(rhs(s + c * step, _combine(y, step, a, k)))
+        y_new = _combine(y, step, _DP_B, k)
+        f_new = rhs(s + step, y_new)
+        k.append(f_new)
+        err = math.sqrt(sum(
+            (step * sum(e * ki[j] for e, ki in zip(_DP_E, k))
+             / (atol + SHOCK_RTOL * max(abs(y[j]), abs(y_new[j])))) ** 2
+            for j in range(len(y))) / len(y))
+        if err < 1.0:
+            s = s1 if step == s1 - s else s + step
+            y, f = y_new, f_new
+            nodes.append(s)
+            values.append(y)
+            slopes.append(f)
+            if s >= s1:
+                return _Hermite(np.array(nodes), np.array(values).T,
+                                np.array(slopes).T)
+            grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+            h = step * (min(grow, 1.0) if rejected else grow)
+            rejected = False
+        else:
+            # a NaN error estimate shrinks the step too, toward the floor
+            h = step * (max(0.2, 0.9 * err ** -0.2) if math.isfinite(err)
+                        else 0.2)
+            rejected = True
+    raise ProfileBlowup(f"orbit integration passed {SHOCK_MAX_STEPS} step"
+                        f" attempts at s = {s:.9e}")
 
 
 class ShockProfile:
@@ -321,8 +490,6 @@ class ShockProfile:
             raise InvalidStrength("shock strength must be positive")
         if decomp.delta_s > 0.3 * decomp.mid_hi.v:
             raise InvalidStrength("shock strength above the supported range")
-        from scipy.integrate import solve_ivp
-        from scipy.interpolate import PchipInterpolator
         self.decomp = decomp
         self.transport = transport
         hi, right = decomp.mid_hi, decomp.right
@@ -347,15 +514,11 @@ class ShockProfile:
             if not (-self.theta_star < phi <= self.theta_star):
                 raise ProfileBlowup(
                     f"theta = {self.theta_star + phi} left (0, 2 theta^*]")
-            return [self._dtheta_dv(s, phi), self._dy_dv(s, phi)]
+            return self._dtheta_dv(s, phi), self._dy_dv(s, phi)
 
-        sol = solve_ivp(rhs, (eps, (self.v_plus - self.v_star) - eps),
-                        [self.lstar * eps, 0.0], method="DOP853",
-                        rtol=SHOCK_RTOL, atol=SHOCK_RTOL * decomp.delta_s,
-                        dense_output=True, max_step=decomp.delta_s / 20.0)
-        if not sol.success:
-            raise ProfileBlowup(f"profile integration failed: {sol.message}")
-        # resample the dense orbit geometrically toward both saddles, so the
+        orbit = _integrate_orbit(rhs, eps, (self.v_plus - self.v_star) - eps,
+                                 (self.lstar * eps, 0.0), decomp.delta_s)
+        # resample the orbit geometrically toward both saddles, so the
         # y-spacing of the interpolation nodes stays bounded where y(v)
         # diverges logarithmically; the nodes are de-duplicated in v (in s,
         # distinct nodes can give equal y), and s = v - v^* is exact
@@ -365,15 +528,17 @@ class ShockProfile:
             v0 + ds * (geo - SHOCK_EPS_REL), v1 - ds * (geo - SHOCK_EPS_REL),
             np.linspace(v0, v1, 2001)]))
         self._vgrid = vgrid[(vgrid >= v0) & (vgrid <= v1)]
-        phigrid, ygrid = sol.sol(self._vgrid - self.v_star)
+        phigrid, ygrid = orbit(self._vgrid - self.v_star)
         self._thgrid = self.theta_star + phigrid
         # recenter so v(0) is the mid-volume
         v_mid = 0.5 * (self.v_star + self.v_plus)
         self._y = ygrid - float(np.interp(v_mid, self._vgrid, ygrid))
         if not np.all(np.diff(self._y) > 0.0):
             raise ProfileBlowup("y(v) is not strictly increasing on the orbit")
-        self._v_of_y = PchipInterpolator(self._y, self._vgrid)
-        self._th_of_y = PchipInterpolator(self._y, self._thgrid)
+        # v(y) and theta(y), PCHIP on the one y-grid
+        self._fields = _Hermite(self._y, (self._vgrid, self._thgrid),
+                                (_pchip_slopes(self._y, self._vgrid),
+                                 _pchip_slopes(self._y, self._thgrid)))
         self.y_range = (self._y[0], self._y[-1])
         # saddle decay rates for the exponential tails beyond the orbit
         vy_lo = self.v_y_of(self._vgrid[0] - self.v_star, phigrid[0])
@@ -428,8 +593,7 @@ class ShockProfile:
         """Profile values and y-derivatives."""
         y = np.asarray(y, dtype=float)
         yc = np.clip(y, self.y_range[0], self.y_range[1])
-        v = self._v_of_y(yc)
-        th = self._th_of_y(yc)
+        v, th = self._fields(yc)
         # saddle-rate exponential tails keep value and slope continuous
         lo = y < self.y_range[0]
         hi = y > self.y_range[1]
@@ -456,11 +620,11 @@ class ShockProfile:
 def expansion_lhs(wave: ShockProfile) -> float:
     """Chord-slope difference (p-p_+)/(v-v_+) - (p-p^*)/(v-v^*) at the
     profile midpoint volume."""
-    from scipy.interpolate import PchipInterpolator
     d = wave.decomp
     v_mid = 0.5 * (d.mid_hi.v + d.right.v)
-    th_mid = float(wave._th_of_y(float(PchipInterpolator(
-        wave._v_of_y(wave._y), wave._y)(v_mid))))
+    y_of_v = _Hermite(wave._vgrid, wave._y,
+                      _pchip_slopes(wave._vgrid, wave._y))
+    th_mid = float(wave._fields(y_of_v(v_mid)[0])[1])
     p_mid = pressure(FluidTriple(v=v_mid, theta=th_mid))
     p_plus = pressure(d.right)
     p_star = pressure(d.mid_hi)

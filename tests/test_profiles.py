@@ -4,12 +4,14 @@ import time
 import numpy as np
 import pytest
 
+from kinwave import profiles
 from kinwave.collision import shock_micro_leading
 from kinwave.errors import InvalidStrength, ProfileBlowup
 from kinwave.gas import DEFAULT_TRANSPORT, FluidTriple, pressure, sound_speed
-from kinwave.profiles import (ContactWave, RarefactionWave, ShockProfile,
-                              burgers_w, expansion_lhs, loglog_slope,
-                              measured_curvature, predicted_curvature,
+from kinwave.profiles import (SHOCK_EPS_REL, ContactWave, RarefactionWave,
+                              ShockProfile, burgers_w, expansion_lhs,
+                              loglog_slope, measured_curvature,
+                              predicted_curvature,
                               predicted_expansion_coefficient,
                               shock_slope_quadratic, tail_decay_rate)
 from kinwave.riemann import generate_states, shock_decomposition
@@ -192,6 +194,29 @@ def test_contact_selfsimilar_ode_residual(decomp):
     assert np.abs(resid).max() / scale <= 2e-3
 
 
+def _oracle_points(x):
+    """The nodes of x, its cell midpoints and its two ends again."""
+    return np.concatenate([x, 0.5 * (x[1:] + x[:-1]), x[[0, -1]]])
+
+
+def test_contact_interpolant_matches_clamped_cubic_spline(decomp):
+    """The clamped slopes and the Hermite cubics give scipy's
+    CubicSpline(bc_type="clamped") of T and of W = 0.6 kappa T'/T, values
+    and first derivatives, to 1e-13 of each one's sup norm."""
+    from scipy.interpolate import CubicSpline
+    wave = ContactWave(decomp)
+    z = _oracle_points(wave.z)
+    t_ref = CubicSpline(wave.z, wave.T, bc_type="clamped")
+    kap = DEFAULT_TRANSPORT.kappa(wave.T)
+    w_ref = CubicSpline(wave.z, 0.6 * kap * t_ref(wave.z, 1) / wave.T,
+                        bc_type="clamped")
+    values, slopes = wave._fields(z, slopes=True)
+    for got, ref in ((wave.spline(z), t_ref(z)),
+                     (wave.spline(z, 1), t_ref(z, 1)),
+                     (values[1], w_ref(z)), (slopes[1], w_ref(z, 1))):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_contact_gaussian_tail(decomp):
     wave = ContactWave(decomp)
     t = 15.0
@@ -246,26 +271,87 @@ def test_shock_monotonicity_and_relations():
 @pytest.mark.parametrize("mid", [FluidTriple(v=1.0, theta=1.0),
                                  FluidTriple(v=0.92, u=(0.09, 0, 0),
                                              theta=1.05)])
-@pytest.mark.parametrize("ds", [0.005, 0.003])
+@pytest.mark.parametrize("ds", [0.005, 0.003, 0.002, 0.001])
 def test_weak_shock_builds(mid, ds):
-    """Weak shocks build in well under a second: near the downstream
-    saddle the 0/0 slope takes the downstream root, not the upstream one
-    (which made DOP853's steps collapse there)."""
+    """Weak shocks down to delta_S = 1e-3 build in under a second: near the
+    downstream saddle the 0/0 slope takes the downstream root, not the
+    upstream one (which made the orbit's steps collapse there)."""
     start = time.process_time()
     wave = ShockProfile(shock_decomposition(mid, ds))
     assert time.process_time() - start < 1.0
     _assert_shock_relations(wave)
 
 
-def test_nonmonotone_orbit_raises_blowup():
+def test_nonmonotone_orbit_raises_blowup(monkeypatch):
     """An orbit whose sampled y(v) is not strictly increasing raises
     ProfileBlowup before the interpolants are built."""
+    integrate = profiles._integrate_orbit
+
+    def wiggled(*args):
+        orbit = integrate(*args)
+        return lambda s: orbit(s) + [0.0 * s, 1e3 * np.sin(1e3 * s)]
+
+    monkeypatch.setattr(profiles, "_integrate_orbit", wiggled)
     with pytest.raises(ProfileBlowup, match="strictly increasing"):
-        ShockProfile(shock_decomposition(FluidTriple(v=1.0, theta=1.0),
-                                         0.002))
+        ShockProfile(shock_decomposition(FluidTriple(v=1.0, theta=1.0), 0.05))
 
 
-@pytest.mark.parametrize("ds", [0.02, 0.1])
+def test_orbit_step_floor_raises_blowup(monkeypatch):
+    """An orbit whose slope turns NaN half-way shrinks its step down to
+    the floor and raises ProfileBlowup there instead of hanging."""
+    dy_dv = ShockProfile._dy_dv
+
+    def broken(self, s, phi):
+        return math.nan if s > self._s_mid else dy_dv(self, s, phi)
+
+    monkeypatch.setattr(ShockProfile, "_dy_dv", broken)
+    with pytest.raises(ProfileBlowup, match="fell below the floor"):
+        ShockProfile(shock_decomposition(FluidTriple(v=1.0, theta=1.0), 0.05))
+
+
+def test_orbit_step_cap_raises_blowup(monkeypatch):
+    """An orbit that needs more step attempts than the cap raises
+    ProfileBlowup (the kinetic-sanity shock takes about 620)."""
+    monkeypatch.setattr(profiles, "SHOCK_MAX_STEPS", 100)
+    with pytest.raises(ProfileBlowup, match="passed 100 step attempts"):
+        ShockProfile(generate_states(RIGHT, 0.0, 0.0, 0.05))
+
+
+@pytest.mark.parametrize("strengths", [(0.08, 0.05, 0.08), (0.02, 0.02, 0.05),
+                                       (0.0, 0.0, 0.1)])
+def test_shock_orbit_matches_reference(strengths):
+    """At the resampling nodes the orbit agrees with scipy's DOP853 at
+    rtol 1e-13 (same start, same recentering): theta within 1e-8 delta_S
+    and y within 2e-7 of the y-range (measured about 1e-10 delta_S and
+    7.4e-8)."""
+    from scipy.integrate import solve_ivp
+    wave = ShockProfile(generate_states(RIGHT, *strengths))
+    ds = wave.decomp.delta_s
+    eps = SHOCK_EPS_REL * ds
+    ref = solve_ivp(
+        lambda s, st: [wave._dtheta_dv(s, st[0]), wave._dy_dv(s, st[0])],
+        (eps, (wave.v_plus - wave.v_star) - eps), [wave.lstar * eps, 0.0],
+        method="DOP853", rtol=1e-13, atol=1e-13 * ds, dense_output=True,
+        max_step=ds / 20.0)
+    phi, y = ref.sol(wave._vgrid - wave.v_star)
+    y -= np.interp(0.5 * (wave.v_star + wave.v_plus), wave._vgrid, y)
+    assert np.abs(wave._thgrid - (wave.theta_star + phi)).max() <= 1e-8 * ds
+    assert np.abs(wave._y - y).max() <= 2e-7 * (y[-1] - y[0])
+
+
+def test_shock_interpolant_matches_pchip():
+    """The PCHIP slopes and the Hermite cubics give scipy's
+    PchipInterpolator of v(y) and theta(y) to 1e-13 of each one's range,
+    at the nodes, between them and at the ends where eval clips."""
+    from scipy.interpolate import PchipInterpolator
+    wave = ShockProfile(generate_states(RIGHT, 0.08, 0.05, 0.08))
+    y = _oracle_points(wave._y)
+    for got, data in zip(wave._fields(y), (wave._vgrid, wave._thgrid)):
+        ref = PchipInterpolator(wave._y, data)(y)
+        assert np.abs(got - ref).max() <= 1e-13 * np.ptp(data)
+
+
+@pytest.mark.parametrize("ds", [0.02, 0.1, 0.001])
 def test_shock_plane_system_residual(ds):
     """Finite differences of the sampled profile satisfy the two plane
     equations (scaled sup norm)."""
