@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (BVPNoConvergence, InvalidStrength, InversionFailure,
                      NoRealRoot, ProfileBlowup)
@@ -52,7 +53,8 @@ def _burgers_foot(w_minus: float, w_plus: float, t: float, x) -> np.ndarray:
 
     Newton safeguarded by bisection on a bracket of the strictly monotone
     map; converges on the equation residual, then takes one unclamped
-    polishing step.
+    polishing step.  Each iteration works only on the points that have not
+    converged yet; a converged point keeps its foot.
     """
     if t < 0:
         raise ValueError("expansive data requires t >= 0")
@@ -60,7 +62,7 @@ def _burgers_foot(w_minus: float, w_plus: float, t: float, x) -> np.ndarray:
     mid = 0.5 * (w_plus + w_minus)
     half = 0.5 * (w_plus - w_minus)
 
-    def foot_map(x0):
+    def foot_map(x0, x):
         """Residual of the foot map and its slope in x0."""
         th = np.tanh(x0)
         return x0 + (mid + half * th) * t - x, 1.0 + half * (1.0 - th ** 2) * t
@@ -70,26 +72,37 @@ def _burgers_foot(w_minus: float, w_plus: float, t: float, x) -> np.ndarray:
     # start from the centered-fan approximation w ~ x/t, which is tight for
     # large t and no worse than the midpoint start early on
     w_fan = np.clip(x / max(t, 1.0), w_minus, w_plus)
-    x0 = np.clip(x - w_fan * t, lo, hi)
-    dx_old = hi - lo
+    foot = np.clip(x - w_fan * t, lo, hi)
     tol = 1e-13 * (1.0 + float(np.max(np.abs(x))) + abs(w_minus) * t)
+    # the unconverged points (indices into x), with their targets, iterates,
+    # brackets and last step lengths
+    idx = np.arange(x.size)
+    xa, x0, dx_old = x, foot, hi - lo
     for _ in range(300):
-        f, fp = foot_map(x0)
+        f, fp = foot_map(x0, xa)
         done = np.abs(f) < tol
-        if done.all():
-            break
+        if done.any():
+            foot[idx[done]] = x0[done]
+            keep = ~done
+            idx = idx[keep]
+            if not idx.size:
+                break
+            xa, x0, lo, hi, dx_old, f, fp = (
+                a[keep] for a in (xa, x0, lo, hi, dx_old, f, fp))
         lo = np.where(f < 0, x0, lo)       # map is increasing in x0
         hi = np.where(f > 0, x0, hi)
         newton = x0 - f / fp
-        # converged points freeze; the rest take the Newton point when it
-        # stays bracketed and shrinks faster than bisection, else bisect
+        # take the Newton point when it stays bracketed and shrinks faster
+        # than bisection, else bisect
         ok = (newton > lo) & (newton < hi) \
             & (np.abs(2.0 * f) <= np.abs(dx_old * fp))
-        x0n = np.where(done, x0, np.where(ok, newton, 0.5 * (lo + hi)))
-        dx_old = np.where(done, dx_old, np.abs(x0n - x0))
+        x0n = np.where(ok, newton, 0.5 * (lo + hi))
+        dx_old = np.abs(x0n - x0)
         x0 = x0n
-    f, fp = foot_map(x0)
-    return x0 - f / fp
+    else:
+        foot[idx] = x0
+    f, fp = foot_map(foot, x)
+    return foot - f / fp
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +196,41 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
+def solve_tridiagonal(lower: np.ndarray, diag: np.ndarray,
+                      upper: np.ndarray, rhs: np.ndarray,
+                      check_finite: bool = True) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and super-diagonals
+    ``lower``, ``diag`` and ``upper`` (lengths n - 1, n and n - 1) for
+    ``rhs`` with LAPACK's gtsv, the routine that ``scipy.linalg``'s
+    ``solve_banded`` calls for one band each side.  The four arrays are
+    overwritten.  Like ``solve_banded``, it raises ValueError on a
+    non-finite input (when ``check_finite``) and LinAlgError on a singular
+    matrix."""
+    if check_finite and not all(np.isfinite(a).all()
+                                for a in (lower, diag, upper, rhs)):
+        raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of gtsv")
+    return x
+
+
 def _clamped_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Node slopes of the C^2 cubic spline through y(x) with zero slope at
     both ends (the clamped spline), from one tridiagonal solve."""
     h = np.diff(x)
     m = np.diff(y) / h
-    ab = np.zeros((3, x.size))
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
-    ab[0, 2:] = h[:-1]
-    ab[2, :-2] = h[1:]
+    diag = np.ones_like(y)
+    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+    lower = np.zeros_like(h)
+    upper = np.zeros_like(h)
+    upper[1:] = h[:-1]
+    lower[:-1] = h[1:]
     rhs = np.zeros_like(y)
     rhs[1:-1] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
-    return solve_banded((1, 1), ab, rhs)
+    return solve_tridiagonal(lower, diag, upper, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +306,8 @@ def _solve_contact_bvp(theta_lo: float, theta_hi: float, p_star: float,
     for _ in range(CONTACT_MAX_ITER):
         if np.max(np.abs(r)) < CONTACT_TOL:
             return z, T
-        # tridiagonal finite-difference Jacobian
+        # tridiagonal finite-difference Jacobian in band storage: row
+        # 1 - off holds the diagonal off, each entry in its matrix column
         ab = np.zeros((3, CONTACT_NODES))
         eps = 1e-7
         base = r
@@ -285,7 +321,7 @@ def _solve_contact_bvp(theta_lo: float, theta_hi: float, p_star: float,
                 Tp[sel + off] += eps
                 dr = (resid(Tp) - base) / eps
                 ab[1 - off, sel + off] = dr[sel]
-        step = solve_banded((1, 1), ab, -r)
+        step = solve_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:], -r)
         lam = 1.0
         for _ in range(40):
             Tc = T + lam * step

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_banded
+from scipy.linalg import lu_factor, lu_solve
 
 from .ansatz import (CompositeAnsatz, DiagnosticsFrame, diagnostics_frame,
                      shift_H, shift_rhs)
@@ -19,7 +19,7 @@ from .collision import assemble_linearized, axis_rule, q_bilinear_batch
 from .errors import CFLViolation, CostGuard, NonphysicalState, PositivityLoss
 from .gas import (DEFAULT_TRANSPORT, R_GAS, ConservedTriple, FluidTriple,
                   TransportLaw, pressure, primitive_fields, sound_speed)
-from .profiles import loglog_slope
+from .profiles import loglog_slope, solve_tridiagonal
 from .riemann import RiemannDecomposition
 from .velocity import (Projector, VelocityGrid, grid_spanning, inner,
                        moments, reference_maxwellian)
@@ -102,49 +102,44 @@ def _face(w: np.ndarray) -> np.ndarray:
     return 0.5 * (w[1:] + w[:-1])
 
 
-def _advective_fluxes(state: FluidField, E: np.ndarray,
+def _advective_fluxes(state: FluidField, u: list[np.ndarray], E: np.ndarray,
                       sigma: float) -> list[np.ndarray]:
-    """Advective and pressure fluxes of the conserved rows
-    (v, u1, u2, u3, E) at the n - 1 cell faces."""
-    vm, u1m, u2m, u3m, Em, pm = (
-        _face(w) for w in (state.v, state.u1, state.u2, state.u3, E,
-                           pressure(state)))
-    return [-sigma * vm - u1m, -sigma * u1m + pm, -sigma * u2m,
-            -sigma * u3m, -sigma * Em + pm * u1m]
+    """Advective and pressure fluxes at the n - 1 cell faces of the rows
+    (v, the velocity components ``u`` of ``state``, u1 first, E)."""
+    vm, Em, pm = _face(state.v), _face(E), _face(pressure(state))
+    um = [_face(w) for w in u]
+    return [-sigma * vm - um[0], -sigma * um[0] + pm,
+            *(-sigma * w for w in um[1:]), -sigma * Em + pm * um[0]]
 
 
-def _kinetic(u1, u2, u3):
-    """|u|^2/2."""
-    return 0.5 * (u1 ** 2 + u2 ** 2 + u3 ** 2)
-
-
-def _viscous_fluxes(u, visc, dy: float) -> list[np.ndarray]:
-    """Viscous face fluxes of the conserved rows (v, u1, u2, u3, E):
-    -c diff(u_j)/dy with the face coefficients c = ``visc``, and in the
-    energy row the work of those fluxes (the heat flux is added by the
-    caller)."""
+def _viscous_fluxes(u, visc, dy: float) -> list:
+    """Viscous face fluxes of the rows (v, velocity components ``u``, E):
+    none (None) for v, -c diff(u_j)/dy with the face coefficients
+    c = ``visc``, and in the energy row the work of those fluxes (the heat
+    flux is added by the caller)."""
     Fu = [-c * np.diff(w) / dy for c, w in zip(visc, u)]
     work = sum(f * _face(w) for f, w in zip(Fu, u))
-    return [np.zeros_like(work), *Fu, work]
+    return [None, *Fu, work]
+
+
+def _kinetic(u: list[np.ndarray]) -> np.ndarray:
+    """|u|^2/2 of the velocity components ``u``."""
+    ke = u[0] ** 2
+    for w in u[1:]:
+        ke += w ** 2
+    return 0.5 * ke
 
 
 def _diffuse(coef: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve x - diff(coef * diff(x)) = rhs at the interior nodes, with x
     pinned to ``rhs`` at the two end nodes; ``coef`` lives on the n - 1
-    faces.  The interior matrix is diagonally dominant.  A zero ``rhs``
-    (the transverse velocities of a planar run) is its own solution and
-    is returned without a solve."""
-    if not rhs.any():
-        return rhs.copy()
-    ab = np.zeros((3, len(rhs) - 2))
-    ab[0, 1:] = ab[2, :-1] = -coef[1:-1]
-    ab[1] = 1.0 + coef[1:] + coef[:-1]
-    b = rhs[1:-1].copy()
-    b[0] += coef[0] * rhs[0]
-    b[-1] += coef[-1] * rhs[-1]
+    faces.  The interior matrix is diagonally dominant."""
     x = rhs.copy()
-    x[1:-1] = solve_banded((1, 1), ab, b, overwrite_ab=True,
-                           overwrite_b=True, check_finite=False)
+    x[1] += coef[0] * rhs[0]
+    x[-2] += coef[-1] * rhs[-1]
+    off = -coef[1:-1]         # both off-diagonals; the solve overwrites each
+    x[1:-1] = solve_tridiagonal(off, 1.0 + coef[1:] + coef[:-1], off.copy(),
+                                x[1:-1], check_finite=False)
     return x
 
 
@@ -157,89 +152,106 @@ def fluid_step(state: FluidField, dt: float, sigma: float,
     flux form for the conserved fields (v, u1, u2, u3, E) with
     E = theta + |u|^2/2.
 
-    The advective and pressure fluxes are explicit.  The viscous and heat
-    fluxes are linearly implicit: each implicit stage solves one
-    tridiagonal system per velocity component, then one for theta, with E
-    built from the new u and the viscous work taken at the new u.  The
-    coefficients mu/v and kappa/v of a stage are taken at the explicit
-    predictor of that stage; lagging them at the start of the step would
-    cost an order.  ``source(t, y)`` adds residuals (v, u1, u2, u3, E) to
-    the explicit rates at t and t + GAMMA dt.  ``stage(mid)`` is called
-    with the state of the second stage (at t + GAMMA dt) before it is
-    used.  The two end nodes stay pinned.  Returns the new state and the
-    time-integrated boundary flux of each conserved field (inflow at the
-    left end minus outflow at the right, explicit and implicit fluxes of
-    both stages), so that the totals plus the accumulated boundary fluxes
-    stay constant.
+    The step carries v, u1 and E, and u2 or u3 only when that component
+    is not zero everywhere or a ``source`` is given: a zero transverse
+    component without a source stays exactly zero, and so does every flux
+    it feeds.  The advective and pressure fluxes are explicit.  The
+    viscous and heat fluxes are linearly implicit (v has none): each
+    implicit stage solves one tridiagonal system per carried velocity
+    component, then one for theta, with E built from the new u and the
+    viscous work taken at the new u.  The coefficients mu/v and kappa/v of
+    a stage are taken at the explicit predictor of that stage; lagging
+    them at the start of the step would cost an order.  ``source(t, y)``
+    adds residuals (v, u1, u2, u3, E) to the explicit rates at t and
+    t + GAMMA dt.  ``stage(mid)`` is called with the state of the second
+    stage (at t + GAMMA dt) before it is used.  The two end nodes stay
+    pinned.  Returns the new state and the time-integrated boundary flux
+    of each conserved field (inflow at the left end minus outflow at the
+    right, explicit and implicit fluxes of both stages), so that the
+    totals plus the accumulated boundary fluxes stay constant.
     """
     if check_cfl and dt > cfl_limit(state, sigma) * (1.0 + 1e-12):
         raise CFLViolation(f"dt={dt} exceeds limit {cfl_limit(state, sigma)}")
     dy = state.dy
     h = ARS_GAMMA * dt
-    # the conserved fields stay separate 1-D arrays: stacking them into
-    # (5, n) and (8, n) blocks made the step slower on a 4k-node grid
-    U0 = (state.v, state.u1, state.u2, state.u3,
-          state.theta + _kinetic(state.u1, state.u2, state.u3))
+    # the rows are v, the carried velocity components (``moving`` indexes
+    # (u1, u2, u3)) and E, each a separate 1-D array: stacking them into
+    # (5, n) and (8, n) blocks made the step slower on a 4k-node grid.  A
+    # row without a viscous flux has None for it and for its rate.
+    moving = [k for k, w in enumerate((state.u1, state.u2, state.u3))
+              if k == 0 or source is not None or w.any()]
+
+    def carried(st):
+        return [(st.u1, st.u2, st.u3)[k] for k in moving]
+
+    def velocities(u):
+        """(u1, u2, u3) from the carried components u, zero elsewhere."""
+        return [u[moving.index(k)] if k in moving else np.zeros_like(state.y)
+                for k in range(3)]
+
+    vel0 = carried(state)
+    U0 = [state.v, *vel0, state.theta + _kinetic(vel0)]
 
     def rates(F):
-        return [np.diff(f) / -dy for f in F]
+        return [None if f is None else np.diff(f) / -dy for f in F]
 
     def combine(*terms):
         """U0 plus weighted rates on the interior nodes."""
         out = []
         for k, u in enumerate(U0):
             w = u.copy()
-            w[1:-1] += sum(c * R[k] for c, R in terms)
+            w[1:-1] += sum(c * R[k] for c, R in terms if R[k] is not None)
             out.append(w)
         return out
 
     def explicit(st, E):
-        F = _advective_fluxes(st, E, sigma)
+        F = _advective_fluxes(st, carried(st), E, sigma)
         R = rates(F)
         if source is not None:
             R = [q + s[1:-1] for q, s in zip(R, source(st.t, st.y))]
         return F, R
 
     def coefficients(U, t):
-        """Face values of (4/3 mu/v, mu/v, mu/v) and of kappa/v at the
-        conserved fields U, after checking that U is finite with v and
-        theta positive.  A stage predictor carries every rate of that
-        stage's right-hand side, so a non-finite value fails here, before
-        any solve."""
-        theta = U[4] - _kinetic(*U[1:4])
+        """Face values of mu/v per carried velocity component (4/3 mu/v
+        for u1) and of kappa/v at the rows U, after checking that U is
+        finite with v and theta positive.  A stage predictor carries every
+        rate of that stage's right-hand side, so a non-finite value fails
+        here, before any solve."""
+        theta = U[-1] - _kinetic(U[1:-1])
         if not (np.all(U[0] > 0) and np.all(theta > 0)
-                and all(np.isfinite(w).all() for w in U[1:4])):
+                and all(np.isfinite(w).all() for w in U[1:-1])):
             raise PositivityLoss(
                 f"v or theta nonpositive or not finite at t={t}")
         vm = _face(U[0])
         mu_v = _face(transport.mu(theta)) / vm
         kap_v = _face(transport.kappa(theta)) / vm
-        return (4.0 / 3.0 * mu_v, mu_v, mu_v), kap_v
+        return [4.0 / 3.0 * mu_v] + [mu_v] * (len(moving) - 1), kap_v
 
     def implicit(base, coef, t):
         """Solve U = base + h R_visc(U) for the stage at time t; returns
         the stage state, its E and its viscous and heat face fluxes."""
         visc, kap = coef
-        u = [_diffuse(h / dy ** 2 * c, b) for c, b in zip(visc, base[1:4])]
+        u = [_diffuse(h / dy ** 2 * c, b) for c, b in zip(visc, base[1:-1])]
         F = _viscous_fluxes(u, visc, dy)
-        ke = _kinetic(*u)
-        rhs = base[4] - ke
-        rhs[1:-1] -= h / dy * np.diff(F[4])
+        ke = _kinetic(u)
+        rhs = base[-1] - ke
+        rhs[1:-1] -= h / dy * np.diff(F[-1])
         rhs[0], rhs[-1] = state.theta[0], state.theta[-1]
         theta = _diffuse(h / dy ** 2 * kap, rhs)
         if not np.all(theta > 0):
             raise PositivityLoss(f"theta nonpositive at t={t}")
-        F[4] = F[4] - kap * np.diff(theta) / dy
-        return FluidField(state.y, base[0], *u, theta, t), theta + ke, F
+        F[-1] = F[-1] - kap * np.diff(theta) / dy
+        return (FluidField(state.y, base[0], *velocities(u), theta, t),
+                theta + ke, F)
 
     # ARS(2,2,2): explicit tableau (GAMMA; DELTA, 1 - DELTA), implicit
     # tableau (GAMMA; 1 - GAMMA, GAMMA) at the same stage times; the
     # predictors need the implicit rates at the step start too
     visc0, kap0 = coefficients(U0, state.t)
-    Fi1 = _viscous_fluxes(U0[1:4], visc0, dy)
-    Fi1[4] = Fi1[4] - kap0 * np.diff(state.theta) / dy
+    Fi1 = _viscous_fluxes(vel0, visc0, dy)
+    Fi1[-1] = Fi1[-1] - kap0 * np.diff(state.theta) / dy
     Ri1 = rates(Fi1)
-    Fe1, Re1 = explicit(state, U0[4])
+    Fe1, Re1 = explicit(state, U0[-1])
     mid, E2, Fi2 = implicit(combine((h, Re1)),
                             coefficients(combine((h, Re1), (h, Ri1)),
                                          state.t + h), state.t + h)
@@ -255,8 +267,10 @@ def fluid_step(state: FluidField, dt: float, sigma: float,
                      t_new), t_new)
     weights = ((ARS_DELTA, Fe1), (1.0 - ARS_DELTA, Fe2),
                (1.0 - ARS_GAMMA, Fi2), (ARS_GAMMA, Fi3))
-    bflux = dt * np.array([sum(c * (F[k][0] - F[k][-1]) for c, F in weights)
-                           for k in range(5)])
+    bflux = np.zeros(5)
+    bflux[[0, *(k + 1 for k in moving), 4]] = dt * np.array(
+        [sum(c * (F[k][0] - F[k][-1]) for c, F in weights
+             if F[k] is not None) for k in range(len(U0))])
     return new, bflux
 
 

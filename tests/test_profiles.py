@@ -37,6 +37,61 @@ def test_burgers_monotone_in_x():
         assert np.all(np.diff(w) >= -1e-14)
 
 
+def _foot_cases(decomp):
+    """(w_minus, w_plus, x) on grids that mix saturated tanh tails with
+    the fan: the criterion-9 rarefaction's speeds on its run grid in the
+    shock frame, and two unit-free pairs on wide grids."""
+    wave = RarefactionWave(decomp)
+    y = np.arange(-600.0, 200.0 + 0.1, 0.2)
+    x = np.linspace(-400.0, 400.0, 4001)
+    return [(wave.w_minus, wave.w_plus, y + decomp.sigma * 100.0),
+            (-1.2, -0.6, x), (-1.0, 1.0, 0.25 * x)]
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, 3.0, 50.0, 200.0])
+def test_burgers_foot_residual_within_tol(t):
+    """Every foot point solves x = x0 + w(0, x0) t to the solve's own
+    tolerance 1e-13 (1 + max|x| + |w_minus| t)."""
+    for wm, wp, x in _foot_cases(generate_states(RIGHT, 0.08, 0.05, 0.08)):
+        x0 = profiles._burgers_foot(wm, wp, t, x)
+        w0 = 0.5 * (wp + wm) + 0.5 * (wp - wm) * np.tanh(x0)
+        tol = 1e-13 * (1.0 + np.abs(x).max() + abs(wm) * t)
+        assert np.abs(x0 + w0 * t - x).max() <= tol
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, 3.0, 50.0, 200.0])
+def test_burgers_foot_permutation_equivariant(t):
+    """The foot of a permuted x is the permuted foot, bit for bit: each
+    point follows its own iteration whatever the others do."""
+    rng = np.random.default_rng(7)
+    for wm, wp, x in _foot_cases(generate_states(RIGHT, 0.08, 0.05, 0.08)):
+        perm = rng.permutation(x.size)
+        assert np.array_equal(profiles._burgers_foot(wm, wp, t, x[perm]),
+                              profiles._burgers_foot(wm, wp, t, x)[perm])
+
+
+def test_solve_tridiagonal_matches_solve_banded():
+    """The gtsv helper gives scipy's solve_banded((1, 1), ...) bit for bit
+    and raises as it does on a non-finite input and a singular matrix."""
+    from scipy.linalg import solve_banded
+    rng = np.random.default_rng(3)
+    n = 50
+    ab = rng.standard_normal((3, n))
+    b = rng.standard_normal(n)
+    ref = solve_banded((1, 1), ab, b)
+    got = profiles.solve_tridiagonal(ab[2, :-1].copy(), ab[1].copy(),
+                                     ab[0, 1:].copy(), b.copy())
+    assert np.array_equal(got, ref)
+    bad = b.copy()
+    bad[3] = np.nan
+    with pytest.raises(ValueError):
+        profiles.solve_tridiagonal(ab[2, :-1].copy(), ab[1].copy(),
+                                   ab[0, 1:].copy(), bad)
+    with pytest.raises(np.linalg.LinAlgError):
+        profiles.solve_tridiagonal(np.zeros(1), np.zeros(2), np.zeros(1),
+                                   np.ones(2))
+
+
 def test_burgers_approaches_centered_fan():
     x = np.linspace(-4000, 100, 8001)
 

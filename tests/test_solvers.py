@@ -76,15 +76,15 @@ def test_zero_transverse_velocity_skips_its_solves(monkeypatch):
     """Each implicit stage solves one tridiagonal system per velocity
     component and one for theta, except a component that is zero
     everywhere: that one stays exactly zero without a solve.  A nonzero u2
-    is still solved."""
+    is still solved, and with a source every component is, zero or not."""
     calls = []
-    solve = solvers.solve_banded
+    solve = solvers.solve_tridiagonal
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "solve_banded", counting)
+    monkeypatch.setattr(solvers, "solve_tridiagonal", counting)
     st = _const_field()
     st.u1 = 0.2 + 0.05 * np.sin(st.y)
     dt = 0.5 * cfl_limit(st, 1.0)
@@ -96,6 +96,44 @@ def test_zero_transverse_velocity_skips_its_solves(monkeypatch):
     new, _ = fluid_step(st, dt, 1.0)
     assert len(calls) == 2 * 3                  # u1, u2, theta per stage
     assert np.abs(new.u2[1:-1]).min() > 0.0 and not new.u3.any()
+    calls.clear()
+    st.u2 = np.zeros_like(st.y)
+    new, _ = fluid_step(st, dt, 1.0,
+                        source=lambda t, y: [np.zeros_like(y)] * 5)
+    assert len(calls) == 2 * 4                  # u1, u2, u3, theta per stage
+    assert not new.u2.any() and not new.u3.any()
+
+
+def test_transverse_rows_mirror_and_planar_zero():
+    """A u2-only bump and the mirrored u3-only bump evolve v, u1 and theta
+    bit for bit alike and swap u2 with u3, and their boundary fluxes, over
+    one step and over a short run.  A planar state keeps u2 = u3 = 0 and
+    their boundary fluxes exactly zero."""
+    d = generate_states(RIGHT, 0.05, 0.0, 0.1)
+    ans = CompositeAnsatz(d)
+    y = np.arange(-80.0, 80.0 + 0.05, 0.2)
+    u1 = GaussianBump("u1", 0.01, 0.0, 5.0)
+
+    def run(bumps, steps):
+        st = initial_fluid_field(ans, y, PerturbationSpec(bumps=(u1, *bumps)))
+        acc = np.zeros(5)
+        for _ in range(steps):
+            st, bflux = fluid_step(st, cfl_limit(st, d.sigma), d.sigma)
+            acc += bflux
+        return st, acc
+
+    for steps in (1, 20):
+        a, fa = run((GaussianBump("u2", 0.01, 20.0, 30.0),), steps)
+        b, fb = run((GaussianBump("u3", 0.01, 20.0, 30.0),), steps)
+        for name in ("v", "u1", "theta"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(a.u2, b.u3) and np.array_equal(a.u3, b.u2)
+        assert np.abs(a.u2).max() > 0.0 and not a.u3.any()
+        assert fa[2] != 0.0
+        assert np.array_equal(fa, fb[[0, 1, 3, 2, 4]])
+        p, fp = run((), steps)
+        assert not p.u2.any() and not p.u3.any()
+        assert np.all(fp[2:4] == 0.0)
 
 
 def test_manufactured_solution_convergence_order():
