@@ -45,6 +45,20 @@ K2_SELF_SUB = 10
 
 EPS_SING = 1e-12
 
+#: work sizes of the assembly, which bound its temporaries: kernel
+#: entries computed and folded into the parity sectors at a time by
+#: ``_kernel_blocks`` (a chunk of fundamental rows of N entries each, 11
+#: floats per entry), rows of the shell pass at a time (about 30,000
+#: floats per row) and rows of a sector block per symmetrisation or
+#: projection update
+KERNEL_CHUNK = 1 << 13
+SHELL_ROWS = 4
+ROW_BLOCK = 128
+
+#: roundoff floor of ``invert_micro``'s microscopic gate, relative to the
+#: M-weighted norm of the state's Maxwellian
+MICRO_FLOOR = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # bilinear operator
@@ -246,85 +260,78 @@ def kernels(s: FluidTriple, xi: np.ndarray, xi_star: np.ndarray
     return _k1(s.rho, a2, r, q, qs), _k2(s.rho, a2, r, q, qs)
 
 
-def _k2_shell_average(s: FluidTriple, grid: VelocityGrid, K: np.ndarray,
-                      q: np.ndarray, rows: np.ndarray) -> None:
-    """Replace the midpoint k2 values on the 3x3x3 cell shell around the
-    coincidence singularity by subcell averages (in place), in the kernel
-    rows ``rows`` (flat node indices).
+def _k2_shell_average(s: FluidTriple, grid: VelocityGrid, q: np.ndarray,
+                      rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Subcell averages that replace the midpoint kernel values on the
+    3x3x3 cell shell around the coincidence singularity of the kernel rows
+    ``rows`` (flat node indices): (cols, vals), both of shape
+    (len(rows), 27), the column of each shell cell (-1 off the lattice)
+    and its value -k1 + <k2>.  Computed SHELL_ROWS rows at a time.
 
     The self-cell splits k2 = _k2_prefactor * [ (E - Ebar)/r + Ebar/r ]:
     the smooth first part is subcell-averaged, the 1/r part integrated
     exactly with the angular-averaged limit Ebar of the sharp exponential
     factor.
     """
-    nodes = grid.nodes
     a2 = R_GAS * s.theta
-    u = np.asarray(s.u)
-    c = nodes - u
+    pref = _k2_prefactor(s.rho, a2)
+    c = grid.nodes - np.asarray(s.u)
     h = grid.spacing[0]
     counts = np.array(grid.counts)
-    stride = np.array([counts[1] * counts[2], counts[2], 1])
-    multi = np.stack(np.unravel_index(rows, grid.counts), axis=1)
+    offs = np.stack(np.meshgrid(*([(-1, 0, 1)] * 3), indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    ring = np.any(offs != 0, axis=1)            # the 26 neighbour cells
+    nb = np.stack(np.unravel_index(rows, grid.counts), axis=1)[:, None] + offs
+    cols = np.where(np.all((nb >= 0) & (nb < counts), axis=2),
+                    nb @ np.array([counts[1] * counts[2], counts[2], 1]), -1)
+    vals = np.empty(cols.shape)
     t = (np.arange(K2_SHELL_SUB) + 0.5) / K2_SHELL_SUB - 0.5
     Z = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3) * h
+    pts = offs[ring, None, :] * h + Z            # (26, subcells, 3)
+    rr = np.linalg.norm(pts, axis=2)
+    r_off = np.linalg.norm(offs[ring] * h, axis=1)
     ts = (np.arange(K2_SELF_SUB) + 0.5) / K2_SELF_SUB - 0.5
     Zs = np.stack(np.meshgrid(ts, ts, ts, indexing="ij"), axis=-1).reshape(-1, 3) * h
     rzs = np.linalg.norm(Zs, axis=1)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                off = np.array([dx, dy, dz])
-                nb = multi + off
-                ok = np.all((nb >= 0) & (nb < counts), axis=1)
-                ii = rows[ok]
-                jj = nb[ok] @ stride
-                if (dx, dy, dz) == (0, 0, 0):
-                    dots = c[ii] @ Zs.T
-                    qs = q[ii, None] + 2.0 * dots + rzs[None, :] ** 2
-                    E = _k2_exp(a2, rzs[None, :], q[ii, None], qs)
-                    sl = np.sqrt(q[ii])
-                    sls = np.where(sl > 1e-14, sl, 1e-14)
-                    ebar = np.where(
-                        sl > 1e-14,
-                        np.sqrt(math.pi * a2 / 2.0) / sls
+    for r0 in range(0, len(rows), SHELL_ROWS):
+        ii = rows[r0:r0 + SHELL_ROWS]
+        qi = q[ii, None]
+        dots = (c[ii] @ pts.reshape(-1, 3).T).reshape((len(ii),) + rr.shape)
+        qs = qi[..., None] + 2.0 * dots + rr ** 2
+        k2m = np.mean(_k2(s.rho, a2, rr, qi[..., None], qs), axis=2)
+        vals[r0:r0 + SHELL_ROWS, ring] = \
+            k2m - _k1(s.rho, a2, r_off, qi, q[cols[r0:r0 + SHELL_ROWS, ring]])
+        qs = qi + 2.0 * (c[ii] @ Zs.T) + rzs ** 2
+        E = _k2_exp(a2, rzs, qi, qs)
+        sl = np.sqrt(q[ii])
+        sls = np.where(sl > 1e-14, sl, 1e-14)
+        ebar = np.where(sl > 1e-14, np.sqrt(math.pi * a2 / 2.0) / sls
                         * erf(sls / math.sqrt(2.0 * a2)), 1.0)
-                    smooth = np.mean((E - ebar[:, None]) / rzs[None, :], axis=1)
-                    K[ii, ii] = _k2_prefactor(s.rho, a2) * (
-                        smooth + ebar * _CELL_INV_R / h)
-                else:
-                    pts = off * h + Z
-                    rr = np.linalg.norm(pts, axis=1)
-                    dots = c[ii] @ pts.T
-                    qs = q[ii, None] + 2.0 * dots + (rr ** 2)[None, :]
-                    k2sub = _k2(s.rho, a2, rr[None, :], q[ii, None], qs)
-                    r = float(np.linalg.norm(off * h))
-                    k1v = _k1(s.rho, a2, r, q[ii], q[jj])
-                    K[ii, jj] = -k1v + np.mean(k2sub, axis=1)
+        smooth = np.mean((E - ebar[:, None]) / rzs, axis=1)
+        vals[r0:r0 + SHELL_ROWS, ~ring] = \
+            (pref * (smooth + ebar * _CELL_INV_R / h))[:, None]
+    return cols, vals
 
 
 def _kernel_rows(s: FluidTriple, grid: VelocityGrid, q: np.ndarray,
                  rows: np.ndarray) -> np.ndarray:
-    """N x N midpoint values -k1 + k2 in the kernel rows ``rows`` (flat
-    node indices), zero elsewhere, q = |xi - u|^2; the coincident pair,
-    for the shell pass to overwrite, takes r = 1.  Blocks of N/16 rows
-    keep the temporaries (11 floats per block entry) near 0.7 N^2."""
+    """The midpoint values -k1 + k2 of the kernel rows ``rows`` (flat node
+    indices), shape (len(rows), N), q = |xi - u|^2; the coincident pair,
+    for the shell pass to overwrite, takes r = 1.  The temporaries hold
+    about 11 floats per entry."""
     a2 = R_GAS * s.theta
-    K = np.zeros((grid.n_nodes, grid.n_nodes))
-    block = max(1, grid.n_nodes // 16)
-    for i0 in range(0, len(rows), block):
-        ri = rows[i0:i0 + block]
-        d = grid.nodes[ri, None, :] - grid.nodes[None, :, :]
-        r = np.sqrt(np.einsum("bni,bni->bn", d, d))
-        rs = np.where(r < EPS_SING, 1.0, r)
-        k1 = _k1(s.rho, a2, r, q[ri, None], q[None, :])
-        K[ri, :] = -k1 + _k2(s.rho, a2, rs, q[ri, None], q[None, :])
-    return K
+    d = grid.nodes[rows, None, :] - grid.nodes[None, :, :]
+    r = np.sqrt(np.einsum("bni,bni->bn", d, d))
+    rs = np.where(r < EPS_SING, 1.0, r)
+    k1 = _k1(s.rho, a2, r, q[rows, None], q[None, :])
+    return -k1 + _k2(s.rho, a2, rs, q[rows, None], q[None, :])
 
 
 def _fundamental_rows(counts: tuple[int, int, int],
                      axes: tuple[int, ...]) -> np.ndarray:
     """Flat indices of the nodes with index < ceil(n_k / 2) on every
-    mirrored axis k: one node of each orbit of the reflections."""
+    mirrored axis k: one node of each orbit of the reflections, in the
+    C order of the even sector's shape."""
     multi = np.unravel_index(np.arange(math.prod(counts)), counts)
     keep = np.ones(math.prod(counts), dtype=bool)
     for k in axes:
@@ -332,131 +339,255 @@ def _fundamental_rows(counts: tuple[int, int, int],
     return np.nonzero(keep)[0]
 
 
-def _reflect_rows(K: np.ndarray, counts: tuple[int, int, int],
-                  axes: tuple[int, ...]) -> None:
-    """Fill the kernel rows outside the fundamental domain by reflection,
-    K[R i, R j] = K[i, j] (in place), one mirrored axis at a time: the
-    upper half of the rows along axis k is the lower half flipped in both
-    its row and its column index k."""
-    K6 = K.reshape(counts + counts)
+# ---------------------------------------------------------------------------
+# parity sectors of the mirrored lattice axes
+# ---------------------------------------------------------------------------
+
+def _sector_shapes(counts: tuple[int, int, int],
+                   axes: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """Lattice shape of each parity sector of the mirrored ``axes``, in the
+    order of ``parity_fold``: n - n // 2 even and n // 2 odd coefficients
+    along each mirrored axis of n nodes."""
+    shapes = [tuple(counts)]
     for k in axes:
         n, m = counts[k], counts[k] // 2
-        at = (slice(None),) * k
-        K6[at + (slice(n - m, n),)] = np.flip(K6[at + (slice(0, m),)],
-                                              axis=(k, 3 + k))
+        shapes = [sh[:k] + (size,) + sh[k + 1:]
+                  for sh in shapes for size in (n - m, m)]
+    return shapes
 
 
-def _parity_half(x: np.ndarray, axis: int, sign: int) -> np.ndarray:
-    """Coefficients of ``x`` along ``axis`` in the even (sign = 1) or odd
-    (sign = -1) parity basis (e_i + sign e_{n-1-i}) / sqrt(2), i < n // 2;
-    for an odd n the middle node e_{n//2} closes the even basis."""
+def _parity_split(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of ``x`` along ``axis`` in the even and the odd parity
+    basis (e_i +- e_{n-1-i}) / sqrt(2), i < n // 2; for an odd n the
+    middle node e_{n//2} closes the even basis."""
     n, m = x.shape[axis], x.shape[axis] // 2
     at = (slice(None),) * axis
-    lo = x[at + (slice(0, m),)]
-    hi = np.flip(x[at + (slice(n - m, n),)], axis=axis)
-    size = n - m if sign > 0 else m
-    out = np.empty(x.shape[:axis] + (size,) + x.shape[axis + 1:])
-    pair = out[at + (slice(0, m),)]
-    (np.add if sign > 0 else np.subtract)(lo, hi, out=pair)
-    pair *= math.sqrt(0.5)
-    if size > m:
-        out[at + (slice(m, n - m),)] = x[at + (slice(m, n - m),)]
+    lo = x[at + (slice(0, m),)] * math.sqrt(0.5)
+    hi = x[at + (slice(n - 1, n - m - 1, -1),)] * math.sqrt(0.5)
+    even = np.empty(x.shape[:axis] + (n - m,) + x.shape[axis + 1:])
+    np.add(lo, hi, out=even[at + (slice(0, m),)])
+    if n > 2 * m:
+        even[at + (m,)] = x[at + (m,)]
+    return even, np.subtract(lo, hi, out=hi)
+
+
+def _parity_merge(even: np.ndarray, odd: np.ndarray, axis: int) -> np.ndarray:
+    """The values along ``axis`` whose even and odd coefficients
+    (``_parity_split``) are ``even`` and ``odd``."""
+    m = odd.shape[axis]
+    n = even.shape[axis] + m
+    at = (slice(None),) * axis
+    out = np.empty(even.shape[:axis] + (n,) + even.shape[axis + 1:])
+    e = even[at + (slice(0, m),)]
+    lo = out[at + (slice(0, m),)]
+    hi = out[at + (slice(n - 1, n - m - 1, -1),)]
+    np.add(e, odd, out=lo)
+    lo *= math.sqrt(0.5)
+    np.subtract(e, odd, out=hi)
+    hi *= math.sqrt(0.5)
+    if n > 2 * m:
+        out[at + (m,)] = even[at + (m,)]
     return out
 
 
-def _parity_blocks(S: np.ndarray, counts: tuple[int, int, int],
-                   axes: tuple[int, ...]) -> list[np.ndarray]:
-    """The diagonal blocks of Q^T S Q for the parity basis Q of the
-    mirrored ``axes``, one square block per parity sector (2^len(axes) of
-    them), folded by index arithmetic without forming Q.  The blocks
-    between sectors vanish when S commutes with the reflections."""
-    blocks = [S.reshape(counts + counts)]
+def parity_fold(x: np.ndarray, axes: tuple[int, ...]) -> list[np.ndarray]:
+    """Q^T x for grid functions x of shape counts + B (the batch axes
+    last, so that every step runs over long contiguous strides): their
+    coefficients in the orthonormal parity basis Q of the mirrored
+    ``axes``, one array of shape (N_sector,) + B per parity sector
+    (2^len(axes) of them), by index arithmetic without forming Q."""
+    parts = [np.asarray(x, dtype=float)]
     for k in axes:
-        blocks = [_parity_half(_parity_half(b, k, sign), 3 + k, sign)
-                  for b in blocks for sign in (1, -1)]
-    return [b.reshape(math.prod(b.shape[:3]), -1) for b in blocks]
+        parts = [half for p in parts for half in _parity_split(p, k)]
+    return [p.reshape((-1,) + p.shape[3:]) for p in parts]
+
+
+def parity_unfold(parts: list[np.ndarray], counts: tuple[int, int, int],
+                  axes: tuple[int, ...]) -> np.ndarray:
+    """Q c, the inverse of ``parity_fold``: grid functions of shape
+    counts + B from their sector coefficients."""
+    blocks = [p.reshape(sh + p.shape[1:])
+              for p, sh in zip(parts, _sector_shapes(counts, axes))]
+    for k in reversed(axes):
+        blocks = [_parity_merge(e, o, k)
+                  for e, o in zip(blocks[0::2], blocks[1::2])]
+    return blocks[0]
+
+
+def _sector_diagonals(d: np.ndarray, axes: tuple[int, ...]) -> list[np.ndarray]:
+    """Q_sector^T diag(d) Q_sector = diag(d_sector) for a grid function d
+    (shape counts) invariant under the reflections of ``axes``: d on the
+    nodes that index the sector's basis, one vector per sector."""
+    return [d[tuple(slice(0, n) for n in sh)].reshape(-1)
+            for sh in _sector_shapes(d.shape, axes)]
+
+
+def _kernel_blocks(s: FluidTriple, grid: VelocityGrid, q: np.ndarray,
+                   axes: tuple[int, ...]) -> list[np.ndarray]:
+    """The sector blocks Q_sector^T K Q_sector of the kernel matrix K
+    (midpoint -k1 + k2, shell-averaged), from its fundamental rows alone.
+
+    K[R i, R j] = K[i, j] for the reflections R of ``axes``, so the
+    parity basis vector (e_i + chi e_{R i}) / sqrt(2) of a sector acts on
+    that sector as sqrt(2) e_i: row i of the block is the column fold
+    (``parity_fold``) of kernel row i, times sqrt(2) per mirrored axis on
+    which node i has a mirror image (1 on a middle node).  For even n
+    that is B[i, j] = sum_R chi(R) K[i, R j].  The fundamental rows are
+    computed and folded KERNEL_CHUNK entries at a time."""
+    counts = grid.counts
+    shapes = _sector_shapes(counts, axes)
+    rows = _fundamental_rows(counts, axes)
+    fmulti = np.unravel_index(np.arange(len(rows)), shapes[0])
+    factor = np.ones(len(rows))
+    for k in axes:
+        factor[fmulti[k] < counts[k] // 2] *= math.sqrt(2.0)
+    # the sector row of each fundamental row (-1 if not in the sector)
+    place = []
+    for sh in shapes:
+        inside = np.all([fmulti[k] < sh[k] for k in range(3)], axis=0)
+        pos = np.full(len(rows), -1)
+        pos[inside] = np.ravel_multi_index(
+            tuple(f[inside] for f in fmulti), sh)
+        place.append(pos)
+    cols, vals = _k2_shell_average(s, grid, q, rows)
+    blocks = [np.empty((math.prod(sh),) * 2) for sh in shapes]
+    chunk = max(1, KERNEL_CHUNK // grid.n_nodes)
+    for r0 in range(0, len(rows), chunk):
+        rr = rows[r0:r0 + chunk]
+        K = _kernel_rows(s, grid, q, rr)
+        li, lj = np.nonzero(cols[r0:r0 + chunk] >= 0)
+        K[li, cols[r0 + li, lj]] = vals[r0 + li, lj]
+        K *= factor[r0:r0 + chunk, None]
+        KT = np.ascontiguousarray(K.T).reshape(counts + (len(rr),))
+        for B, part, pos in zip(blocks, parity_fold(KT, axes), place):
+            at = pos[r0:r0 + chunk]
+            B[at[at >= 0]] = part.T[at >= 0]
+    return blocks
 
 
 @dataclass
 class LinearizedOperator:
-    """Dense action of the linearized collision operator on node values.
+    """The linearized collision operator on node values, held in the
+    parity sectors of the lattice.
 
-    ``matrix`` realizes h -> -nu h + sqrt(M) (-K1 + K2)(h / sqrt(M)) in the
+    L realizes h -> -nu h + sqrt(M) (-K1 + K2)(h / sqrt(M)) in the
     defining normalization (nu here is pi times the compact closed form).
     Self-adjoint and negative semidefinite in the M-weighted inner product
     with five-dimensional null space spanned by the chi basis; the measured
     residuals are recorded at assembly.
+
+    L commutes with the reflection of each lattice axis mirrored about the
+    state's bulk velocity (``axes``, ``VelocityGrid.mirror_axes``), so in
+    the parity basis Q of those axes it is block diagonal: ``blocks``
+    holds Q_s^T L Q_s for each parity sector s, in the order of
+    ``parity_fold``.  That is 8 blocks of about N/8 on a lattice centred
+    on the state, 4 of N/4 on a ``grid_spanning`` lattice, and one block
+    of N with no mirrored axis.  Every use folds its input into the
+    sectors, works per block and unfolds.
     """
 
     state: FluidTriple
     grid: VelocityGrid
-    matrix: np.ndarray
+    axes: tuple[int, ...]
+    blocks: list[np.ndarray]
     chi_residuals: np.ndarray           # after null-space projection
     raw_chi_residuals: np.ndarray       # kernel quadrature alone
     projector: Projector = field(repr=False)
+    #: (Q_s^T C, W Q_s) per sector, P0 = C W the projector's rank-5 pair
+    chi_sectors: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
+
+    def _fold(self, h: np.ndarray) -> list[np.ndarray]:
+        """Sector coefficients of grid functions h of shape B + counts,
+        each of shape (N_sector,) + B."""
+        h = np.asarray(h, dtype=float)
+        lead = h.ndim - 3
+        return parity_fold(np.ascontiguousarray(
+            np.moveaxis(h, range(lead), range(3, 3 + lead))), self.axes)
+
+    def _unfold(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Grid functions of shape B + counts from their sector
+        coefficients (the inverse of ``_fold``)."""
+        x = parity_unfold(parts, self.grid.counts, self.axes)
+        lead = x.ndim - 3
+        return np.ascontiguousarray(
+            np.moveaxis(x, range(3, 3 + lead), range(lead)))
 
     def apply(self, h: np.ndarray) -> np.ndarray:
-        return (self.matrix @ np.asarray(h).reshape(-1)).reshape(self.grid.counts)
+        """L h for grid functions h of shape B + counts."""
+        return self._unfold([A @ p for A, p in zip(self.blocks, self._fold(h))])
 
     def spectrum_meta(self) -> tuple[np.ndarray, int]:
         """Eigenvalues in the M-metric (real, ascending) and the numerical
-        kernel dimension (|lam| < 1e-6 max |lam|).
-
-        The symmetrised S = D L D^{-1}, D = sqrt(weight / M), commutes with
-        the reflection of each mirrored lattice axis, so it is diagonalized
-        one parity sector at a time (``_parity_blocks``): 8 blocks of N/8
-        on a lattice centred on the state, one block of N when no axis is
-        mirrored."""
-        d = np.sqrt(self.grid.weight / self.projector.M.reshape(-1))
-        S = (d[:, None] * self.matrix) / d[None, :]
-        blocks = _parity_blocks(S, self.grid.counts,
-                                self.grid.mirror_axes(self.state))
-        lam = np.sort(np.concatenate(
-            [eigh(0.5 * (b + b.T), eigvals_only=True) for b in blocks]))
+        kernel dimension (|lam| < 1e-6 max |lam|): one eigh per sector of
+        the symmetrised S = D L D^{-1}, D = sqrt(weight / M), which is
+        invariant under the reflections."""
+        ds = _sector_diagonals(
+            np.sqrt(self.grid.weight / self.projector.M), self.axes)
+        lam = []
+        for d, A in zip(ds, self.blocks):
+            S = (d[:, None] * A) / d[None, :]
+            lam.append(eigh(0.5 * (S + S.T), eigvals_only=True))
+        lam = np.sort(np.concatenate(lam))
         null_dim = int(np.sum(np.abs(lam) < 1e-6 * np.max(np.abs(lam))))
         return lam, null_dim
 
     @cached_property
     def _shifted_lu(self):
-        """LU of L - C W, P0 = C W the projector's rank-5 pair.  As W L = 0
-        and L C = 0, (L - C W) h = g for microscopic g gives W h = 0 and
-        L h = g."""
-        p = self.projector
-        return lu_factor(self.matrix - p._chi_flat.T @ p._W, overwrite_a=True)
+        """LU of L - C W per sector.  As W L = 0 and L C = 0,
+        (L - C W) h = g for microscopic g gives W h = 0 and L h = g."""
+        return [lu_factor(A - C @ W, overwrite_a=True)
+                for A, (C, W) in zip(self.blocks, self.chi_sectors)]
 
     def invert_micro(self, g: np.ndarray) -> np.ndarray:
         """Solve L h = g with h microscopic; g must be microscopic.
 
         The microscopic gate uses the M-weighted norm (the natural metric
-        for moment content); the solve residual is checked in the discrete
-        L2 norm, where the roundoff floor is not amplified by the 1/M
-        corner weights.
+        for moment content): the macroscopic content of g may be 1e-6 of
+        its norm, or roundoff on the state's own scale, 1e-12 |M|_M,
+        whichever is larger.  The solve residual is checked in the
+        discrete L2 norm, where the roundoff floor is not amplified by
+        the 1/M corner weights.
         """
-        gf = np.asarray(g).reshape(-1)
+        g = np.asarray(g)
         norm_g_m = math.sqrt(max(inner(g, g, self.state, self.grid), 0.0))
         if norm_g_m == 0.0:
             return np.zeros(self.grid.counts)
         pg = self.projector.macro(g)
         norm_pg = math.sqrt(max(inner(pg, pg, self.state, self.grid), 0.0))
-        if norm_pg > 1e-6 * norm_g_m:
+        floor = MICRO_FLOOR * math.sqrt(self.grid.integrate(self.projector.M))
+        if norm_pg > max(1e-6 * norm_g_m, floor):
             raise NotMicroscopic(
-                f"macroscopic content {norm_pg:.3e} > 1e-6 * {norm_g_m:.3e}")
-        C, W = self.projector._chi_flat.T, self.projector._W
-        hf = lu_solve(self._shifted_lu, gf)
-        hf += lu_solve(self._shifted_lu, gf - (self.matrix @ hf - C @ (W @ hf)))
-        h = hf.reshape(self.grid.counts)
+                f"macroscopic content {norm_pg:.3e} > max(1e-6 * "
+                f"{norm_g_m:.3e}, {floor:.3e})")
+        hs = []
+        for lu, A, (C, W), gs in zip(self._shifted_lu, self.blocks,
+                                     self.chi_sectors, self._fold(g)):
+            hf = lu_solve(lu, gs)
+            hf += lu_solve(lu, gs - (A @ hf - C @ (W @ hf)))
+            hs.append(hf)
+        h = self._unfold(hs)
         res = self.apply(h) - self.projector.micro(g)
         norm_res = math.sqrt(self.grid.integrate(res ** 2))
-        norm_g = math.sqrt(self.grid.integrate(np.asarray(g) ** 2))
+        norm_g = math.sqrt(self.grid.integrate(g ** 2))
         if norm_res > 1e-8 * norm_g:
             raise IllConditioned(
                 f"constrained solve residual {norm_res:.3e} > 1e-8 * {norm_g:.3e}")
         return h
 
 
+def _symmetrise(B: np.ndarray) -> None:
+    """B <- (B + B^T) / 2 in place, ROW_BLOCK rows at a time."""
+    for i0 in range(0, len(B), ROW_BLOCK):
+        i1 = i0 + ROW_BLOCK
+        up = B[i0:i1, i0:] + B[i0:, i0:i1].T
+        up *= 0.5
+        B[i0:i1, i0:] = up
+        B[i0:, i0:i1] = up.T
+
+
 def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
                         gram_tol: float = 1e-3) -> LinearizedOperator:
-    """Assemble the dense linearized operator at state ``s``.
+    """Assemble the linearized operator at state ``s``, sector by sector.
 
     One K1/K2 kernel-quadrature row per node (near-singular k2 cells
     subcell-averaged), minus the defining-normalization collision frequency
@@ -472,8 +603,12 @@ def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
     The kernels depend on xi only through |xi - u|, |xi* - u| and
     |xi - xi*|, so on the lattice axes mirrored about u
     (``VelocityGrid.mirror_axes``) only the rows of the fundamental domain
-    are computed and the others are filled by reflection; with no mirrored
-    axis every row is computed.
+    are computed, and they are folded straight into the parity sectors
+    (``_kernel_blocks``).  M, nu and the projection are invariant under
+    the reflections too, so the symmetrisation, the scaling, the
+    frequency diagonal and the rank-5 projection act on each sector block
+    alone; the sector blocks between different sectors vanish, and no
+    N x N array is formed unless no axis is mirrored.
 
     The k2 shell average integrates over cubic cells, so a lattice whose
     axis spacings differ by more than 1e-12 relative raises ValueError.
@@ -483,53 +618,51 @@ def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
         raise ValueError(f"linearized assembly needs cubic cells, got "
                          f"spacings {grid.spacing}")
     proj = Projector(s, grid, gram_tol=gram_tol)   # GridTooNarrow if unresolvable
-    nodes = grid.nodes
-    N = grid.n_nodes
-    sqM = np.sqrt(proj.M.reshape(-1))
-    c = nodes - np.asarray(s.u)
+    c = grid.nodes - np.asarray(s.u)
     q = np.einsum("ni,ni->n", c, c)
     axes = grid.mirror_axes(s)
-    rows = _fundamental_rows(grid.counts, axes)
-    K = _kernel_rows(s, grid, q, rows)
-    _k2_shell_average(s, grid, K, q, rows)
-    _reflect_rows(K, grid.counts, axes)
-    # the shell pass's one-sided subcell averages break the kernel symmetry
-    # at the per-mil level; restore it exactly, a block of rows at a time
-    for i0 in range(0, N, 256):
-        up = K[i0:i0 + 256, i0:] + K[i0:, i0:i0 + 256].T
-        up *= 0.5
-        K[i0:i0 + 256, i0:] = up
-        K[i0:, i0:i0 + 256] = up.T
+    blocks = _kernel_blocks(s, grid, q, axes)
+    sqMs = _sector_diagonals(np.sqrt(proj.M), axes)
+    nus = _sector_diagonals(math.pi * collision_frequency(
+        s, grid.nodes).reshape(grid.counts), axes)
+    shape = grid.counts + (5,)
+    chi_sectors = [(C, W.T) for C, W in zip(
+        parity_fold(proj._chi_flat.T.reshape(shape), axes),
+        parity_fold(proj._W.T.reshape(shape), axes))]
+    ACs, AC_proj = [], []
+    for A, sqM, nu, (C, W) in zip(blocks, sqMs, nus, chi_sectors):
+        # the shell pass's one-sided subcell averages break the kernel
+        # symmetry at the per-mil level; restore it exactly
+        _symmetrise(A)
+        # h -> sqrt(M) K(h/sqrt(M)): row scaling sqM_i, column scaling
+        # 1/sqM_j, in place
+        A *= sqM[:, None]
+        A /= sqM[None, :]
+        A *= grid.weight
+        A[np.arange(len(A)), np.arange(len(A))] -= nu
+        # P A P with P = I - C W as rank-5 corrections, O(n^2) instead of
+        # two n^3 GEMMs: A - C (W A) - (A C) W + C ((W A C) W), a block of
+        # rows at a time
+        WA, AC = W @ A, A @ C
+        ACs.append(AC)
+        X = WA - (WA @ C) @ W
+        for i0 in range(0, len(A), ROW_BLOCK):
+            rows = slice(i0, i0 + ROW_BLOCK)
+            A[rows] -= C[rows] @ X + AC[rows] @ W
+        AC_proj.append(A @ C)
 
-    # h -> sqrt(M) K(h/sqrt(M)): row scaling sqM_i, column scaling 1/sqM_j,
-    # in place, so that K and A are not both held at the projection below
-    A = K
-    A *= sqM[:, None]
-    A /= sqM[None, :]
-    A *= grid.weight
-    A[np.arange(N), np.arange(N)] -= math.pi * collision_frequency(s, nodes)
-
-    C, W = proj._chi_flat.T, proj._W                        # (N, 5), (5, N)
-
-    def chi_residuals(AC):
-        """|A chi_j| / |chi_j| in the M-weighted norm, from AC = A C."""
-        both = np.concatenate([AC.T, proj._chi_flat]).reshape(
-            (10,) + grid.counts)
+    def chi_residuals(parts):
+        """|A chi_j| / |chi_j| in the M-weighted norm, from the sector
+        parts of the five A chi_j."""
+        AC = np.moveaxis(parity_unfold(parts, grid.counts, axes), -1, 0)
+        both = np.concatenate([AC, proj.chi])
         n2 = inner(both, both, s, grid)
         return np.sqrt(n2[:5] / n2[5:])
 
-    # P A P with P = I - C W as rank-5 corrections, O(N^2) instead of two
-    # N^3 GEMMs: A - C (W A) - (A C) W + C ((W A C) W)
-    WA, AC = W @ A, A @ C
-    raw_res = chi_residuals(AC)
-    X = C @ (WA - (WA @ C) @ W)
-    X += AC @ W
-    A -= X
-
-    return LinearizedOperator(state=s, grid=grid, matrix=A,
-                              chi_residuals=chi_residuals(A @ C),
-                              raw_chi_residuals=raw_res,
-                              projector=proj)
+    return LinearizedOperator(state=s, grid=grid, axes=axes, blocks=blocks,
+                              chi_residuals=chi_residuals(AC_proj),
+                              raw_chi_residuals=chi_residuals(ACs),
+                              projector=proj, chi_sectors=chi_sectors)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +676,7 @@ def measure_dissipativity(op: LinearizedOperator, mref: FluidTriple,
     grid = op.grid
     raw = rng.standard_normal((trials,) + grid.counts) * op.projector.M
     g = op.projector.micro(raw)
-    Lg = (g.reshape(trials, -1) @ op.matrix.T).reshape(g.shape)
+    Lg = op.apply(g)
     num = -inner(g, Lg, mref, grid)
     den = inner(one_plus_speed(grid) * g, g, mref, grid)
     ok = den > 0
@@ -561,15 +694,14 @@ def micro_leading(op: LinearizedOperator, v_y: float, u1_y: float,
     d_y M in the projector's chi basis.  P1 removes the multiples of
     xi1 M, so the v_y part vanishes and the term equals
     3/(2 v theta) L^{-1} P1[xi1 M (xi1 u1_y + |xi - u|^2 theta_y/(2 theta))].
-    P1 is applied twice: one pass leaves roundoff with macroscopic content
-    of its own size, which ``invert_micro`` would reject."""
+    A pure v_y gradient leaves roundoff after P1, with macroscopic content
+    of its own size, which ``invert_micro``'s roundoff floor admits."""
     s, p = op.state, op.projector
     M_y = math.sqrt(s.rho) * (
         -v_y / s.v * p.chi[0]
         + u1_y / math.sqrt(R_GAS * s.theta) * p.chi[1]
         + math.sqrt(1.5) * theta_y / s.theta * p.chi[4])
-    return op.invert_micro(p.micro(p.micro(op.grid.node_array(0) * M_y))
-                           / s.v)
+    return op.invert_micro(p.micro(op.grid.node_array(0) * M_y) / s.v)
 
 
 @dataclass

@@ -15,7 +15,8 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .ansatz import (CompositeAnsatz, DiagnosticsFrame, diagnostics_frame,
                      shift_H, shift_rhs)
-from .collision import assemble_linearized, axis_rule, q_bilinear_batch
+from .collision import (assemble_linearized, axis_rule, parity_fold,
+                        parity_unfold, q_bilinear_batch)
 from .errors import CFLViolation, CostGuard, NonphysicalState, PositivityLoss
 from .gas import (DEFAULT_TRANSPORT, R_GAS, ConservedTriple, FluidTriple,
                   TransportLaw, pressure, primitive_fields, sound_speed)
@@ -517,32 +518,44 @@ class LinearizedKineticSolver:
     Each block of LINEARIZED_BLOCK cells keeps the propagator
     P = (I - dt L)^{-1} of its operator L, frozen at the block's middle
     cell; L <= 0 in the M-weighted metric, so I - dt L is well
-    conditioned and P is formed once, by an LU solve against I.  A step
-    is the transport, the local Maxwellians M of the transported cells and
-    f <- M + P (f - M), one matmul per block with the cells as rows.  The
-    step records on the field the largest relative distance of a cell's
-    state from the state its operator is frozen at (``operator_drift``)."""
+    conditioned.  L is held in parity sectors (``LinearizedOperator``),
+    and so is P: one LU solve against I per sector, N/4 nodes each on a
+    ``grid_spanning`` lattice.  A step is the transport, the local
+    Maxwellians M of the transported cells and f <- M + P (f - M): f - M
+    of every cell is folded into the sectors once, multiplied per sector
+    by the stack of that sector's block propagators (one batched matmul,
+    the cells of a block as columns) and unfolded once.  The step records
+    on the field the largest relative distance of a cell's state from the
+    state its operator is frozen at (``operator_drift``)."""
 
     def __init__(self, field: KineticField, sigma: float, dt: float):
         self.sigma = sigma
         self.dt = dt
         grid = field.grid
         ny = len(field.y)
+        self.n_blocks = -(-ny // LINEARIZED_BLOCK)
         v, u, theta = primitive_fields(moments(field.values, grid))
-        eye = np.eye(grid.n_nodes)
-        # (cells, P) per block, and per cell the state (v, u, theta) at
-        # which its block's operator is frozen
-        self.blocks = []
+        # per set of mirrored axes, one stack of block propagators per
+        # sector, zero for a block whose operator has other mirrored axes
+        # (a lattice from ``grid_spanning`` mirrors xi2 and xi3 for every
+        # frozen state, so there is one set), and per cell the state
+        # (v, u, theta) at which its block's operator is frozen
+        self.sectors: dict[tuple[int, ...], list[np.ndarray]] = {}
         mid = np.empty(ny, dtype=int)
-        for start in range(0, ny, LINEARIZED_BLOCK):
-            cells = slice(start, min(start + LINEARIZED_BLOCK, ny))
+        for b in range(self.n_blocks):
+            cells = slice(b * LINEARIZED_BLOCK,
+                          min((b + 1) * LINEARIZED_BLOCK, ny))
             m = (cells.start + cells.stop) // 2
             mid[cells] = m
             s = FluidTriple(v=float(v[m]), u=tuple(u[m]),
                             theta=float(theta[m]))
             op = assemble_linearized(s, grid, gram_tol=0.5)
-            self.blocks.append(
-                (cells, lu_solve(lu_factor(eye - self.dt * op.matrix), eye)))
+            if op.axes not in self.sectors:
+                self.sectors[op.axes] = [np.zeros((self.n_blocks,) + A.shape)
+                                         for A in op.blocks]
+            for P, A in zip(self.sectors[op.axes], op.blocks):
+                eye = np.eye(len(A))
+                P[b] = lu_solve(lu_factor(eye - self.dt * A), eye)
         self.frozen = (v[mid], u[mid], theta[mid])
 
     def _drift(self, v: np.ndarray, u: np.ndarray,
@@ -558,12 +571,25 @@ class LinearizedKineticSolver:
     def step(self, field: KineticField) -> KineticField:
         star, clip = _transport_semilagrangian(field, self.dt, self.sigma)
         state = primitive_fields(moments(star, field.grid))
-        M = field.grid.maxwellian(state)
-        G = (star - M).reshape(len(field.y), -1)
-        new = M.reshape(G.shape)
-        for cells, P in self.blocks:
-            new[cells] += G[cells] @ P.T
-        return _advance(field, new.reshape(star.shape), self.dt, clip,
+        new = field.grid.maxwellian(state)
+        # f - M with the cells last, the layout of ``parity_fold``, and
+        # zero cells up to whole blocks
+        ny, counts = len(field.y), field.grid.counts
+        nb, width = self.n_blocks, self.n_blocks * LINEARIZED_BLOCK
+        flat = new.reshape(ny, -1)
+        G = np.zeros((flat.shape[1], width))
+        np.subtract(star.reshape(ny, -1).T, flat.T, out=G[:, :ny])
+        G = G.reshape(counts + (width,))
+        for axes, stacks in self.sectors.items():
+            out = []
+            for P, p in zip(stacks, parity_fold(G, axes)):
+                o = np.empty_like(p)
+                # block b: P[b] @ (its cells' columns)
+                np.matmul(P, p.reshape(len(p), nb, -1).transpose(1, 0, 2),
+                          out=o.reshape(len(p), nb, -1).transpose(1, 0, 2))
+                out.append(o)
+            flat += parity_unfold(out, counts, axes).reshape(-1, width)[:, :ny].T
+        return _advance(field, new, self.dt, clip,
                         operator_drift=max(field.operator_drift,
                                            self._drift(*state)))
 

@@ -18,7 +18,7 @@ from kinwave.solvers import (LINEARIZED_BLOCK, SHIFT_WINDOW, FluidField,
                              LinearizedKineticSolver, PerturbationSpec,
                              cfl_limit, fluid_run, fluid_step,
                              initial_fluid_field, kinetic_step)
-from kinwave.velocity import VelocityGrid, moments
+from kinwave.velocity import VelocityGrid, grid_spanning, moments
 
 RIGHT = FluidTriple(v=1.0, u=(0.0, 0.0, 0.0), theta=1.0)
 
@@ -663,12 +663,11 @@ def test_transport_matches_per_column_loop():
     assert got_clip == clip
 
 
-def test_linearized_propagator_matches_lu_solve():
-    """One step with the block propagators P = (I - dt L)^{-1} agrees with
-    the step that makes one LU solve per block."""
-    f = _perturbed_kinetic_field()
+def _assert_step_matches_lu_solve(f, sigma=1.0, dt=0.02):
+    """One step of a ``LinearizedKineticSolver`` on ``f`` agrees with the
+    step that makes one dense LU solve per block; returns the solver."""
     grid = f.grid
-    ny, dt, sigma = len(f.y), 0.02, 1.0
+    ny = len(f.y)
     solver = LinearizedKineticSolver(f, sigma, dt)
     got = solver.step(f).values
     star, _ = solvers._transport_semilagrangian(f, dt, sigma)
@@ -682,11 +681,77 @@ def test_linearized_propagator_matches_lu_solve():
         op = assemble_linearized(
             FluidTriple(v=float(v[m]), u=tuple(u[m]), theta=float(theta[m])),
             grid, gram_tol=0.5)
-        lu = lu_factor(np.eye(grid.n_nodes) - dt * op.matrix)
+        N = grid.n_nodes
+        L = op.apply(np.eye(N).reshape((N,) + grid.counts)).reshape(N, N).T
+        lu = lu_factor(np.eye(N) - dt * L)
         want[cells] += lu_solve(lu, G[cells].T).T
     want = want.reshape(star.shape)
     want[[0, -1]] = f.values[[0, -1]]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    return solver
+
+
+def test_linearized_propagator_matches_lu_solve():
+    """One step with the block propagators P = (I - dt L)^{-1} agrees with
+    the step that makes one LU solve per block."""
+    _assert_step_matches_lu_solve(_perturbed_kinetic_field())
+
+
+def test_linearized_mixed_mirror_axes():
+    """Blocks whose operators have different mirrored axes, and a last
+    block shorter than LINEARIZED_BLOCK: 20 cells, the first block left at
+    the Maxwellian the lattice is centred on (mirrored in all three axes),
+    the others perturbed in xi1 (mirrored in xi2 and xi3)."""
+    f = _perturbed_kinetic_field(ny=20)
+    s0, grid, _, vals = _kinetic_setup(ny=20)
+    f.values[:LINEARIZED_BLOCK] = vals[:LINEARIZED_BLOCK]
+    solver = _assert_step_matches_lu_solve(f)
+    assert sorted(solver.sectors) == [(0, 1, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_sector_propagators_match_dense(n):
+    """Five steps with the sector propagators of each block's operator (4
+    sectors on a ``grid_spanning`` lattice) agree to 1e-13 relative with
+    five steps with the dense P = (I - dt L)^{-1}, L the N x N matrix
+    that ``apply`` gives on the unit vectors."""
+    ends = [FluidTriple(v=1.0, u=(-0.2, 0.0, 0.0), theta=1.0),
+            FluidTriple(v=0.9, u=(0.3, 0.0, 0.0), theta=1.1)]
+    grid = grid_spanning(ends, (n,) * 3)
+    ny, dt, sigma, N = 16, 0.02, 0.5, grid.n_nodes
+    y = np.linspace(-8.0, 8.0, ny)
+    u = np.zeros((ny, 3))
+    u[:, 0] = 0.05 + 0.2 * np.tanh(y / 3.0)
+    vals = grid.maxwellian((1.0 - 0.05 * np.tanh(y / 3.0), u,
+                            1.0 + 0.05 * np.tanh(y / 3.0)))
+    vals *= 1.0 + 0.2 * np.sin(y)[:, None, None, None] \
+        * np.exp(-(grid.node_array(0) - 0.3) ** 2 - grid.node_array(2) ** 2)
+    f = g = KineticField(y, grid, vals)
+    solver = LinearizedKineticSolver(f, sigma, dt)
+    assert list(solver.sectors) == [(1, 2)]
+    v, u, theta = primitive_fields(moments(f.values, grid))
+    dense = []
+    for start in range(0, ny, LINEARIZED_BLOCK):
+        cells = slice(start, start + LINEARIZED_BLOCK)
+        m = start + LINEARIZED_BLOCK // 2
+        op = assemble_linearized(
+            FluidTriple(v=float(v[m]), u=tuple(u[m]), theta=float(theta[m])),
+            grid, gram_tol=0.5)
+        L = op.apply(np.eye(N).reshape((N,) + grid.counts)).reshape(N, N).T
+        dense.append((cells, lu_solve(lu_factor(np.eye(N) - dt * L),
+                                      np.eye(N))))
+    for _ in range(5):
+        f = solver.step(f)
+        star, _ = solvers._transport_semilagrangian(g, dt, sigma)
+        M = grid.maxwellian(primitive_fields(moments(star, grid)))
+        G = (star - M).reshape(ny, -1)
+        want = M.reshape(G.shape)
+        for cells, P in dense:
+            want[cells] += G[cells] @ P.T
+        want = want.reshape(star.shape)
+        want[[0, -1]] = g.values[[0, -1]]
+        g = KineticField(y, grid, want, g.t + dt)
+        assert np.abs(f.values - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_linearized_operator_drift():
