@@ -3,7 +3,7 @@ decompositions, collision-operator measurements and the fluid/kinetic
 stability simulations.
 
 Exit codes: 0 pass, 1 check failure, 2 configuration/IO error,
-3 numerical guard, 4 cost guard.
+3 numerical guard.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import __version__
 from .ansatz import CompositeAnsatz, DiagnosticsFrame
 from .collision import assemble_linearized, measure_dissipativity, q_bilinear
 from .config import PRESETS, RunConfig, check_range, load_config
-from .errors import ConfigError, CostGuard, KinwaveError, NonphysicalState
+from .errors import ConfigError, KinwaveError, NonphysicalState
 from .gas import FluidTriple
 from .reports import profile_report
 from .riemann import generate_states
@@ -31,7 +31,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_IO = 2
 EXIT_NUMERICAL_GUARD = 3
-EXIT_COST_GUARD = 4
 
 
 def _json_default(obj):
@@ -150,9 +149,7 @@ def cmd_collision_check(cfg: RunConfig, out: Path, seed: int) -> int:
                              "passed": bool(stability <= 0.3)})
     # conservation defect of the bilinear quadrature
     gridq = grid_for_state(base, counts=(8,) * 3,
-                           extent_radii=cfg.velocity_extent,
-                           sphere_polar=cfg.sphere_polar,
-                           sphere_azimuth=cfg.sphere_azimuth)
+                           extent_radii=cfg.velocity_extent)
     M = gridq.maxwellian(base)
     f = M * (1.0 + 0.4 * np.abs(np.sin(3.0 * gridq.node_array(0))))
     res = q_bilinear(f, f, gridq)
@@ -270,9 +267,6 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except CostGuard as exc:
-        print(f"cost guard: {exc}", file=sys.stderr)
-        return EXIT_COST_GUARD
     except KinwaveError as exc:
         print(f"numerical guard: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_GUARD

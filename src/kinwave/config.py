@@ -27,8 +27,11 @@ _RANGES = {
     ("grid", "dy"): (1e-4, 10.0),
     ("grid", "velocity_counts"): (4, 64),
     ("grid", "velocity_extent"): (1.0, 50.0),
-    ("grid", "sphere_polar"): (1, 32),
-    ("grid", "sphere_azimuth"): (1, 64),
+    # one collision rule, +-e1 and +-e2 (``VelocityGrid.omega``): 1 polar x
+    # 4 azimuthal nodes.  The keys accept only that, so configs that spell
+    # it out still load and any other value fails
+    ("grid", "sphere_polar"): (1, 1),
+    ("grid", "sphere_azimuth"): (4, 4),
     ("grid", "nx"): (8, 100_000),
     ("perturbation", "micro_amplitude"): (-1.0, 1.0),
     ("perturbation", "micro_center"): (-1e5, 1e5),
@@ -59,8 +62,6 @@ class RunConfig:
     dy: float = 0.2
     velocity_counts: int = 16
     velocity_extent: float = 6.0
-    sphere_polar: int = 1
-    sphere_azimuth: int = 4
     nx: int = 64
     perturbation: PerturbationSpec = field(default_factory=PerturbationSpec)
     t_end: float = 200.0
@@ -167,8 +168,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     cfg.dy = getf("grid", "dy", cfg.dy)
     cfg.velocity_counts = geti("grid", "velocity_counts", cfg.velocity_counts)
     cfg.velocity_extent = getf("grid", "velocity_extent", cfg.velocity_extent)
-    cfg.sphere_polar = geti("grid", "sphere_polar", cfg.sphere_polar)
-    cfg.sphere_azimuth = geti("grid", "sphere_azimuth", cfg.sphere_azimuth)
     cfg.nx = geti("grid", "nx", cfg.nx)
     cfg.perturbation = PerturbationSpec(
         bumps=_parse_bumps(parser.get("perturbation", "bumps", fallback="")),

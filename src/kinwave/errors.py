@@ -76,9 +76,5 @@ class PositivityLoss(KinwaveError):
     """Solver state lost positivity beyond the recoverable clip."""
 
 
-class CostGuard(KinwaveError):
-    """Requested run exceeds the configured cost limits."""
-
-
 class ConfigError(KinwaveError):
     """Malformed or out-of-range run configuration."""

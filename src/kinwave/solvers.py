@@ -15,9 +15,10 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .ansatz import (CompositeAnsatz, DiagnosticsFrame, diagnostics_frame,
                      shift_H, shift_rhs)
-from .collision import (assemble_linearized, axis_rule, parity_fold,
-                        parity_unfold, q_bilinear_batch)
-from .errors import CFLViolation, CostGuard, NonphysicalState, PositivityLoss
+from .collision import (assemble_linearized, parity_fold, parity_unfold,
+                        q_bilinear_batch)
+from .errors import (CFLViolation, ConfigError, NonphysicalState,
+                     PositivityLoss)
 from .gas import (DEFAULT_TRANSPORT, R_GAS, ConservedTriple, FluidTriple,
                   TransportLaw, pressure, primitive_fields, sound_speed)
 from .profiles import loglog_slope, solve_tridiagonal
@@ -394,12 +395,6 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
 # kinetic solver
 # ---------------------------------------------------------------------------
 
-#: cost guard of the full nonlinear collision quadrature with an off-axis
-#: sphere direction (N^2 pairs per direction and cell)
-MAX_FULL_Q_NODES = 8 ** 3
-MAX_FULL_Q_SPHERE = 8
-MAX_FULL_Q_NX = 128
-
 #: cells that share one frozen linearized operator
 LINEARIZED_BLOCK = 8
 
@@ -414,7 +409,6 @@ class KineticField:
     values: np.ndarray                # (ny,) + grid.counts
     t: float = 0.0
     clip_defect: float = 0.0          # mass removed by positivity clipping
-    lost_interp_weight: float = 0.0   # off-lattice stencil weight, summed
     operator_drift: float = 0.0       # state drift from the frozen operators
 
     def __post_init__(self):
@@ -481,34 +475,16 @@ def kinetic_step(field: KineticField, dt: float, sigma: float) -> KineticField:
     """Semi-Lagrangian transport followed by the exponential (Duhamel)
     collision update f <- e^{-nu dt} f + (1 - e^{-nu dt})/nu Q+(f, f);
     positivity-preserving up to interpolation undershoot (clipped at zero,
-    recorded).
-
-    With the axis sphere rule the quadrature is the factorized
-    O(N n_a) contraction per cell and direction and runs on any lattice.
-    A rule with an off-axis direction costs O(N^2) per cell and direction
-    and raises CostGuard beyond MAX_FULL_Q_NODES velocity nodes,
-    MAX_FULL_Q_SPHERE directions or MAX_FULL_Q_NX cells.  The quadrature's
-    ``lost_interp_weight`` (a constant of the lattice and the rule) is
-    accumulated on the field.
+    recorded).  The quadrature is the factorized axis rule, O(N n_a) per
+    cell and direction (``q_bilinear_batch``).
     """
-    grid = field.grid
-    if not axis_rule(grid) and (
-            grid.n_nodes > MAX_FULL_Q_NODES
-            or len(grid.omega) > MAX_FULL_Q_SPHERE
-            or len(field.y) > MAX_FULL_Q_NX):
-        raise CostGuard(
-            f"off-axis collision quadrature limited to {MAX_FULL_Q_NODES}"
-            f" velocity nodes, {MAX_FULL_Q_SPHERE} sphere nodes,"
-            f" {MAX_FULL_Q_NX} cells")
     star, clip = _transport_semilagrangian(field, dt, sigma)
-    res = q_bilinear_batch(star, star, grid)
+    res = q_bilinear_batch(star, star, field.grid)
     nu = res.loss_frequency
     x = nu * dt
     decay = np.exp(-x)
     duhamel = np.where(x > 1e-8, (1.0 - decay) / np.where(nu > 0, nu, 1.0), dt)
-    return _advance(field, decay * star + duhamel * res.gain, dt, clip,
-                    lost_interp_weight=field.lost_interp_weight
-                    + res.lost_interp_weight)
+    return _advance(field, decay * star + duhamel * res.gain, dt, clip)
 
 
 class LinearizedKineticSolver:
@@ -617,8 +593,7 @@ def initial_kinetic_field(decomp: RiemannDecomposition,
     the bump leaves every cell's five moments unchanged."""
     y = np.linspace(cfg.y_min, cfg.y_max, cfg.nx)
     grid = grid_spanning(wave_states(decomp)[0], (cfg.velocity_counts,) * 3,
-                         cfg.velocity_extent, sphere_polar=cfg.sphere_polar,
-                         sphere_azimuth=cfg.sphere_azimuth)
+                         cfg.velocity_extent)
     fr = CompositeAnsatz(decomp, cfg.transport).frame(0.0, 0.0, y)
     u = np.zeros((len(y), 3))
     u[:, 0] = fr.u1
@@ -655,9 +630,17 @@ def kinetic_run(decomp: RiemannDecomposition, cfg: RunConfig,
     ``cfg.kinetic_dt``, with ``kinetic_step`` or, if ``linearized``, a
     ``LinearizedKineticSolver``, recording about 20 frames (t, min_f,
     clip defect, micro content, invariants) plus the last; ``progress`` is
-    called with each frame as it is recorded.  Raises NonphysicalState
-    before the first step when the initial distribution has a negative
-    value (a micro mode too large for the lattice tails)."""
+    called with each frame as it is recorded.  Raises ConfigError before
+    any work unless ``cfg.t_end`` is a positive whole number of steps (to
+    1e-9 relative), and NonphysicalState before the first step when the
+    initial distribution has a negative value (a micro mode too large for
+    the lattice tails)."""
+    ratio = cfg.t_end / cfg.kinetic_dt
+    nsteps = round(ratio)
+    if nsteps < 1 or abs(ratio - nsteps) > 1e-9 * ratio:
+        raise ConfigError(
+            f"solver.t_end = {cfg.t_end} is not a positive whole number of "
+            f"kinetic_dt = {cfg.kinetic_dt} steps")
     field = initial_kinetic_field(decomp, cfg)
     grid, y = field.grid, field.y
     min_f0 = float(field.values.min())
@@ -675,7 +658,6 @@ def kinetic_run(decomp: RiemannDecomposition, cfg: RunConfig,
     else:
         step = functools.partial(kinetic_step, dt=cfg.kinetic_dt,
                                  sigma=decomp.sigma)
-    nsteps = max(1, int(round(cfg.t_end / cfg.kinetic_dt)))
     frames = []
     t_loop = time.perf_counter()
     for n in range(nsteps):
@@ -697,7 +679,6 @@ def kinetic_run(decomp: RiemannDecomposition, cfg: RunConfig,
         "min_f": frames[-1]["min_f"],
         "clip_defect": field.clip_defect,
         "clip_defect_relative": field.clip_defect / abs(mass0["mass"]),
-        "lost_interp_weight": field.lost_interp_weight,
         "conservation_drift": max(abs(massT[k] / mass0[k] - 1.0)
                                   for k in ("mass", "energy")),
     }

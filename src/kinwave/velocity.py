@@ -1,4 +1,4 @@
-"""Discrete velocity space: tensor lattice, sphere rule, moments,
+"""Discrete velocity space: tensor lattice, collision directions, moments,
 weighted inner products, and the macroscopic/microscopic projections
 with their five-function orthogonal basis.
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,58 +26,39 @@ EXTENT_RADII = 6.0
 MIRROR_TOL = 1e-12
 
 
-def sphere_rule(n_polar: int = 2,
-                n_azimuth: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Product quadrature on the unit sphere.
-
-    Gauss-Legendre in cos(polar angle) times a uniform azimuth rule with a
-    node at azimuth 0; the polar axis is e3.  Weights sum to 4*pi exactly.
-    """
-    x, wx = np.polynomial.legendre.leggauss(n_polar)
-    phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
-    wphi = 2.0 * math.pi / n_azimuth
-    ct, p = np.meshgrid(x, phi, indexing="ij")
-    st = np.sqrt(1.0 - ct ** 2)
-    nodes = np.stack([st * np.cos(p), st * np.sin(p), ct * np.ones_like(p)],
-                     axis=-1).reshape(-1, 3)
-    weights = (wx[:, None] * wphi * np.ones(n_azimuth)[None, :]).reshape(-1)
-    return nodes, weights
-
-
 @dataclass(frozen=True)
 class VelocityGrid:
-    """Cell-centered tensor lattice over a cube plus a sphere rule.
+    """Cell-centered tensor lattice over a cube, and the directions of the
+    collision quadrature.
 
     Nodes along each axis: center_i - L + (k + 1/2) * (2L / N_i), so the
     lattice is symmetric about the center and the uniform weight
     h1*h2*h3 realizes the midpoint rule (spectrally accurate for
     Maxwellian-type integrands).
 
-    The default sphere rule (polar=1, azimuth=4) puts the
-    quadrature directions on +-e1, +-e2.  For those directions the
+    The collision directions ``omega`` are +e1, +e2, -e1, -e2, each of
+    weight pi (``omega_weight``; the four sum to 4 pi).  For them the
     post-collision velocities are exact lattice nodes, which makes the
     bilinear collision quadrature conserve mass, momentum and energy to
     roundoff on any lattice.  It conserves more than that: a collision
     along +-e_a swaps the a-th coordinates of xi and xi*, so every
     coordinate marginal is conserved, Q(f, f) = 0 for every product
     f1(xi1) f2(xi2) f3(xi3), Maxwellian or not, and the rule has 3n - 2
-    collision invariants on an n^3 lattice instead of 5.  Off-axis rules
-    (polar >= 2, or azimuth 3 or >= 5) sample the sphere more densely but
-    lose that exactness.
+    collision invariants on an n^3 lattice instead of 5.
     """
 
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     half_width: float = 6.0
     counts: tuple[int, int, int] = (16, 16, 16)
-    sphere_polar: int = 1
-    sphere_azimuth: int = 4
 
     axes: tuple[np.ndarray, ...] = field(init=False, repr=False)
     nodes: np.ndarray = field(init=False, repr=False)       # (N, 3)
     weight: float = field(init=False)                       # uniform
     spacing: tuple[float, float, float] = field(init=False)
-    omega: np.ndarray = field(init=False, repr=False)       # (Ns, 3)
-    omega_weight: np.ndarray = field(init=False, repr=False)
+
+    omega: ClassVar[np.ndarray] = np.array(
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    omega_weight: ClassVar[np.ndarray] = np.full(4, math.pi)
 
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
@@ -88,15 +70,12 @@ class VelocityGrid:
         axes = tuple(c[i] - L + (np.arange(n[i]) + 0.5) * h[i] for i in range(3))
         X1, X2, X3 = np.meshgrid(*axes, indexing="ij")
         nodes = np.stack([X1, X2, X3], axis=-1).reshape(-1, 3)
-        om, ow = sphere_rule(self.sphere_polar, self.sphere_azimuth)
         object.__setattr__(self, "center", tuple(c))
         object.__setattr__(self, "counts", n)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "spacing", h)
         object.__setattr__(self, "weight", h[0] * h[1] * h[2])
-        object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "omega_weight", ow)
 
     @property
     def n_nodes(self) -> int:
@@ -144,17 +123,17 @@ class VelocityGrid:
             if np.max(np.abs(x + x[::-1] - 2.0 * s.u[k])) <= MIRROR_TOL * h)
 
 
-def grid_for_state(s: FluidTriple, counts=(16, 16, 16), extent_radii: float = EXTENT_RADII,
-                   **sphere_kw) -> VelocityGrid:
+def grid_for_state(s: FluidTriple, counts=(16, 16, 16),
+                   extent_radii: float = EXTENT_RADII) -> VelocityGrid:
     """Grid centered at the bulk velocity covering ``extent_radii`` thermal
     radii (default 6, which captures the Gaussian mass to ~1e-8)."""
     return VelocityGrid(center=tuple(s.u),
                         half_width=extent_radii * math.sqrt(R_GAS * s.theta),
-                        counts=counts, **sphere_kw)
+                        counts=counts)
 
 
-def grid_spanning(states, counts, extent_radii: float = EXTENT_RADII,
-                  **sphere_kw) -> VelocityGrid:
+def grid_spanning(states, counts,
+                  extent_radii: float = EXTENT_RADII) -> VelocityGrid:
     """Grid covering a family of states ordered left to right: centered
     midway between the outer bulk velocities u1, with a half-width of
     ``extent_radii`` thermal radii of the hottest state plus max |u1|."""
@@ -163,7 +142,7 @@ def grid_spanning(states, counts, extent_radii: float = EXTENT_RADII,
     return VelocityGrid(
         center=(0.5 * (states[0].u1 + states[-1].u1), 0.0, 0.0),
         half_width=extent_radii * math.sqrt(R_GAS * th_max) + u_span,
-        counts=counts, **sphere_kw)
+        counts=counts)
 
 
 def moments(values: np.ndarray, grid: VelocityGrid) -> gas.ConservedTriple:

@@ -111,6 +111,8 @@ def test_cli_riemann_every_preset(tmp_path, name):
     "[grid]\nvelocity_extent = 0",
     "[grid]\nsphere_polar = 0",
     "[grid]\nsphere_azimuth = 0",
+    "[grid]\nsphere_polar = 2",
+    "[grid]\nsphere_azimuth = 8",
     "[grid]\ny_min = -1e6",
     "[grid]\ny_max = 1e6",
     "[grid]\ny_min = 10\ny_max = 5",
@@ -266,36 +268,6 @@ def test_cli_simulate_fluid_keeps_frames_before_fault(tmp_path, capsys,
     assert csv == full[:1 + frames]
 
 
-def test_cli_simulate_kinetic_guard(tmp_path):
-    text = BASE_CONFIG.format(out=tmp_path / "kin") + \
-        "\n[grid]\nvelocity_counts = 16\nnx = 16\ny_min = -5\ny_max = 5\n"
-    # configparser forbids duplicate sections: build a fresh config
-    text = """
-[strengths]
-delta_r = 0.02
-delta_c = 0.02
-delta_s = 0.05
-
-[grid]
-y_min = -5
-y_max = 5
-nx = 16
-velocity_counts = 16
-sphere_polar = 2
-
-[solver]
-t_end = 0.04
-kinetic_dt = 0.02
-
-[output]
-dir = {out}
-""".format(out=tmp_path / "kin")
-    cfgfile = _write(tmp_path, text)
-    # the guard bounds the O(N^2) pair sum of an off-axis sphere rule
-    assert cli.main(["simulate-kinetic", "--config", str(cfgfile)]) \
-        == cli.EXIT_COST_GUARD
-
-
 TINY_KINETIC = """
 [strengths]
 delta_r = 0.02
@@ -334,12 +306,30 @@ def test_cli_simulate_kinetic_short(tmp_path):
     summary = json.loads((tmp_path / "kin2" / "summary.json").read_text())
     assert summary["conservation_drift"] <= 1e-3
     assert summary["min_f"] >= 0.0
-    assert summary["lost_interp_weight"] == 0.0     # axis sphere rule
     assert "operator_drift" not in summary          # linearized mode only
     assert "runtime" not in summary
     timings = json.loads((tmp_path / "kin2" / "timings.json").read_text())
     assert timings["steps"] == 3
 
+
+
+@pytest.mark.parametrize("t_end", ["0.05", "0"])
+def test_cli_simulate_kinetic_rejects_partial_horizon(tmp_path, monkeypatch,
+                                                      t_end):
+    """A kinetic horizon that is not a positive whole number of steps
+    (0.05 at kinetic_dt = 0.02 would end at t = 0.04, 0 would run one
+    step) exits 2 before the initial field is built."""
+    def no_field(*args):
+        raise AssertionError("initial field built")
+
+    monkeypatch.setattr(solvers, "initial_kinetic_field", no_field)
+    cfgfile = _write(tmp_path, TINY_KINETIC.replace("t_end = 0.06",
+                                                    f"t_end = {t_end}"))
+    out = tmp_path / "kin"
+    assert cli.main(["simulate-kinetic", "--config", str(cfgfile),
+                     "--out", str(out)]) == cli.EXIT_IO
+    assert not (out / "summary.json").exists()
+    assert not (out / "kinetic_frames.json").exists()
 
 
 def test_cli_simulate_kinetic_progress_lines(tmp_path, capsys):

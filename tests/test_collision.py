@@ -80,20 +80,14 @@ def test_loss_is_factored_frequency(base_state, rng):
 
 
 def test_conservation_improves_with_exact_geometry(base_state):
-    """The default axis rule conserves to roundoff; a staggered rule does
-    not (interpolation defect)."""
-    g_exact = grid_for_state(base_state, counts=(8,) * 3)
-    g_off = grid_for_state(base_state, counts=(8,) * 3, sphere_polar=2,
-                           sphere_azimuth=4)
-    M = g_exact.maxwellian(base_state)
-    f = M * (1.0 + 0.4 * np.sin(2.0 * g_exact.node_array(0)))
-    norm2 = g_exact.integrate(f ** 2 / M)
-    d_exact = moments(q_bilinear(f, f, g_exact).total, g_exact)
-    d_off = moments(q_bilinear(f, f, g_off).total, g_off)
-    defect_exact = max(abs(d_exact.rho), abs(d_exact.E))
-    defect_off = max(abs(d_off.rho), abs(d_off.E))
-    assert defect_exact <= 1e-12 * norm2
-    assert defect_off > 100 * defect_exact
+    """The axis rule's post-collision velocities are lattice nodes, so it
+    conserves mass and energy to roundoff."""
+    g = grid_for_state(base_state, counts=(8,) * 3)
+    M = g.maxwellian(base_state)
+    f = M * (1.0 + 0.4 * np.sin(2.0 * g.node_array(0)))
+    norm2 = g.integrate(f ** 2 / M)
+    d = moments(q_bilinear(f, f, g).total, g)
+    assert max(abs(d.rho), abs(d.E)) <= 1e-12 * norm2
 
 
 def _pair_sum_oracle(g, h, grid):
@@ -136,7 +130,6 @@ def _assert_matches_oracle(grid, g, h):
     gain, freq = _pair_sum_oracle(g, h, grid)
     assert np.abs(res.gain - gain).max() <= 1e-13 * np.abs(gain).max()
     assert np.abs(res.loss_frequency - freq).max() <= 1e-13 * np.abs(freq).max()
-    assert res.lost_interp_weight == 0.0
 
 
 def test_axis_rule_factorization_matches_pair_sum(rng):
@@ -159,10 +152,9 @@ def test_axis_rule_factorization_random_lattices(counts, center, seed):
     _assert_matches_oracle(grid, r.random(grid.counts), r.random(grid.counts))
 
 
-@pytest.mark.parametrize("sphere", [{}, {"sphere_polar": 2}])
-def test_batch_equals_per_pair(rng, sphere):
+def test_batch_equals_per_pair(rng):
     grid = VelocityGrid(center=(0.3, 0.0, 0.0), half_width=3.0,
-                        counts=(4, 5, 7), **sphere)
+                        counts=(4, 5, 7))
     G = np.abs(rng.standard_normal((3,) + grid.counts))
     H = np.abs(rng.standard_normal((3,) + grid.counts))
     batch = q_bilinear_batch(G, H, grid)
@@ -171,8 +163,6 @@ def test_batch_equals_per_pair(rng, sphere):
         for name in ("gain", "loss", "loss_frequency"):
             got, want = getattr(batch, name)[b], getattr(one, name)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        # the lost weight belongs to the quadrature, not to the pair
-        assert batch.lost_interp_weight == one.lost_interp_weight
 
 
 # ---------------------------------------------------------------------------
@@ -597,28 +587,48 @@ def test_dissipativity_batch_matches_per_trial_loop(operator, base_state):
     assert got == pytest.approx(best, rel=1e-12)
 
 
-@pytest.mark.slow
-def test_operator_matches_bilinear_form(base_state):
-    """Kernel-assembled action agrees with the direct quadrature of
-    Q(M, h) + Q(h, M) using a dense sphere rule: a few-percent weak-form
-    match and tens-of-percent pointwise at this coarse resolution (a
-    normalization error would show up as a factor of pi)."""
-    g = grid_for_state(base_state, counts=(10,) * 3, extent_radii=5.5,
-                       sphere_polar=4, sphere_azimuth=8)
-    op = assemble_linearized(base_state, g, gram_tol=0.9)
-    M = g.maxwellian(base_state)
-    bump = np.exp(-np.linalg.norm(g.nodes - np.array([0.5, 0.2, 0.0]),
-                                  axis=1) ** 2).reshape(g.counts)
-    h = op.projector.micro(bump * M)
-    Lh = op.apply(h)
-    direct = op.projector.micro(q_bilinear(M, h, g).total
-                                + q_bilinear(h, M, g).total)
-    num = math.sqrt(g.integrate((Lh - direct) ** 2))
-    den = math.sqrt(g.integrate(Lh ** 2))
-    assert num / den <= 0.3
-    weak_kernel = inner(h, Lh, base_state, g)
-    weak_direct = inner(h, direct, base_state, g)
-    assert weak_kernel == pytest.approx(weak_direct, rel=0.1)
+def _sonine_transport(n):
+    """(mu_S, kappa_S, mu) at v = theta = 1, u = 0 on the n^3
+    ``grid_for_state`` lattice: mu = -(3/4) v int xi1^2 G with
+    G = ``micro_leading`` of a unit u1 gradient, kappa = -v int
+    xi1 |xi|^2 G / 2 with G that of a unit theta gradient, and the _S
+    values their one-term (first Sonine) Rayleigh quotients, which replace
+    G = L^{-1} b by b <b, b> / <b, L b>."""
+    s = FluidTriple(v=1.0, u=(0.0, 0.0, 0.0), theta=1.0)
+    grid = grid_for_state(s, counts=(n,) * 3)
+    op = assemble_linearized(s, grid, gram_tol=0.5)
+    xi1 = grid.node_array(0)
+    q = sum(grid.node_array(k) ** 2 for k in range(3))
+
+    def sonine(G):
+        b = op.apply(G)
+        return b * inner(b, b, s, grid) / inner(b, op.apply(b), s, grid)
+
+    G = micro_leading(op, 0.0, 1.0, 0.0)
+    mu = -0.75 * s.v * grid.integrate(xi1 ** 2 * G)
+    mu_s = -0.75 * s.v * grid.integrate(xi1 ** 2 * sonine(G))
+    H = sonine(micro_leading(op, 0.0, 0.0, 1.0))
+    kappa_s = -s.v * grid.integrate(0.5 * xi1 * q * H)
+    return mu_s, kappa_s, mu
+
+
+def test_kernel_matches_hard_sphere_transport():
+    """The kernel's normalization (the factor pi of the defining
+    integral) against the closed-form hard-sphere transport of Chapman
+    and Cowling (3rd ed. 1970, ch. 10), unit diameter:
+    mu_1 = (5/16) sqrt(R theta / pi), kappa_1 / mu_1 = 15 R / 4 = 2.5, and
+    the exact mu is 1.016 mu_1.  On the lattice mu_S sits 2.5 % (12^3)
+    and 2.1 % (14^3) under mu_1, kappa_S / mu_S 4.8 % and 3.3 % under
+    2.5, both deficits shrinking with n; the windows admit deficits of
+    1-4 % and 2-6 %, and a kernel 5 % too large (mu_S up by 3 %, over
+    mu_1) or a frequency 5 % too large (mu_S down by 7 %) falls outside."""
+    mu1 = 5.0 / 16.0 * math.sqrt(R_GAS / math.pi)
+    ratio1 = 15.0 * R_GAS / 4.0
+    (mu12, ka12, m12), (mu14, ka14, m14) = map(_sonine_transport, (12, 14))
+    assert 0.96 <= mu12 / mu1 < mu14 / mu1 <= 0.99
+    assert 0.94 * ratio1 <= ka12 / mu12 < ka14 / mu14 <= 0.98 * ratio1
+    for mu_s, mu in ((mu12, m12), (mu14, m14)):
+        assert mu_s / mu == pytest.approx(1.0 / 1.016, rel=2e-3)
 
 
 @pytest.mark.slow

@@ -88,6 +88,21 @@ kinetic_dt = 0.02
 """
 
 
+def _launch_record(tmp_path, mode, marker, flags, ini):
+    """The record ``bench/launch.py MODE`` writes for one CLI run."""
+    probe = tmp_path / "probe.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(LAUNCH), mode, str(probe), marker, "--",
+         *flags, "--config", str(ini),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(probe.read_text())
+
+
 @pytest.mark.parametrize("flags, marker", [
     (("simulate-kinetic",), "solvers.kinetic_step"),
     (("simulate-kinetic", "--linearized"),
@@ -107,17 +122,23 @@ def test_bench_probe_sees_kinetic_step(tmp_path, flags, marker):
     else:
         ini = tmp_path / "tiny.ini"
         ini.write_text(TINY_KINETIC)
-    probe = tmp_path / "probe.json"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(LAUNCH), "probe", str(probe), marker, "--",
-         *flags, "--config", str(ini),
-         "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert json.loads(probe.read_text())["first_call"] is not None
+    record = _launch_record(tmp_path, "probe", marker, flags, ini)
+    assert record["first_call"] is not None
+
+
+def test_bench_trace_reads_bilinear_result(tmp_path):
+    """The traced full-mode kinetic run: ``_bilinear_pairs`` reads the
+    batch from ``q_bilinear_batch``'s arguments, ``grid.omega`` and the
+    result's ``lost_interp_weight``, so the layer record holds a positive
+    pair count and a lost weight of zero.  Dropping any of those reads
+    breaks ``bench/run.py --trace 1`` on ``kinetic-full``."""
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_KINETIC)
+    record = _launch_record(tmp_path, "trace", "solvers.kinetic_step",
+                            ("simulate-kinetic",), ini)
+    layer = record["layers"]["collision.q_bilinear_batch"]
+    assert layer["pairs"] > 0
+    assert layer["lost_interp_weight"] == 0.0
 
 
 def test_bench_trace_layers_resolve():

@@ -7,14 +7,7 @@ from kinwave.errors import GridTooNarrow, NonphysicalState, OverflowSignal
 from kinwave.gas import R_GAS, FluidTriple, primitive_fields
 from kinwave.velocity import (Projector, VelocityGrid, grid_for_state,
                               grid_spanning, inner, moments,
-                              reference_maxwellian, sphere_rule)
-
-
-def test_sphere_rule_weights_sum():
-    for npol, nazi in ((1, 4), (2, 4), (3, 8), (6, 12)):
-        _, w = sphere_rule(npol, nazi)
-        assert np.sum(w) == pytest.approx(4 * math.pi, abs=1e-10)
-        assert np.all(w > 0)
+                              reference_maxwellian)
 
 
 def test_lattice_symmetric_about_center():
@@ -181,7 +174,7 @@ def test_grid_spanning_covers_the_states():
     a = FluidTriple(v=1.0, u=(0.3, 0.0, 0.0), theta=0.9)
     b = FluidTriple(v=2.0, u=(-0.5, 0.0, 0.0), theta=1.3)
     c = FluidTriple(v=1.5, u=(-0.1, 0.0, 0.0), theta=1.1)
-    g = grid_spanning([a, b, c], (6,) * 3, 5.0, sphere_polar=2)
+    g = grid_spanning([a, b, c], (6,) * 3, 5.0)
     assert g.center == pytest.approx((0.1, 0.0, 0.0))
     assert g.half_width == pytest.approx(5.0 * math.sqrt(R_GAS * 1.3) + 0.5)
-    assert g.counts == (6,) * 3 and g.sphere_polar == 2
+    assert g.counts == (6,) * 3
