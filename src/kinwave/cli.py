@@ -24,7 +24,8 @@ from .errors import ConfigError, KinwaveError, NonphysicalState
 from .gas import FluidTriple
 from .reports import profile_report
 from .riemann import generate_states
-from .solvers import RunResult, fluid_run, kinetic_run, wave_states
+from .solvers import (RunResult, fluid_run, kinetic_run, kinetic_steps,
+                      wave_states)
 from .velocity import grid_for_state, inner, moments
 
 EXIT_OK = 0
@@ -260,6 +261,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             check_range("solver", "seed", args.seed)
         seed = args.seed if args.seed is not None else cfg.seed
+        if args.command == "simulate-kinetic":
+            kinetic_steps(cfg)        # a bad horizon exits before the output
         out = _prepare_out(cfg, args.out)
         if args.command == "simulate-kinetic":
             return cmd_simulate_kinetic(cfg, out, seed, args.linearized)

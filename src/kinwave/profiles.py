@@ -11,8 +11,8 @@ Each family's ``eval`` returns a WaveProfile: the values and the analytic
 (or interpolant-level) first derivatives in its spatial argument.  The
 interpolants are piecewise cubic Hermite (``_Hermite``), fed by clamped
 cubic-spline slopes (contact) or PCHIP slopes (shock), and the shock orbit
-is integrated by an embedded Dormand-Prince 5(4) pair; numpy and
-``scipy.linalg`` are all they need.
+is integrated by an embedded Dormand-Prince 5(4) pair; numpy is all
+they need.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
 
 from .errors import (BVPNoConvergence, InvalidStrength, InversionFailure,
                      NoRealRoot, ProfileBlowup)
@@ -196,25 +195,73 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
+#: unit roundoff of float64: cyclic reduction stops once the reduced
+#: matrix's row-dominance bound falls below it
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
 def solve_tridiagonal(lower: np.ndarray, diag: np.ndarray,
                       upper: np.ndarray, rhs: np.ndarray,
                       check_finite: bool = True) -> np.ndarray:
     """Solve the tridiagonal system with sub-, main and super-diagonals
     ``lower``, ``diag`` and ``upper`` (lengths n - 1, n and n - 1) for
-    ``rhs`` with LAPACK's gtsv, the routine that ``scipy.linalg``'s
-    ``solve_banded`` calls for one band each side.  The four arrays are
-    overwritten.  Like ``solve_banded``, it raises ValueError on a
-    non-finite input (when ``check_finite``) and LinAlgError on a singular
-    matrix."""
+    ``rhs`` by cyclic reduction (Hockney 1965), leaving the inputs
+    unchanged.  Raises ValueError on a non-finite input (when
+    ``check_finite``) and LinAlgError when the result is not finite (a
+    singular matrix, or a zero pivot).
+
+    The system is padded with identity rows to 2^k - 1 rows, and each
+    level eliminates the even rows, halving the system.  With the
+    row-dominance ratio rho = max (|a| + |c|) / |b| below 1, the reduced
+    matrix after j levels has ratio at most rho^(2^j) (Heller 1976), so
+    once that is below the unit roundoff its off-diagonals no longer
+    reach the result and the reduction stops there with a diagonal
+    solve; with rho >= 1 it runs all k - 1 levels.
+
+    It does not pivot, which is safe for its three callers: ``_diffuse``
+    (the implicit viscous and heat rows) is strictly row-dominant, the
+    clamped-spline rows of ``_clamped_slopes`` have rho = 0.5, and the
+    contact Newton Jacobian of ``_solve_contact_bvp``, at rho = 1 + 1e-6
+    to 1 + 4e-5, gives a Newton step whose accuracy the Newton residual
+    sets, not the solve."""
     if check_finite and not all(np.isfinite(a).all()
                                 for a in (lower, diag, upper, rhs)):
         raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
-    if info > 0:
+    n = len(diag)
+    a, b, c, d = np.zeros((4, (1 << n.bit_length()) - 1))
+    a[1:n] = lower
+    b[:n] = diag
+    b[n:] = 1.0
+    c[:n - 1] = upper
+    d[:n] = rhs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = float(np.max((np.abs(a) + np.abs(c)) / np.abs(b)))
+        levels = n.bit_length() - 1
+        if rho == 0.0:
+            levels = 0
+        elif rho < 1.0:
+            levels = min(levels, math.ceil(math.log2(
+                math.log(UNIT_ROUNDOFF) / math.log(rho))))
+        kept = []
+        for _ in range(levels):
+            ae, ce, de = a[0::2], c[0::2], d[0::2]
+            ninv = -1.0 / b[0::2]
+            alpha = a[1::2] * ninv[:-1]
+            gamma = c[1::2] * ninv[1:]
+            kept.append((ae, ce, de, ninv))
+            b = b[1::2] + alpha * ce[:-1] + gamma * ae[1:]
+            d = d[1::2] + alpha * de[:-1] + gamma * de[1:]
+            a = alpha * ae[:-1]
+            c = gamma * ce[1:]
+        x = d / b
+        for ae, ce, de, ninv in reversed(kept):
+            full = np.zeros(2 * len(x) + 3)
+            full[2:-2:2] = x
+            full[1:-1:2] = (ae * full[:-2:2] + ce * full[2::2] - de) * ninv
+            x = full[1:-1]
+    if not np.isfinite(x).all():
         raise LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of gtsv")
-    return x
+    return x[:n]
 
 
 def _clamped_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:

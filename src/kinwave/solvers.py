@@ -11,7 +11,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+# LAPACK's getrf and getrs, bound to a module name a tracer can rebind
+from numpy.linalg import solve as lu_solve
 
 from .ansatz import (CompositeAnsatz, DiagnosticsFrame, diagnostics_frame,
                      shift_H, shift_rhs)
@@ -139,8 +140,8 @@ def _diffuse(coef: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     x = rhs.copy()
     x[1] += coef[0] * rhs[0]
     x[-2] += coef[-1] * rhs[-1]
-    off = -coef[1:-1]         # both off-diagonals; the solve overwrites each
-    x[1:-1] = solve_tridiagonal(off, 1.0 + coef[1:] + coef[:-1], off.copy(),
+    off = -coef[1:-1]         # both off-diagonals
+    x[1:-1] = solve_tridiagonal(off, 1.0 + coef[1:] + coef[:-1], off,
                                 x[1:-1], check_finite=False)
     return x
 
@@ -531,7 +532,7 @@ class LinearizedKineticSolver:
                                          for A in op.blocks]
             for P, A in zip(self.sectors[op.axes], op.blocks):
                 eye = np.eye(len(A))
-                P[b] = lu_solve(lu_factor(eye - self.dt * A), eye)
+                P[b] = lu_solve(eye - self.dt * A, eye)
         self.frozen = (v[mid], u[mid], theta[mid])
 
     def _drift(self, v: np.ndarray, u: np.ndarray,
@@ -624,6 +625,19 @@ def _kinetic_invariants(c: ConservedTriple, y: np.ndarray) -> dict:
             (("mass", c.rho), ("momentum", c.m[:, 0]), ("energy", c.E))}
 
 
+def kinetic_steps(cfg: RunConfig) -> int:
+    """The number of ``cfg.kinetic_dt`` steps in ``cfg.t_end``; raises
+    ConfigError unless that is a positive whole number (to 1e-9
+    relative)."""
+    ratio = cfg.t_end / cfg.kinetic_dt
+    nsteps = round(ratio)
+    if nsteps < 1 or abs(ratio - nsteps) > 1e-9 * ratio:
+        raise ConfigError(
+            f"solver.t_end = {cfg.t_end} is not a positive whole number of "
+            f"kinetic_dt = {cfg.kinetic_dt} steps")
+    return nsteps
+
+
 def kinetic_run(decomp: RiemannDecomposition, cfg: RunConfig,
                 linearized: bool, progress=None) -> RunResult:
     """Evolve ``initial_kinetic_field`` up to ``cfg.t_end`` in steps of
@@ -631,16 +645,11 @@ def kinetic_run(decomp: RiemannDecomposition, cfg: RunConfig,
     ``LinearizedKineticSolver``, recording about 20 frames (t, min_f,
     clip defect, micro content, invariants) plus the last; ``progress`` is
     called with each frame as it is recorded.  Raises ConfigError before
-    any work unless ``cfg.t_end`` is a positive whole number of steps (to
-    1e-9 relative), and NonphysicalState before the first step when the
-    initial distribution has a negative value (a micro mode too large for
-    the lattice tails)."""
-    ratio = cfg.t_end / cfg.kinetic_dt
-    nsteps = round(ratio)
-    if nsteps < 1 or abs(ratio - nsteps) > 1e-9 * ratio:
-        raise ConfigError(
-            f"solver.t_end = {cfg.t_end} is not a positive whole number of "
-            f"kinetic_dt = {cfg.kinetic_dt} steps")
+    any work unless the horizon passes ``kinetic_steps``, and
+    NonphysicalState before the first step when the initial distribution
+    has a negative value (a micro mode too large for the lattice
+    tails)."""
+    nsteps = kinetic_steps(cfg)
     field = initial_kinetic_field(decomp, cfg)
     grid, y = field.grid, field.y
     min_f0 = float(field.values.min())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from scipy.linalg import eigh
 
-from kinwave.collision import (assemble_linearized, collision_frequency,
+from kinwave.collision import (assemble_linearized, collision_frequency, erf,
                                kernels, measure_dissipativity, micro_leading,
                                parity_fold, q_bilinear, q_bilinear_batch)
 from kinwave.errors import NotMicroscopic, SingularPair
@@ -168,6 +168,21 @@ def test_batch_equals_per_pair(rng):
 # ---------------------------------------------------------------------------
 # collision frequency and kernels
 # ---------------------------------------------------------------------------
+
+def test_erf_matches_scipy():
+    """The collision module's error function (math.erf over arrays) agrees
+    with scipy.special.erf within 2 ulp on [0, 10], on arrays and on
+    scalars (measured: 2 ulp at most, on 100,001 points)."""
+    from scipy.special import erf as scipy_erf
+    x = np.concatenate([np.linspace(0.0, 10.0, 100_001), [5e-324, 1e-300]])
+    ref = scipy_erf(x)
+    got = erf(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref))
+    for v in (0.0, 0.3, 2.5, 10.0):
+        assert abs(float(erf(v)) - scipy_erf(v)) \
+            <= 2 * np.spacing(scipy_erf(v))
+
 
 def test_frequency_peak_value(base_state):
     peak = collision_frequency(base_state, np.array(base_state.u))

@@ -168,41 +168,63 @@ def test_bench_trace_counters_match_signatures():
     assert seen == set(COUNTER_ARGS)
 
 
-#: scipy's ODE, spline and root-finder subpackages and the sparse package
-#: they bring with them; no kinwave command needs any of them
-PROFILE_STACK = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
-                 "scipy.sparse")
-
-IMPORT_PROBE = """
+SCIPY_PROBE = """
 import importlib, sys
+import numpy as np
+
+
+def loaded(stage):
+    print(stage, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+
+
 for name in sys.argv[1:]:
     importlib.import_module(name)
-print(sorted(m for m in {stack} if m in sys.modules))
+loaded("import")
 from kinwave.ansatz import CompositeAnsatz
-from kinwave.gas import FluidTriple
+from kinwave.collision import assemble_linearized
+from kinwave.config import load_config
 from kinwave.riemann import generate_states
-CompositeAnsatz(generate_states(FluidTriple(v=1.0, theta=1.0), 0.02, 0.02,
-                                0.05))
-print(sorted(m for m in {stack} if m in sys.modules))
+from kinwave.solvers import (FluidField, LinearizedKineticSolver, cfl_limit,
+                             fluid_step, initial_kinetic_field)
+cfg = load_config(preset="kinetic-sanity")
+d = generate_states(cfg.right_state, cfg.delta_r, cfg.delta_c, cfg.delta_s)
+CompositeAnsatz(d)
+loaded("ansatz")
+y = np.linspace(-10.0, 10.0, 101)
+st = FluidField(y, np.ones_like(y), 0.2 + 0.05 * np.sin(y), np.zeros_like(y),
+                np.zeros_like(y), np.full_like(y, 1.1))
+fluid_step(st, 0.5 * cfl_limit(st, 1.0), 1.0)
+loaded("fluid_step")
+field = initial_kinetic_field(d, cfg)
+op = assemble_linearized(d.mid_hi, field.grid, gram_tol=0.5)
+op.spectrum_meta()
+op.invert_micro(op.apply(field.grid.node_array(0) ** 3 * op.projector.M))
+loaded("operator")
+LinearizedKineticSolver(field, d.sigma, cfg.kinetic_dt)
+loaded("linearized_solver")
 """
 
 
 def test_profile_stack_never_loads():
-    """Importing the CLI and every module the benchmark trace wraps loads
-    none of scipy's ODE, spline, root-finder and sparse subpackages, and
-    neither does building a ``CompositeAnsatz``: the profiles need only
-    numpy and ``scipy.linalg``."""
+    """No kinwave command loads scipy, its profile stack (ODE, spline,
+    root-finder and sparse subpackages) included: not importing the CLI
+    and every module the benchmark trace wraps, building a
+    ``CompositeAnsatz``, one ``fluid_step``, one ``assemble_linearized``
+    with ``spectrum_meta`` and ``invert_micro`` on it, nor constructing a
+    ``LinearizedKineticSolver`` on the kinetic-sanity lattice.  numpy is
+    the only runtime dependency; scipy serves the tests as an oracle."""
     modules = ["kinwave.cli",
                *sorted({module for _, module, _, _ in _launch().LAYERS})]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE.format(stack=PROFILE_STACK),
-         *modules], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *modules],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    before, after = proc.stdout.splitlines()
-    assert before == after == "[]"
+    assert proc.stdout.splitlines() == [
+        f"{stage} []" for stage in ("import", "ansatz", "fluid_step",
+                                    "operator", "linearized_solver")]
 
 
 def test_bench_workloads_load():
