@@ -24,8 +24,8 @@ from .errors import ConfigError, KinwaveError, NonphysicalState
 from .gas import FluidTriple
 from .reports import profile_report
 from .riemann import generate_states
-from .solvers import (RunResult, fluid_run, kinetic_run, kinetic_steps,
-                      wave_states)
+from .solvers import (RunResult, fluid_grid, fluid_run, kinetic_run,
+                      kinetic_steps, wave_states)
 from .velocity import grid_for_state, inner, moments
 
 EXIT_OK = 0
@@ -82,7 +82,7 @@ def _state_dict(s: FluidTriple) -> dict:
 
 def cmd_profiles(cfg: RunConfig, out: Path, seed: int) -> int:
     decomp = _decomposition(cfg)
-    y = np.arange(cfg.y_min, cfg.y_max + 0.5 * cfg.dy, cfg.dy)
+    y = fluid_grid(cfg)
     t_sample = 1.0
     ans = CompositeAnsatz(decomp, cfg.transport)
     for kind, wave in (("rarefaction", ans.rarefaction),

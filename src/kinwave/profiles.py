@@ -9,10 +9,11 @@
 
 Each family's ``eval`` returns a WaveProfile: the values and the analytic
 (or interpolant-level) first derivatives in its spatial argument.  The
-interpolants are piecewise cubic Hermite (``_Hermite``), fed by clamped
-cubic-spline slopes (contact) or PCHIP slopes (shock), and the shock orbit
-is integrated by an embedded Dormand-Prince 5(4) pair; numpy is all
-they need.
+interpolants are piecewise cubic Hermite (``_Hermite``): the contact's
+take clamped cubic-spline slopes, and the shock's take the slopes of its
+plane system at the orbit nodes.  The shock orbit is integrated by an
+embedded Dormand-Prince 5(4) pair, whose own Hermite interpolant in the
+volume the shock keeps; numpy is all they need.
 """
 
 from __future__ import annotations
@@ -166,35 +167,6 @@ class _Hermite:
         return values, (3.0 * c3 * s + 2.0 * c2) * s + c1
 
 
-def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Node slopes of the shape-preserving PCHIP interpolant of y(x)
-    (Fritsch and Carlson 1980): inside, the weighted harmonic mean of the
-    two neighbouring secants, or zero where they differ in sign or one
-    vanishes; at the ends, the one-sided three-point rule, set to zero if
-    its sign is not the end secant's and to three end secants if it
-    exceeds that where the secants change sign (Moler, *Numerical
-    Computing with MATLAB*, 3.6)."""
-    h = np.diff(x)
-    m = np.diff(y) / h
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) \
-        & (m[:-1] != 0.0)
-    d = np.zeros_like(y)
-    with np.errstate(divide="ignore"):
-        d[1:-1][inner] = 1.0 / ((w1 / m[:-1] + w2 / m[1:])
-                                / (w1 + w2))[inner]
-    for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]),
-                                (-1, h[-1], h[-2], m[-1], m[-2])):
-        e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        if np.sign(e) != np.sign(m0):
-            e = 0.0
-        elif np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
-            e = 3.0 * m0
-        d[end] = e
-    return d
-
-
 #: unit roundoff of float64: cyclic reduction stops once the reduced
 #: matrix's row-dominance bound falls below it
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -339,6 +311,8 @@ def _solve_contact_bvp(theta_lo: float, theta_hi: float, p_star: float,
     h = z[1] - z[0]
     c = 0.9 * p_star
     T = theta_lo + (theta_hi - theta_lo) * 0.5 * (1.0 + np.tanh(z / 2.0))
+    nodes = np.arange(CONTACT_NODES)
+    phase = nodes % 3
 
     def resid(T):
         Tm = 0.5 * (T[1:] + T[:-1])
@@ -353,22 +327,15 @@ def _solve_contact_bvp(theta_lo: float, theta_hi: float, p_star: float,
     for _ in range(CONTACT_MAX_ITER):
         if np.max(np.abs(r)) < CONTACT_TOL:
             return z, T
-        # tridiagonal finite-difference Jacobian in band storage: row
-        # 1 - off holds the diagonal off, each entry in its matrix column
-        ab = np.zeros((3, CONTACT_NODES))
+        # tridiagonal finite-difference Jacobian: row i's 3-node stencil
+        # holds one node of each phase mod 3, so one probe per phase (every
+        # third node perturbed) gives entry (i, j) as dr[j % 3][i]
         eps = 1e-7
-        base = r
-        for off in (-1, 0, 1):
-            Tp = T.copy()
-            idx = np.arange(max(0, -off), CONTACT_NODES - max(0, off))
-            # probe every third node to fill the band without interference
-            for ph in range(3):
-                Tp = T.copy()
-                sel = idx[(idx + off) % 3 == ph]
-                Tp[sel + off] += eps
-                dr = (resid(Tp) - base) / eps
-                ab[1 - off, sel + off] = dr[sel]
-        step = solve_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:], -r)
+        dr = np.array([(resid(T + eps * (phase == ph)) - r) / eps
+                       for ph in range(3)])
+        step = solve_tridiagonal(dr[phase[:-1], nodes[1:]],
+                                 dr[phase, nodes],
+                                 dr[phase[1:], nodes[:-1]], -r)
         lam = 1.0
         for _ in range(40):
             Tc = T + lam * step
@@ -409,11 +376,6 @@ class ContactWave:
                                 (T_z, _clamped_slopes(self.z, W)),
                                 uniform=True)
         self.theta_ends = (decomp.mid_lo.theta, decomp.mid_hi.theta)
-
-    def spline(self, zeta, nu: int = 0) -> np.ndarray:
-        """The clamped spline of T at zeta (nu = 0) or its derivative
-        (nu = 1)."""
-        return self._fields(zeta, slopes=True)[nu][0]
 
     def _similarity(self, zeta):
         """The similarity profile at zeta: (theta, v = 2 theta/(3 p_*), W,
@@ -599,37 +561,38 @@ class ShockProfile:
                     f"theta = {self.theta_star + phi} left (0, 2 theta^*]")
             return self._dtheta_dv(s, phi), self._dy_dv(s, phi)
 
-        orbit = _integrate_orbit(rhs, eps, (self.v_plus - self.v_star) - eps,
-                                 (self.lstar * eps, 0.0), decomp.delta_s)
+        # the orbit's own interpolant in s, kept for expansion_lhs
+        orbit = self._orbit = _integrate_orbit(
+            rhs, eps, (self.v_plus - self.v_star) - eps,
+            (self.lstar * eps, 0.0), decomp.delta_s)
         # resample the orbit geometrically toward both saddles, so the
         # y-spacing of the interpolation nodes stays bounded where y(v)
-        # diverges logarithmically; the nodes are de-duplicated in v (in s,
-        # distinct nodes can give equal y), and s = v - v^* is exact
+        # diverges logarithmically; each series stops one node short of
+        # s = delta_S/2, where the evenly spaced nodes have their midpoint,
+        # and s = v - v^* is exact
         ds = decomp.delta_s
-        geo = SHOCK_EPS_REL * np.geomspace(1.0, 0.5 / SHOCK_EPS_REL, 400)
-        vgrid = np.unique(np.concatenate([
-            v0 + ds * (geo - SHOCK_EPS_REL), v1 - ds * (geo - SHOCK_EPS_REL),
-            np.linspace(v0, v1, 2001)]))
-        self._vgrid = vgrid[(vgrid >= v0) & (vgrid <= v1)]
-        phigrid, ygrid = orbit(self._vgrid - self.v_star)
+        geo = SHOCK_EPS_REL * (
+            np.geomspace(1.0, 0.5 / SHOCK_EPS_REL, 400)[:-1] - 1.0)
+        self._vgrid = np.unique(np.concatenate([
+            v0 + ds * geo, v1 - ds * geo, np.linspace(v0, v1, 2001)]))
+        s = self._vgrid - self.v_star
+        phigrid, ygrid = orbit(s)
         self._thgrid = self.theta_star + phigrid
         # recenter so v(0) is the mid-volume
-        v_mid = 0.5 * (self.v_star + self.v_plus)
-        self._y = ygrid - float(np.interp(v_mid, self._vgrid, ygrid))
+        self._y = ygrid - orbit(0.5 * (self.v_plus - self.v_star))[1]
         if not np.all(np.diff(self._y) > 0.0):
             raise ProfileBlowup("y(v) is not strictly increasing on the orbit")
-        # v(y) and theta(y), PCHIP on the one y-grid
+        # v(y) and theta(y) on the one y-grid, with the node slopes of the
+        # plane system: dv/dy and (d theta/dv)(dv/dy)
+        v_y = self.v_y_of(s, phigrid)
         self._fields = _Hermite(self._y, (self._vgrid, self._thgrid),
-                                (_pchip_slopes(self._y, self._vgrid),
-                                 _pchip_slopes(self._y, self._thgrid)))
+                                (v_y, self._dtheta_dv(s, phigrid) * v_y))
         self.y_range = (self._y[0], self._y[-1])
         # saddle decay rates for the exponential tails beyond the orbit
-        vy_lo = self.v_y_of(self._vgrid[0] - self.v_star, phigrid[0])
-        vy_hi = self.v_y_of(self._vgrid[-1] - self.v_star, phigrid[-1])
-        self._rate_lo = vy_lo / max(self._vgrid[0] - self.v_star, 1e-300)
-        self._rate_hi = vy_hi / max(self.v_plus - self._vgrid[-1], 1e-300)
-        self._amp_lo = self._vgrid[0] - self.v_star
+        self._amp_lo = s[0]
         self._amp_hi = self.v_plus - self._vgrid[-1]
+        self._rate_lo = v_y[0] / max(self._amp_lo, 1e-300)
+        self._rate_hi = v_y[-1] / max(self._amp_hi, 1e-300)
         self._thamp_lo = phigrid[0]
         self._thamp_hi = self.decomp.right.theta - self._thgrid[-1]
 
@@ -705,9 +668,7 @@ def expansion_lhs(wave: ShockProfile) -> float:
     profile midpoint volume."""
     d = wave.decomp
     v_mid = 0.5 * (d.mid_hi.v + d.right.v)
-    y_of_v = _Hermite(wave._vgrid, wave._y,
-                      _pchip_slopes(wave._vgrid, wave._y))
-    th_mid = float(wave._fields(y_of_v(v_mid)[0])[1])
+    th_mid = wave.theta_star + float(wave._orbit(v_mid - d.mid_hi.v)[0])
     p_mid = pressure(FluidTriple(v=v_mid, theta=th_mid))
     p_plus = pressure(d.right)
     p_star = pressure(d.mid_hi)

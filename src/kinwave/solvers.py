@@ -294,8 +294,16 @@ class RunResult:
     summary: dict
 
 
+def fluid_grid(cfg: RunConfig) -> np.ndarray:
+    """The fluid nodes: ``cfg.y_min`` to ``cfg.y_max`` in steps of
+    ``cfg.dy``."""
+    return np.arange(cfg.y_min, cfg.y_max + 0.5 * cfg.dy, cfg.dy)
+
+
 def initial_fluid_field(ansatz: CompositeAnsatz, y: np.ndarray,
                         perturbation: PerturbationSpec) -> FluidField:
+    """The composite profile at t = 0 on y plus ``perturbation``'s
+    bumps."""
     fr = ansatz.frame(0.0, 0.0, y)
     fields = {"v": fr.v.copy(), "u1": fr.u1.copy(),
               "u2": np.zeros_like(y), "u3": np.zeros_like(y),
@@ -316,7 +324,7 @@ def fluid_run(decomp: RiemannDecomposition, cfg: RunConfig,
     as it is recorded.  The summary includes the entropy's log-log decay
     slope when more than three frames have t > 0 and a positive entropy."""
     t_end, transport = cfg.t_end, cfg.transport
-    y = np.arange(cfg.y_min, cfg.y_max + 0.5 * cfg.dy, cfg.dy)
+    y = fluid_grid(cfg)
     ans = CompositeAnsatz(decomp, transport)
     state = initial_fluid_field(ans, y, cfg.perturbation)
     X = xdot_max = 0.0
@@ -587,18 +595,20 @@ def wave_states(decomp: RiemannDecomposition
 
 def initial_kinetic_field(decomp: RiemannDecomposition,
                           cfg: RunConfig) -> KineticField:
-    """Local Maxwellians of the composite profile at t = 0 on ``cfg.nx``
-    cells and a lattice spanning the four states, plus
-    ``cfg.perturbation``'s micro mode: He3((xi1 - u)/a) M at the right
-    state, projected onto the microscopic subspace of the lattice so that
-    the bump leaves every cell's five moments unchanged."""
+    """Local Maxwellians of ``initial_fluid_field`` (the composite profile
+    at t = 0 plus ``cfg.perturbation``'s bumps) on ``cfg.nx`` cells and a
+    lattice spanning the four states, plus ``cfg.perturbation``'s micro
+    mode: He3((xi1 - u)/a) M at the right state, projected onto the
+    microscopic subspace of the lattice so that the mode leaves every
+    cell's five moments unchanged."""
     y = np.linspace(cfg.y_min, cfg.y_max, cfg.nx)
     grid = grid_spanning(wave_states(decomp)[0], (cfg.velocity_counts,) * 3,
                          cfg.velocity_extent)
-    fr = CompositeAnsatz(decomp, cfg.transport).frame(0.0, 0.0, y)
-    u = np.zeros((len(y), 3))
-    u[:, 0] = fr.u1
-    vals = grid.maxwellian((fr.v, u, fr.theta))
+    fluid = initial_fluid_field(CompositeAnsatz(decomp, cfg.transport), y,
+                                cfg.perturbation)
+    vals = grid.maxwellian((fluid.v,
+                            np.stack([fluid.u1, fluid.u2, fluid.u3], axis=-1),
+                            fluid.theta))
     pert = cfg.perturbation
     if pert.micro_amplitude != 0.0:
         proj = Projector(decomp.right, grid, gram_tol=0.5)

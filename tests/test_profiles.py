@@ -310,8 +310,7 @@ def test_contact_selfsimilar_ode_residual(decomp):
     independent spline differentiation between nodes."""
     wave = ContactWave(decomp)
     z = np.linspace(-10, 10, 1500)
-    T = wave.spline(z)
-    Tp = wave.spline(z, 1)
+    (T, _), (Tp, _) = wave._fields(z, slopes=True)
     kap = DEFAULT_TRANSPORT.kappa(T)
     flux = kap * Tp / T
     dflux = np.gradient(flux, z)
@@ -337,8 +336,7 @@ def test_contact_interpolant_matches_clamped_cubic_spline(decomp):
     w_ref = CubicSpline(wave.z, 0.6 * kap * t_ref(wave.z, 1) / wave.T,
                         bc_type="clamped")
     values, slopes = wave._fields(z, slopes=True)
-    for got, ref in ((wave.spline(z), t_ref(z)),
-                     (wave.spline(z, 1), t_ref(z, 1)),
+    for got, ref in ((values[0], t_ref(z)), (slopes[0], t_ref(z, 1)),
                      (values[1], w_ref(z)), (slopes[1], w_ref(z, 1))):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -443,6 +441,19 @@ def test_orbit_step_cap_raises_blowup(monkeypatch):
         ShockProfile(generate_states(RIGHT, 0.0, 0.0, 0.05))
 
 
+def _reference_orbit(wave):
+    """scipy's DOP853 at rtol 1e-13 on the plane system of ``wave``, from
+    the same start: dense (phi, y) in s = v - v^*."""
+    from scipy.integrate import solve_ivp
+    ds = wave.decomp.delta_s
+    eps = SHOCK_EPS_REL * ds
+    return solve_ivp(
+        lambda s, st: [wave._dtheta_dv(s, st[0]), wave._dy_dv(s, st[0])],
+        (eps, (wave.v_plus - wave.v_star) - eps), [wave.lstar * eps, 0.0],
+        method="DOP853", rtol=1e-13, atol=1e-13 * ds, dense_output=True,
+        max_step=ds / 20.0).sol
+
+
 @pytest.mark.parametrize("strengths", [(0.08, 0.05, 0.08), (0.02, 0.02, 0.05),
                                        (0.0, 0.0, 0.1)])
 def test_shock_orbit_matches_reference(strengths):
@@ -450,31 +461,44 @@ def test_shock_orbit_matches_reference(strengths):
     rtol 1e-13 (same start, same recentering): theta within 1e-8 delta_S
     and y within 2e-7 of the y-range (measured about 1e-10 delta_S and
     7.4e-8)."""
-    from scipy.integrate import solve_ivp
     wave = ShockProfile(generate_states(RIGHT, *strengths))
     ds = wave.decomp.delta_s
-    eps = SHOCK_EPS_REL * ds
-    ref = solve_ivp(
-        lambda s, st: [wave._dtheta_dv(s, st[0]), wave._dy_dv(s, st[0])],
-        (eps, (wave.v_plus - wave.v_star) - eps), [wave.lstar * eps, 0.0],
-        method="DOP853", rtol=1e-13, atol=1e-13 * ds, dense_output=True,
-        max_step=ds / 20.0)
-    phi, y = ref.sol(wave._vgrid - wave.v_star)
+    phi, y = _reference_orbit(wave)(wave._vgrid - wave.v_star)
     y -= np.interp(0.5 * (wave.v_star + wave.v_plus), wave._vgrid, y)
     assert np.abs(wave._thgrid - (wave.theta_star + phi)).max() <= 1e-8 * ds
     assert np.abs(wave._y - y).max() <= 2e-7 * (y[-1] - y[0])
 
 
-def test_shock_interpolant_matches_pchip():
-    """The PCHIP slopes and the Hermite cubics give scipy's
-    PchipInterpolator of v(y) and theta(y) to 1e-13 of each one's range,
-    at the nodes, between them and at the ends where eval clips."""
-    from scipy.interpolate import PchipInterpolator
-    wave = ShockProfile(generate_states(RIGHT, 0.08, 0.05, 0.08))
-    y = _oracle_points(wave._y)
-    for got, data in zip(wave._fields(y), (wave._vgrid, wave._thgrid)):
-        ref = PchipInterpolator(wave._y, data)(y)
-        assert np.abs(got - ref).max() <= 1e-13 * np.ptp(data)
+@pytest.mark.parametrize("strengths", [(0.08, 0.05, 0.08), (0.02, 0.02, 0.05)])
+def test_shock_interpolant_stays_on_orbit(strengths):
+    """At the nodes, between them and on a dense grid over the y-range,
+    eval's theta(y) lies on scipy's DOP853 orbit at eval's v(y), within
+    1e-9 delta_S, and eval's v_y is the plane system's dv/dy there, within
+    1e-7 of its maximum (measured 1.3e-10 delta_S and 4.6e-9 on the
+    criterion-9 shock, 1.0e-10 delta_S and 5.9e-9 on the kinetic-sanity
+    one; with PCHIP node slopes the criterion-9 shock read 5.2e-5 delta_S
+    and 1.8e-3, where two nodes sat 1.4e-15 delta_S apart)."""
+    wave = ShockProfile(generate_states(RIGHT, *strengths))
+    ds = wave.decomp.delta_s
+    prof = wave.eval(np.concatenate([_oracle_points(wave._y),
+                                     np.linspace(*wave.y_range, 100_001)]))
+    s = prof.v - wave.v_star
+    phi = _reference_orbit(wave)(s)[0]
+    assert np.abs(prof.theta - (wave.theta_star + phi)).max() <= 1e-9 * ds
+    v_y = wave.v_y_of(s, phi)
+    assert np.abs(prof.v_y - v_y).max() <= 1e-7 * v_y.max()
+
+
+@pytest.mark.parametrize("mid", [FluidTriple(v=1.0, theta=1.0),
+                                 FluidTriple(v=0.92, u=(0.09, 0, 0),
+                                             theta=1.05)])
+@pytest.mark.parametrize("ds", [1e-3, 0.05, 0.08, 0.16])
+def test_shock_resample_nodes_apart(mid, ds):
+    """No two resampling nodes lie closer than 1e-9 delta_S (measured
+    3.3e-8 delta_S, the first geometric step off each saddle): the
+    geometric series stop short of the evenly spaced midpoint."""
+    wave = ShockProfile(shock_decomposition(mid, ds))
+    assert np.diff(wave._vgrid).min() >= 1e-9 * ds
 
 
 @pytest.mark.parametrize("ds", [0.02, 0.1, 0.001])

@@ -585,6 +585,25 @@ def test_initial_kinetic_micro_mode_leaves_moments(counts):
     assert np.all(np.abs(m1.E - m0.E) <= 1e-12 * m0.E)
 
 
+def test_initial_kinetic_field_takes_the_bumps():
+    """The kinetic run starts from the local Maxwellians of
+    ``initial_fluid_field`` on its own cells, so ``[perturbation] bumps``
+    reach it, transverse velocity included."""
+    d, cfg = _sanity_run()
+    base = solvers.initial_kinetic_field(d, cfg)
+    cfg.perturbation = PerturbationSpec(bumps=(
+        GaussianBump("v", 0.2, 0.0, 3.0), GaussianBump("u2", 0.05, 0.0, 3.0),
+        GaussianBump("theta", -0.1, 0.0, 3.0)))
+    bumped = solvers.initial_kinetic_field(d, cfg)
+    fluid = initial_fluid_field(CompositeAnsatz(d, cfg.transport),
+                                bumped.y, cfg.perturbation)
+    u = np.stack([fluid.u1, fluid.u2, fluid.u3], axis=-1)
+    assert np.array_equal(
+        bumped.values, bumped.grid.maxwellian((fluid.v, u, fluid.theta)))
+    assert np.abs(bumped.values - base.values).max() \
+        > 1e-2 * base.values.max()
+
+
 @pytest.mark.parametrize("linearized", [False, True])
 def test_kinetic_run_hands_progress_its_frames(linearized):
     """``progress`` receives each frame as it is recorded: the very dicts

@@ -236,12 +236,28 @@ def test_bench_workloads_load():
         load_config(ini)
 
 
+def _public_definitions(module: str, tree: ast.Module):
+    """(qualified name, name) of every public module-level function or
+    class of ``tree``, and of every public method or property of its
+    classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield f"{module}:{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not item.name.startswith("_"):
+                    yield f"{module}:{node.name}.{item.name}", item.name
+
+
 def test_package_defines_only_what_it_uses():
-    """Every public module-level function or class in the package is
-    referenced by name or attribute somewhere in the package (the
-    ``__init__`` re-exports count), wrapped by a bench/launch.py trace
-    layer, or named in UNCALLED_KEPT.  A helper that only the tests call
-    fails here: its oracle belongs in the test module."""
+    """Every public module-level function or class in the package, and
+    every public method or property of its classes, is referenced by name
+    or attribute somewhere in the package (the ``__init__`` re-exports
+    count), wrapped by a bench/launch.py trace layer, or named in
+    UNCALLED_KEPT.  A helper that only the tests call fails here: its
+    oracle belongs in the test module."""
     trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
     used = set()
     for tree in trees.values():
@@ -255,11 +271,9 @@ def test_package_defines_only_what_it_uses():
             used.update(alias.name for alias in node.names)
     used.update(path.split(".")[0] for _, _, path, _ in _launch().LAYERS)
     unused = sorted(
-        f"{module}:{node.name}"
-        for module, tree in trees.items() for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used and node.name not in UNCALLED_KEPT)
+        qualified for module, tree in trees.items()
+        for qualified, name in _public_definitions(module, tree)
+        if name not in used and name not in UNCALLED_KEPT)
     assert not unused, f"defined but never used in the package: {unused}"
     assert not set(UNCALLED_KEPT) & used, "UNCALLED_KEPT entry now has a caller"
 
