@@ -49,9 +49,10 @@ EPS_SING = 1e-12
 erf = np.vectorize(math.erf, otypes=[float])
 
 #: work sizes of the assembly, which bound its temporaries: kernel
-#: entries computed and folded into the parity sectors at a time by
-#: ``_kernel_blocks`` (a chunk of fundamental rows of N entries each, 11
-#: floats per entry), rows of the shell pass at a time (about 30,000
+#: entries computed at a time by ``_kernel_blocks`` (a chunk of orbit
+#: representatives' rows of N entries each, 11 floats per entry; their
+#: images, up to 6 rows per representative, are folded into the parity
+#: sectors together), rows of the shell pass at a time (about 30,000
 #: floats per row) and rows of a sector block per symmetrisation or
 #: projection update
 KERNEL_CHUNK = 1 << 13
@@ -351,42 +352,75 @@ def _sector_diagonals(d: np.ndarray, axes: tuple[int, ...]) -> list[np.ndarray]:
 def _kernel_blocks(s: FluidTriple, grid: VelocityGrid, q: np.ndarray,
                    axes: tuple[int, ...]) -> list[np.ndarray]:
     """The sector blocks Q_sector^T K Q_sector of the kernel matrix K
-    (midpoint -k1 + k2, shell-averaged), from its fundamental rows alone.
+    (midpoint -k1 + k2, shell-averaged), from one kernel row per orbit of
+    the lattice's symmetry group.
 
     K[R i, R j] = K[i, j] for the reflections R of ``axes``, so the
     parity basis vector (e_i + chi e_{R i}) / sqrt(2) of a sector acts on
     that sector as sqrt(2) e_i: row i of the block is the column fold
     (``parity_fold``) of kernel row i, times sqrt(2) per mirrored axis on
     which node i has a mirror image (1 on a middle node).  For even n
-    that is B[i, j] = sum_R chi(R) K[i, R j].  The fundamental rows are
-    computed and folded KERNEL_CHUNK entries at a time."""
-    counts = grid.counts
+    that is B[i, j] = sum_R chi(R) K[i, R j].  Only the fundamental rows
+    (``_fundamental_rows``) enter.
+
+    The mirrored axes are also interchangeable: assembly admits only
+    cubic cells, a ``VelocityGrid`` has one half-width, so the axes have
+    equal node counts, and a mirrored axis is centred on u_k, so each
+    carries the same offsets -L + (j + 1/2) h from u (to MIRROR_TOL h).
+    The kernel sees xi only through |xi - u|, |xi* - u| and |xi - xi*|,
+    hence K[pi i, pi j] = K[i, j] for every permutation pi of the mirrored
+    axes, and the shell pass's subcell grids are permutation-symmetric
+    too.  So the kernel rows and shell averages are computed only for the
+    fundamental rows whose multi-index is sorted along the mirrored axes,
+    one per orbit, and every other fundamental row is its
+    representative's row with the lattice axes transposed.  With no
+    mirrored axis the group is trivial and every row is its own
+    representative.  The representatives are computed KERNEL_CHUNK
+    entries at a time, and each chunk's images are folded in one batch."""
+    counts, N = grid.counts, grid.n_nodes
     shapes = _sector_shapes(counts, axes)
     rows = _fundamental_rows(counts, axes)
-    fmulti = np.unravel_index(np.arange(len(rows)), shapes[0])
-    factor = np.ones(len(rows))
-    for k in axes:
-        factor[fmulti[k] < counts[k] // 2] *= math.sqrt(2.0)
+    fmulti = np.stack(np.unravel_index(rows, counts), axis=1)
     # the sector row of each fundamental row (-1 if not in the sector)
     place = []
     for sh in shapes:
-        inside = np.all([fmulti[k] < sh[k] for k in range(3)], axis=0)
+        inside = np.all(fmulti < sh, axis=1)
         pos = np.full(len(rows), -1)
-        pos[inside] = np.ravel_multi_index(
-            tuple(f[inside] for f in fmulti), sh)
+        pos[inside] = np.ravel_multi_index(tuple(fmulti[inside].T), sh)
         place.append(pos)
-    cols, vals = _k2_shell_average(s, grid, q, rows)
+    # orbit key: the multi-index sorted along the mirrored axes; perm
+    # maps a row's axes onto its key's, m[k] = key[perm[k]], so that the
+    # row is its key's row transposed by perm (np.transpose's convention)
+    ax = np.array(axes, dtype=int)
+    order = np.argsort(fmulti[:, ax], axis=1, kind="stable")
+    key = fmulti.copy()
+    key[:, ax] = np.take_along_axis(fmulti[:, ax], order, axis=1)
+    perm = np.tile(np.arange(3), (len(rows), 1))
+    np.put_along_axis(perm, ax[order], ax, axis=1)
+    reps, rep_of = np.unique(np.ravel_multi_index(tuple(key.T), counts),
+                             return_inverse=True)
+    # the flat column map of each distinct transposition
+    perms, pid = np.unique(perm, axis=0, return_inverse=True)
+    flat = np.arange(N).reshape(counts)
+    cmap = np.stack([flat.transpose(p).reshape(-1) for p in perms])
+    rmulti = np.unravel_index(reps, counts)
+    factor = np.ones(len(reps))
+    for k in axes:
+        factor[rmulti[k] < counts[k] // 2] *= math.sqrt(2.0)
+    cols, vals = _k2_shell_average(s, grid, q, reps)
     blocks = [np.empty((math.prod(sh),) * 2) for sh in shapes]
-    chunk = max(1, KERNEL_CHUNK // grid.n_nodes)
-    for r0 in range(0, len(rows), chunk):
-        rr = rows[r0:r0 + chunk]
-        K = _kernel_rows(s, grid, q, rr)
+    chunk = max(1, KERNEL_CHUNK // N)
+    for r0 in range(0, len(reps), chunk):
+        K = _kernel_rows(s, grid, q, reps[r0:r0 + chunk])
         li, lj = np.nonzero(cols[r0:r0 + chunk] >= 0)
         K[li, cols[r0 + li, lj]] = vals[r0 + li, lj]
         K *= factor[r0:r0 + chunk, None]
-        KT = np.ascontiguousarray(K.T).reshape(counts + (len(rr),))
-        for B, part, pos in zip(blocks, parity_fold(KT, axes), place):
-            at = pos[r0:r0 + chunk]
+        img = np.flatnonzero((rep_of >= r0) & (rep_of < r0 + chunk))
+        # the images' rows, gathered straight into columns (counts + (n,))
+        KT = K.reshape(-1)[cmap[pid[img]].T + (rep_of[img] - r0) * N]
+        for B, part, pos in zip(
+                blocks, parity_fold(KT.reshape(counts + (-1,)), axes), place):
+            at = pos[img]
             B[at[at >= 0]] = part.T[at >= 0]
     return blocks
 
@@ -409,7 +443,11 @@ class LinearizedOperator:
     ``parity_fold``.  That is 8 blocks of about N/8 on a lattice centred
     on the state, 4 of N/4 on a ``grid_spanning`` lattice, and one block
     of N with no mirrored axis.  Every use folds its input into the
-    sectors, works per block and unfolds.
+    sectors, works per block and unfolds.  L also commutes with the
+    permutations of the mirrored axes (``_kernel_blocks``), which map
+    the sectors with equally many odd axes onto each other, so their
+    blocks are permutation-similar (``spectrum_meta`` solves one per
+    class).
     """
 
     state: FluidTriple
@@ -444,15 +482,25 @@ class LinearizedOperator:
 
     def spectrum_meta(self) -> tuple[np.ndarray, int]:
         """Eigenvalues in the M-metric (real, ascending) and the numerical
-        kernel dimension (|lam| < 1e-6 max |lam|): one eigvalsh per sector
-        of the symmetrised S = D L D^{-1}, D = sqrt(weight / M), which is
-        invariant under the reflections."""
+        kernel dimension (|lam| < 1e-6 max |lam|) of the symmetrised
+        S = D L D^{-1}, D = sqrt(weight / M), which is invariant under the
+        reflections and the permutations of the mirrored axes.  Sectors
+        with equally many odd axes, such as (e, e, o), (e, o, e) and
+        (o, e, e), are mapped onto each other by those permutations, so
+        their blocks are permutation-similar: one eigvalsh per class,
+        whose eigenvalues every member repeats (4 solves on a lattice
+        mirrored in three axes, 3 in two)."""
         ds = _sector_diagonals(
             np.sqrt(self.grid.weight / self.projector.M), self.axes)
-        lam = []
-        for d, A in zip(ds, self.blocks):
-            S = (d[:, None] * A) / d[None, :]
-            lam.append(np.linalg.eigvalsh(0.5 * (S + S.T)))
+        solved, lam = {}, []
+        for sector, (d, A) in enumerate(zip(ds, self.blocks)):
+            # in parity_fold's order the index has one bit per mirrored
+            # axis, set where the sector is odd
+            odd = sector.bit_count()
+            if odd not in solved:
+                S = (d[:, None] * A) / d[None, :]
+                solved[odd] = np.linalg.eigvalsh(0.5 * (S + S.T))
+            lam.append(solved[odd])
         lam = np.sort(np.concatenate(lam))
         null_dim = int(np.sum(np.abs(lam) < 1e-6 * np.max(np.abs(lam))))
         return lam, null_dim
@@ -529,13 +577,15 @@ def assemble_linearized(s: FluidTriple, grid: VelocityGrid,
 
     The kernels depend on xi only through |xi - u|, |xi* - u| and
     |xi - xi*|, so on the lattice axes mirrored about u
-    (``VelocityGrid.mirror_axes``) only the rows of the fundamental domain
-    are computed, and they are folded straight into the parity sectors
-    (``_kernel_blocks``).  M, nu and the projection are invariant under
-    the reflections too, so the symmetrisation, the scaling, the
-    frequency diagonal and the rank-5 projection act on each sector block
-    alone; the sector blocks between different sectors vanish, and no
-    N x N array is formed unless no axis is mirrored.
+    (``VelocityGrid.mirror_axes``) only one kernel row per orbit of the
+    reflections and the permutations of those axes is computed; the
+    other rows of the fundamental domain are its transposes, and all are
+    folded straight into the parity sectors (``_kernel_blocks``).  M, nu
+    and the projection are invariant under the reflections too, so the
+    symmetrisation, the scaling, the frequency diagonal and the rank-5
+    projection act on each sector block alone; the sector blocks between
+    different sectors vanish, and no N x N array is formed unless no axis
+    is mirrored.
 
     The k2 shell average integrates over cubic cells, so a lattice whose
     axis spacings differ by more than 1e-12 relative raises ValueError.

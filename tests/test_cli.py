@@ -346,14 +346,22 @@ def test_cli_simulate_kinetic_progress_lines(tmp_path, capsys):
                and " micro_norm=" in line for line in lines)
     assert captured.out == (tmp_path / "kin" / "summary.json").read_text()
 
+
+def _module_env(**extra):
+    """The environment of a fresh ``python -m kinwave.cli`` process that
+    imports this package, with ``extra`` variables set."""
+    env = dict(os.environ, **extra)
+    src = str(Path(kinwave.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_cli_module_run_is_deterministic(tmp_path):
     """``python -m kinwave.cli`` in a fresh process exits 0 and writes
     byte-identical result JSON twice."""
     cfgfile = _write(tmp_path, TINY_KINETIC)
-    env = dict(os.environ)
-    src = str(Path(kinwave.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = _module_env()
     results = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -365,6 +373,28 @@ def test_cli_module_run_is_deterministic(tmp_path):
         results.append([(out / f).read_bytes()
                         for f in ("summary.json", "kinetic_frames.json")])
     assert results[0] == results[1]
+
+
+def test_collision_report_independent_of_blas_threads(tmp_path):
+    """``collision-check`` in fresh processes on one and on two BLAS
+    threads writes byte-identical reports, on the benchmark's 12^3
+    lattice with its 10^3 companion.  The largest eigenvalue there is the
+    null space's roundoff, which the threaded eigvalsh leaves at a
+    thread-dependent 1e-19 to 3e-14; it is written as 0.0."""
+    cfgfile = _write(tmp_path, "[grid]\nvelocity_counts = 12\n")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "kinwave.cli", "collision-check",
+             "--config", str(cfgfile), "--out", str(out)],
+            env=_module_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        reports.append((out / "collision_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    for check in json.loads(reports[0])["checks"][:2]:
+        assert check["max_eigenvalue"] == 0.0
 
 
 def test_cli_kinetic_sanity_operator_drift(tmp_path):

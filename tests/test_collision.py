@@ -8,11 +8,16 @@ from hypothesis import strategies as st
 
 from scipy.linalg import eigh
 
-from kinwave.collision import (assemble_linearized, collision_frequency, erf,
-                               kernels, measure_dissipativity, micro_leading,
+from kinwave import collision
+from kinwave.collision import (_sector_diagonals, assemble_linearized,
+                               collision_frequency, erf, kernels,
+                               measure_dissipativity, micro_leading,
                                parity_fold, q_bilinear, q_bilinear_batch)
+from kinwave.config import load_config
 from kinwave.errors import NotMicroscopic, SingularPair
 from kinwave.gas import R_GAS, FluidTriple
+from kinwave.riemann import generate_states
+from kinwave.solvers import wave_states
 from kinwave.velocity import (VelocityGrid, grid_for_state, grid_spanning,
                               inner, moments, one_plus_speed,
                               reference_maxwellian)
@@ -411,8 +416,6 @@ def test_assembly_rejects_non_cubic_cells(monkeypatch):
     """The k2 shell average assumes cubic cells: (10, 10, 12) at half-width
     5 is refused before any kernel row is computed (its raw chi residual
     would depend on the axis order)."""
-    from kinwave import collision
-
     def no_kernel_work(*args):
         raise AssertionError("kernel rows computed")
 
@@ -502,8 +505,8 @@ def test_parity_blocked_spectrum_matches_full_eigh(base_state, n):
 
 
 def _mirror_lattices(base_state):
-    """(state, lattice, mirrored axes): centred on the state, n = 7 and
-    9; spanning two states with the state off-centre in xi1 (u2, u3 at
+    """(state, lattice, mirrored axes): centred on the state, n = 7, 8
+    and 9; spanning two states with the state off-centre in xi1 (u2, u3 at
     roundoff, as the kinetic solver's frozen states have them), n = 8 and
     9; spanning, with the state off-centre in xi1 and xi3; off-centre in
     every axis."""
@@ -513,6 +516,8 @@ def _mirror_lattices(base_state):
     return {
         "centred": (base_state, grid_for_state(base_state, counts=(7,) * 3),
                     (0, 1, 2)),
+        "centred-8": (base_state, grid_for_state(base_state, counts=(8,) * 3),
+                      (0, 1, 2)),
         "centred-9": (base_state, grid_for_state(base_state, counts=(9,) * 3),
                       (0, 1, 2)),
         "spanning": (frozen, grid_spanning(ends, (8,) * 3), (1, 2)),
@@ -524,8 +529,8 @@ def _mirror_lattices(base_state):
     }
 
 
-MIRROR_CASES = ["centred", "centred-9", "spanning", "spanning-9", "one-axis",
-                "off-centre"]
+MIRROR_CASES = ["centred", "centred-8", "centred-9", "spanning", "spanning-9",
+                "one-axis", "off-centre"]
 
 
 @pytest.mark.parametrize("case", MIRROR_CASES)
@@ -544,12 +549,14 @@ def _one_sector(s, grid, monkeypatch):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("case", ["centred", "spanning", "off-centre"])
+@pytest.mark.parametrize("case", ["centred", "centred-8", "spanning",
+                                  "off-centre"])
 def test_reflection_fill_matches_dense_fill(base_state, case, monkeypatch):
-    """The operator filled from the fundamental domain acts as the one
-    filled row by row over the whole lattice (what assembly does when no
-    axis is mirrored), and its blocked spectrum (8, 4 or 1 sectors)
-    equals the full eigh of the dense fill."""
+    """The operator filled from one kernel row per orbit of the
+    reflections and axis permutations acts as the one filled row by row
+    over the whole lattice (what assembly does when no axis is mirrored),
+    and its blocked spectrum (8, 4 or 1 sectors) equals the full eigh of
+    the dense fill."""
     s, grid, _ = _mirror_lattices(base_state)[case]
     op = assemble_linearized(s, grid, gram_tol=0.5)
     dense = _dense(_one_sector(s, grid, monkeypatch))
@@ -580,6 +587,71 @@ def test_sector_assembly_matches_one_sector_fill(base_state, case,
                 axes)):
             want = op.blocks[j] if i == j else 0.0
             assert np.abs(blk - want).max() <= 1e-13 * scale
+
+
+def test_orbit_fill_computes_one_row_per_orbit(base_state, monkeypatch):
+    """Kernel rows and shell averages are computed once per orbit of the
+    reflections and the permutations of the mirrored axes, for no other
+    row: 20 of the 64 fundamental rows at 8^3 centred (the multisets of
+    three of 4 indices), and 36 of 54 on the kinetic-sanity 6^3
+    ``grid_spanning`` lattice for a frozen state with u2, u3 at roundoff
+    (6 xi1 nodes times the multisets of two of 3 indices)."""
+    seen = {"_kernel_rows": [], "_k2_shell_average": []}
+    for name, rows_seen in seen.items():
+        def counted(s, grid, q, rows, fill=getattr(collision, name),
+                    rows_seen=rows_seen):
+            rows_seen.extend(rows.tolist())
+            return fill(s, grid, q, rows)
+        monkeypatch.setattr(collision, name, counted)
+    cfg = load_config(preset="kinetic-sanity")
+    d = generate_states(cfg.right_state, cfg.delta_r, cfg.delta_c,
+                        cfg.delta_s)
+    frozen = FluidTriple(v=d.mid_hi.v, u=(d.mid_hi.u1, 1e-16, -2e-16),
+                         theta=d.mid_hi.theta)
+    kinetic = grid_spanning(wave_states(d)[0], (cfg.velocity_counts,) * 3,
+                            cfg.velocity_extent)
+    assert kinetic.counts == (6,) * 3 and kinetic.mirror_axes(frozen) == (1, 2)
+    for s, grid, orbits in (
+            (base_state, grid_for_state(base_state, counts=(8,) * 3), 20),
+            (frozen, kinetic, 36)):
+        for rows_seen in seen.values():
+            rows_seen.clear()
+        assemble_linearized(s, grid, gram_tol=0.5)
+        for rows_seen in seen.values():
+            assert len(rows_seen) == len(set(rows_seen)) == orbits
+
+
+@pytest.mark.parametrize("case, solves", [("centred-8", 4), ("spanning", 3),
+                                          ("one-axis", 2), ("off-centre", 1)])
+def test_spectrum_solves_one_sector_per_class(base_state, case, solves,
+                                              monkeypatch):
+    """``spectrum_meta`` makes one eigvalsh per class of parity sectors
+    with equally many odd axes (4, 3, 2 and 1 for three, two, one and no
+    mirrored axes), and each sector's own eigvalsh of its block agrees
+    with the eigenvalues shared from its class to 1e-12 of scale."""
+    s, grid, axes = _mirror_lattices(base_state)[case]
+    op = assemble_linearized(s, grid, gram_tol=0.5)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    lam, _ = op.spectrum_meta()
+    monkeypatch.undo()
+    assert len(calls) == solves
+    own = []
+    for d, A in zip(_sector_diagonals(np.sqrt(grid.weight / op.projector.M),
+                                      axes), op.blocks):
+        S = (d[:, None] * A) / d[None, :]
+        own.append(eigvalsh(0.5 * (S + S.T)))
+    scale = np.abs(lam).max()
+    for sector, mine in enumerate(own):
+        shared = own[[i.bit_count() for i in range(len(own))].index(
+            sector.bit_count())]
+        assert np.abs(mine - shared).max() <= 1e-12 * scale
+    assert np.abs(np.sort(np.concatenate(own)) - lam).max() <= 1e-12 * scale
 
 
 def test_dissipativity_batch_matches_per_trial_loop(operator, base_state):
