@@ -92,27 +92,25 @@ def q_bilinear_batch(G: np.ndarray, H: np.ndarray,
     (xi - xi*) . Omega >= 0 masks the full-sphere rule; gain and loss share
     one (xi*, Omega) quadrature.  For each direction Omega = +-e_a of
     ``grid.omega`` the post-collision velocities swap one lattice
-    coordinate, xi' = (xi*_a, xi_b, xi_c), xi*' = (xi_a, xi*_b, xi*_c),
-    and B(i_a, j_a) = w w_k max(+-(xi_a - xi*_a), 0) depends on that
-    coordinate alone, so the xi* sum factorizes exactly: gain(i) =
-    hbar(i_a) sum_{j_a} B(i_a, j_a) g(j_a, i_b, i_c) and loss_frequency(i)
-    = (B hbar)(i_a), hbar = h summed over the other two axes; one
-    n_a x n_a matmul per direction, O(nbatch N n_a).
+    coordinate, xi' = (xi*_a, xi_b, xi_c), xi*' = (xi_a, xi*_b, xi*_c), so
+    the xi* sum factorizes exactly, and the kernels w pi max(+-(xi_a -
+    xi*_a), 0) of +e_a and -e_a add to B(i_a, j_a) = w pi |xi_a - xi*_a|:
+    gain(i) = hbar(i_a) sum_{j_a} B(i_a, j_a) g(j_a, i_b, i_c) and
+    loss_frequency(i) = (B hbar)(i_a), hbar = h summed over the other two
+    axes; one n_a x n_a matmul per axis e1, e2, O(nbatch N n_a).
     """
     nb = G.shape[0]
     shape = (nb,) + grid.counts
     G, H = G.reshape(shape), H.reshape(shape)
     gain, lossfreq = np.zeros(shape), np.zeros(shape)
-    for om, w_om in zip(grid.omega, grid.omega_weight):
-        ax = int(np.flatnonzero(om)[0])
+    for ax in (0, 1):
         x = grid.axes[ax]
-        B = grid.weight * w_om * np.maximum(om[ax] * (x[:, None] - x[None, :]),
-                                            0.0)
+        B = grid.weight * math.pi * np.abs(x[:, None] - x[None, :])
         # work on views with axis a last: (nb, n_b, n_c, n_a)
         hbar = np.moveaxis(H, ax + 1, -1).sum(axis=(1, 2))[:, None, None]
         np.moveaxis(gain, ax + 1, -1)[...] += \
-            hbar * (np.moveaxis(G, ax + 1, -1) @ B.T)
-        np.moveaxis(lossfreq, ax + 1, -1)[...] += hbar @ B.T
+            hbar * (np.moveaxis(G, ax + 1, -1) @ B)
+        np.moveaxis(lossfreq, ax + 1, -1)[...] += hbar @ B
     return BilinearResult(gain=gain, loss=G * lossfreq,
                           loss_frequency=lossfreq)
 

@@ -106,10 +106,12 @@ def load_config(path=None, preset: str | None = None) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
         if path is not None:
-            path = Path(path)
-            if not path.exists():
-                raise ConfigError(f"config file not found: {path}")
-            parser.read(path)
+            # read_file, not read: read skips a path it cannot open
+            try:
+                with open(path) as fh:
+                    parser.read_file(fh)
+            except OSError as exc:
+                raise ConfigError(f"cannot read config: {exc}") from exc
         if preset is not None:
             if preset not in PRESETS:
                 raise ConfigError(
@@ -133,6 +135,8 @@ def check_range(section: str, key: str, value) -> None:
 def _build(parser: configparser.ConfigParser) -> RunConfig:
     """Check the merged parser against the schema and ranges, then map it
     onto a RunConfig."""
+    if parser.defaults():     # [DEFAULT] keys would leak into every section
+        raise ConfigError("unknown section [DEFAULT]")
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")

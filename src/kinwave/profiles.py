@@ -11,9 +11,8 @@ Each family's ``eval`` returns a WaveProfile: the values and the analytic
 (or interpolant-level) first derivatives in its spatial argument.  The
 interpolants are piecewise cubic Hermite (``_Hermite``): the contact's
 take clamped cubic-spline slopes, and the shock's take the slopes of its
-plane system at the orbit nodes.  The shock orbit is integrated by an
-embedded Dormand-Prince 5(4) pair, whose own Hermite interpolant in the
-volume the shock keeps; numpy is all they need.
+plane system at the accepted nodes of its orbit, which an embedded
+Dormand-Prince 5(4) pair integrates; numpy is all they need.
 """
 
 from __future__ import annotations
@@ -449,6 +448,12 @@ SHOCK_RTOL = 1e-10
 #: SHOCK_MIN_STEP_REL * delta_s or its step attempts pass SHOCK_MAX_STEPS
 SHOCK_MIN_STEP_REL = 1e-12
 SHOCK_MAX_STEPS = 20_000
+#: a step that would stop short of a node the orbit must land on (the
+#: mid-volume, the end) by less than this fraction of itself lands there
+SHOCK_LAND_FRACTION = 0.01
+#: the weakest shock that builds: below it the orbit's steps collapse, or
+#: its slope is the saddle roots' wherever |den| < 1e-10 p^*
+SHOCK_MIN_STRENGTH = 1e-3
 
 #: the Dormand-Prince 5(4) pair (Dormand and Prince 1980): stage nodes,
 #: stage coefficients, fifth-order weights, and the weights of the
@@ -469,13 +474,15 @@ def _combine(y: tuple, h: float, weights: tuple, k: list) -> tuple:
                  for j, yj in enumerate(y))
 
 
-def _integrate_orbit(rhs, s0: float, s1: float, y0: tuple,
-                     scale: float) -> _Hermite:
+def _integrate_orbit(rhs, s0: float, s1: float, y0: tuple, scale: float,
+                     s_node: float) -> tuple[np.ndarray, ...]:
     """Integrate y' = rhs(s, y), y a tuple of floats, from s0 to s1 with
     the Dormand-Prince 5(4) pair (fifth-order steps, rtol SHOCK_RTOL, atol
     SHOCK_RTOL * scale, steps of at most scale/20; the first trial step is
-    s0, the orbit's distance from its saddle) and return the cubic Hermite
-    interpolant of the accepted steps' values and slopes.  Raises
+    s0, the orbit's distance from its saddle), landing exactly on s_node on
+    the way; a step that would stop short of s_node or s1 by less than
+    SHOCK_LAND_FRACTION of itself is stretched to land there.  Returns the
+    accepted nodes (n,), values (k, n) and slopes (k, n).  Raises
     ProfileBlowup when the step falls below SHOCK_MIN_STEP_REL * scale or
     the attempts pass SHOCK_MAX_STEPS, so a failing orbit cannot hang."""
     atol, h_max = SHOCK_RTOL * scale, scale / 20.0
@@ -483,12 +490,15 @@ def _integrate_orbit(rhs, s0: float, s1: float, y0: tuple,
     s, y = s0, y0
     f = rhs(s, y)
     nodes, values, slopes = [s], [y], [f]
+    targets = [s1, s_node]
     rejected = False
     for _ in range(SHOCK_MAX_STEPS):
         if h < h_min:
             raise ProfileBlowup(f"orbit step {h:.3e} fell below the floor"
                                 f" {h_min:.3e} at s = {s:.9e}")
-        step = min(h, s1 - s, h_max)
+        step = min(h, h_max)
+        if targets[-1] - s - step < SHOCK_LAND_FRACTION * step:
+            step = targets[-1] - s
         k = [f]
         for c, a in zip(_DP_C, _DP_A):
             k.append(rhs(s + c * step, _combine(y, step, a, k)))
@@ -500,14 +510,13 @@ def _integrate_orbit(rhs, s0: float, s1: float, y0: tuple,
              / (atol + SHOCK_RTOL * max(abs(y[j]), abs(y_new[j])))) ** 2
             for j in range(len(y))) / len(y))
         if err < 1.0:
-            s = s1 if step == s1 - s else s + step
+            s = targets.pop() if step == targets[-1] - s else s + step
             y, f = y_new, f_new
             nodes.append(s)
             values.append(y)
             slopes.append(f)
-            if s >= s1:
-                return _Hermite(np.array(nodes), np.array(values).T,
-                                np.array(slopes).T)
+            if not targets:
+                return np.array(nodes), np.array(values).T, np.array(slopes).T
             grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
             h = step * (min(grow, 1.0) if rejected else grow)
             rejected = False
@@ -527,14 +536,16 @@ class ShockProfile:
 
     The orbit is written in the deviations s = v - v^*, phi = theta -
     theta^* from the upstream saddle: the slope there is 0/0, and forming
-    num and den from v, theta would cancel their leading digits."""
+    num and den from v, theta would cancel their leading digits.  Its
+    accepted integration nodes, one of them the mid-volume s = (v_+ -
+    v^*)/2 where y = 0, carry the one interpolant: v(y) and theta(y)."""
 
     def __init__(self, decomp: RiemannDecomposition,
                  transport: TransportLaw = DEFAULT_TRANSPORT):
-        if decomp.delta_s <= 0.0:
-            raise InvalidStrength("shock strength must be positive")
-        if decomp.delta_s > 0.3 * decomp.mid_hi.v:
-            raise InvalidStrength("shock strength above the supported range")
+        if not SHOCK_MIN_STRENGTH <= decomp.delta_s <= 0.3 * decomp.mid_hi.v:
+            raise InvalidStrength(
+                f"shock strength {decomp.delta_s:.3g} outside the supported"
+                f" [{SHOCK_MIN_STRENGTH:g}, 0.3 v^*]")
         self.decomp = decomp
         self.transport = transport
         hi, right = decomp.mid_hi, decomp.right
@@ -548,11 +559,7 @@ class ShockProfile:
         self._slope_coef = (4.0 * self.sigma ** 2 * self.transport.A1
                             / (3.0 * self.transport.A2))
         self._saddle_den = 1e-10 * self.p_star
-        self._s_mid = 0.5 * decomp.delta_s
-
-        eps = SHOCK_EPS_REL * decomp.delta_s
-        v0 = self.v_star + eps
-        v1 = self.v_plus - eps
+        self._s_mid = 0.5 * (self.v_plus - self.v_star)
 
         def rhs(s, state):
             phi, _y = state
@@ -561,40 +568,29 @@ class ShockProfile:
                     f"theta = {self.theta_star + phi} left (0, 2 theta^*]")
             return self._dtheta_dv(s, phi), self._dy_dv(s, phi)
 
-        # the orbit's own interpolant in s, kept for expansion_lhs
-        orbit = self._orbit = _integrate_orbit(
+        eps = SHOCK_EPS_REL * decomp.delta_s
+        s, (phi, y), (theta_v, y_v) = _integrate_orbit(
             rhs, eps, (self.v_plus - self.v_star) - eps,
-            (self.lstar * eps, 0.0), decomp.delta_s)
-        # resample the orbit geometrically toward both saddles, so the
-        # y-spacing of the interpolation nodes stays bounded where y(v)
-        # diverges logarithmically; each series stops one node short of
-        # s = delta_S/2, where the evenly spaced nodes have their midpoint,
-        # and s = v - v^* is exact
-        ds = decomp.delta_s
-        geo = SHOCK_EPS_REL * (
-            np.geomspace(1.0, 0.5 / SHOCK_EPS_REL, 400)[:-1] - 1.0)
-        self._vgrid = np.unique(np.concatenate([
-            v0 + ds * geo, v1 - ds * geo, np.linspace(v0, v1, 2001)]))
-        s = self._vgrid - self.v_star
-        phigrid, ygrid = orbit(s)
-        self._thgrid = self.theta_star + phigrid
-        # recenter so v(0) is the mid-volume
-        self._y = ygrid - orbit(0.5 * (self.v_plus - self.v_star))[1]
+            (self.lstar * eps, 0.0), decomp.delta_s, self._s_mid)
+        # recenter so v(0) is the mid-volume node
+        self._mid = int(np.searchsorted(s, self._s_mid))
+        self._s, self._phi, self._y = s, phi, y - y[self._mid]
         if not np.all(np.diff(self._y) > 0.0):
             raise ProfileBlowup("y(v) is not strictly increasing on the orbit")
-        # v(y) and theta(y) on the one y-grid, with the node slopes of the
+        # v(y) and theta(y) on the orbit nodes, with the node slopes of the
         # plane system: dv/dy and (d theta/dv)(dv/dy)
-        v_y = self.v_y_of(s, phigrid)
-        self._fields = _Hermite(self._y, (self._vgrid, self._thgrid),
-                                (v_y, self._dtheta_dv(s, phigrid) * v_y))
+        v_y = 1.0 / y_v
+        self._fields = _Hermite(self._y, (self.v_star + s,
+                                          self.theta_star + phi),
+                                (v_y, theta_v * v_y))
         self.y_range = (self._y[0], self._y[-1])
         # saddle decay rates for the exponential tails beyond the orbit
         self._amp_lo = s[0]
-        self._amp_hi = self.v_plus - self._vgrid[-1]
+        self._amp_hi = self.v_plus - self.v_star - s[-1]
         self._rate_lo = v_y[0] / max(self._amp_lo, 1e-300)
         self._rate_hi = v_y[-1] / max(self._amp_hi, 1e-300)
-        self._thamp_lo = phigrid[0]
-        self._thamp_hi = self.decomp.right.theta - self._thgrid[-1]
+        self._thamp_lo = phi[0]
+        self._thamp_hi = right.theta - (self.theta_star + phi[-1])
 
     # plane-system right-hand sides in the deviations (s, phi) ------------
     def _den(self, s, phi):
@@ -610,10 +606,10 @@ class ShockProfile:
     def _dtheta_dv(self, s, phi):
         """Orbit slope d theta/d v = 4 sigma^2 A1/(3 A2) num/den of the plane
         system; near the saddles, where |den| < 1e-10 p^*, the ratio is 0/0
-        and the slope is the root of the nearer saddle: lstar up to
-        s = delta_S/2, the downstream root beyond.  s, phi are scalars (the
-        orbit ODE, whose per-call cost this keeps free of np.where) or
-        arrays (eval)."""
+        and the slope is the root of the nearer saddle: lstar up to the
+        mid-volume s = (v_+ - v^*)/2, the downstream root beyond.  s, phi
+        are scalars (the orbit ODE, whose per-call cost this keeps free of
+        np.where) or arrays (eval)."""
         den = self._den(s, phi)
         saddle = abs(den) < self._saddle_den
         if type(saddle) is np.ndarray:
@@ -665,10 +661,10 @@ class ShockProfile:
 
 def expansion_lhs(wave: ShockProfile) -> float:
     """Chord-slope difference (p-p_+)/(v-v_+) - (p-p^*)/(v-v^*) at the
-    profile midpoint volume."""
+    profile's mid-volume node."""
     d = wave.decomp
-    v_mid = 0.5 * (d.mid_hi.v + d.right.v)
-    th_mid = wave.theta_star + float(wave._orbit(v_mid - d.mid_hi.v)[0])
+    v_mid = wave.v_star + wave._s[wave._mid]
+    th_mid = wave.theta_star + float(wave._phi[wave._mid])
     p_mid = pressure(FluidTriple(v=v_mid, theta=th_mid))
     p_plus = pressure(d.right)
     p_star = pressure(d.mid_hi)
@@ -700,13 +696,12 @@ CURVATURE_FIT_FRACTION = 0.1
 
 
 def measured_curvature(wave: ShockProfile) -> float:
-    """d^2 theta / dv^2 at v^* from a quadratic fit of the integrated orbit
-    over the first CURVATURE_FIT_FRACTION of the volume range (slope pinned
-    to the saddle root, so only the curvature is free)."""
-    dv = wave._vgrid - wave.v_star
-    mask = (dv > 0) & (dv < CURVATURE_FIT_FRACTION * wave.decomp.delta_s)
-    x = dv[mask]
-    r = wave._thgrid[mask] - wave.theta_star - wave.lstar * x
+    """d^2 theta / dv^2 at v^* from a quadratic fit of the orbit nodes in
+    the first CURVATURE_FIT_FRACTION of the volume range (slope pinned to
+    the saddle root, so only the curvature is free)."""
+    mask = wave._s < CURVATURE_FIT_FRACTION * wave.decomp.delta_s
+    x = wave._s[mask]
+    r = wave._phi[mask] - wave.lstar * x
     return 2.0 * float((x ** 2 @ r) / (x ** 2 @ x ** 2))
 
 

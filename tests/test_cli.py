@@ -124,11 +124,22 @@ def test_cli_riemann_every_preset(tmp_path, name):
     "[perturbation]\nmicro_width = 0",
     "[perturbation]\nbumps = v:0.01:inf:5",
     "[output]\ncache_dir = x",
+    "[DEFAULT]\nbogus = 1",
+    "[DEFAULT]\nt_end = 5\n[solver]\nseed = 1",
 ])
 def test_cli_invalid_config_exits_before_work(tmp_path, text):
     cfgfile = _write(tmp_path, text + "\n")
     out = tmp_path / "o"
     assert cli.main(["riemann", "--config", str(cfgfile),
+                     "--out", str(out)]) == cli.EXIT_IO
+    assert not out.exists()
+
+
+def test_cli_unreadable_config_exits_before_work(tmp_path):
+    """A config path that cannot be opened (here a directory) is an error,
+    not an empty config that runs on the defaults."""
+    out = tmp_path / "o"
+    assert cli.main(["riemann", "--config", str(tmp_path),
                      "--out", str(out)]) == cli.EXIT_IO
     assert not out.exists()
 

@@ -407,13 +407,13 @@ def test_weak_shock_builds(mid, ds):
 
 
 def test_nonmonotone_orbit_raises_blowup(monkeypatch):
-    """An orbit whose sampled y(v) is not strictly increasing raises
-    ProfileBlowup before the interpolants are built."""
+    """An orbit whose y(v) is not strictly increasing on its nodes raises
+    ProfileBlowup before the interpolant is built."""
     integrate = profiles._integrate_orbit
 
     def wiggled(*args):
-        orbit = integrate(*args)
-        return lambda s: orbit(s) + [0.0 * s, 1e3 * np.sin(1e3 * s)]
+        s, (phi, y), slopes = integrate(*args)
+        return s, (phi, y + 1e3 * np.sin(1e3 * s)), slopes
 
     monkeypatch.setattr(profiles, "_integrate_orbit", wiggled)
     with pytest.raises(ProfileBlowup, match="strictly increasing"):
@@ -457,15 +457,16 @@ def _reference_orbit(wave):
 @pytest.mark.parametrize("strengths", [(0.08, 0.05, 0.08), (0.02, 0.02, 0.05),
                                        (0.0, 0.0, 0.1)])
 def test_shock_orbit_matches_reference(strengths):
-    """At the resampling nodes the orbit agrees with scipy's DOP853 at
-    rtol 1e-13 (same start, same recentering): theta within 1e-8 delta_S
-    and y within 2e-7 of the y-range (measured about 1e-10 delta_S and
-    7.4e-8)."""
+    """At the orbit nodes the orbit agrees with scipy's DOP853 at rtol
+    1e-13 (same start, same recentering at the mid-volume): theta within
+    1e-8 delta_S and y within 2e-7 of the y-range (measured at most
+    7.2e-11 delta_S and 5.4e-10)."""
     wave = ShockProfile(generate_states(RIGHT, *strengths))
     ds = wave.decomp.delta_s
-    phi, y = _reference_orbit(wave)(wave._vgrid - wave.v_star)
-    y -= np.interp(0.5 * (wave.v_star + wave.v_plus), wave._vgrid, y)
-    assert np.abs(wave._thgrid - (wave.theta_star + phi)).max() <= 1e-8 * ds
+    reference = _reference_orbit(wave)
+    phi, y = reference(wave._s)
+    y -= reference(wave._s_mid)[1]
+    assert np.abs(wave._phi - phi).max() <= 1e-8 * ds
     assert np.abs(wave._y - y).max() <= 2e-7 * (y[-1] - y[0])
 
 
@@ -474,7 +475,7 @@ def test_shock_interpolant_stays_on_orbit(strengths):
     """At the nodes, between them and on a dense grid over the y-range,
     eval's theta(y) lies on scipy's DOP853 orbit at eval's v(y), within
     1e-9 delta_S, and eval's v_y is the plane system's dv/dy there, within
-    1e-7 of its maximum (measured 1.3e-10 delta_S and 4.6e-9 on the
+    1e-7 of its maximum (measured 1.2e-10 delta_S and 4.4e-9 on the
     criterion-9 shock, 1.0e-10 delta_S and 5.9e-9 on the kinetic-sanity
     one; with PCHIP node slopes the criterion-9 shock read 5.2e-5 delta_S
     and 1.8e-3, where two nodes sat 1.4e-15 delta_S apart)."""
@@ -494,11 +495,14 @@ def test_shock_interpolant_stays_on_orbit(strengths):
                                              theta=1.05)])
 @pytest.mark.parametrize("ds", [1e-3, 0.05, 0.08, 0.16])
 def test_shock_resample_nodes_apart(mid, ds):
-    """No two resampling nodes lie closer than 1e-9 delta_S (measured
-    3.3e-8 delta_S, the first geometric step off each saddle): the
-    geometric series stop short of the evenly spaced midpoint."""
+    """The interpolation nodes, the orbit's own accepted nodes: no two lie
+    closer than 1e-9 delta_S (measured 1.5e-8 delta_S, the integrator's
+    first step off the saddle or its last onto the end), and one is the
+    mid-volume s = (v_+ - v^*)/2, where y is 0."""
     wave = ShockProfile(shock_decomposition(mid, ds))
-    assert np.diff(wave._vgrid).min() >= 1e-9 * ds
+    assert np.diff(wave._s).min() >= 1e-9 * ds
+    assert wave._s[wave._mid] == 0.5 * (wave.v_plus - wave.v_star)
+    assert wave._y[wave._mid] == 0.0
 
 
 @pytest.mark.parametrize("ds", [0.02, 0.1, 0.001])
@@ -572,6 +576,11 @@ def test_shock_expansion_report():
 
 
 def test_shock_strength_guards():
+    """A zero-strength shock and shocks below SHOCK_MIN_STRENGTH raise
+    InvalidStrength at once: below it the orbit's steps collapse into
+    ProfileBlowup after about 0.9 s (3e-4), or theta(v) is the saddle
+    roots' straight lines wherever |den| < 1e-10 p^*, the whole orbit at
+    1e-5."""
     from kinwave.riemann import RiemannDecomposition
     mid = FluidTriple(v=0.92, u=(0.09, 0, 0), theta=1.05)
     degenerate = RiemannDecomposition(left=mid, mid_lo=mid, mid_hi=mid,
@@ -579,6 +588,10 @@ def test_shock_strength_guards():
                                       delta_s=0, sigma=sound_speed(mid))
     with pytest.raises(InvalidStrength):
         ShockProfile(degenerate)
+    for ds in (1e-5, 3e-4):
+        with pytest.raises(InvalidStrength, match="outside the supported"):
+            ShockProfile(shock_decomposition(FluidTriple(v=1.0, theta=1.0),
+                                             ds))
 
 
 @pytest.mark.slow
